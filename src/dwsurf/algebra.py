@@ -7,8 +7,11 @@ g* = c(g,g^-1) g^-1 for sign-valued cocycles, and the symmetric/skew/dual
 indicator of every block.
 
 Cocycle scalars enter exactly (roots of unity) and are embedded into complex
-doubles late.  Tolerances: 1e-8 for idempotent and eigenvalue clustering,
-1e-6 for integer rounding of block dimensions.
+doubles late.  The center is built exactly, as twisted class sums: which
+classes are c-regular and the phase of every coefficient are integer
+computations, with no rank cutoff.  Tolerances: 1e-8 for the commutator
+residual of the embedded class sums and for idempotents, 1e-6 for eigenvalue
+separation and for integer rounding of block dimensions.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .cocycles import TwoCocycle
-from .groups import FiniteGroup
+from .groups import FiniteGroup, conjugacy_classes
 
 CLUSTER_TOL = 1e-8
 ROUND_TOL = 1e-6
@@ -139,29 +142,56 @@ class TwistedGroupAlgebra:
         return C
 
     def center_basis(self) -> np.ndarray:
-        """Orthonormal rows spanning {z : z.g = g.z for all g}.
+        """Orthonormal rows spanning the center: the twisted class sums.
 
-        Solved as the null space of the stacked commutation system; singular
-        values falling inside the ambiguity band (1e-8, 1e-6) abort, since the
-        center dimension would then depend on the cutoff.
+        For a class representative g, e_h e_g e_h^-1 = zeta^phi(h) e_{hgh^-1}
+        with phi(h) = c(h,g) + c(hg,h^-1) - c(h,h^-1) in exact exponents.  g is
+        c-regular iff phi vanishes on its centralizer C(g); then phi is
+        constant on every coset h.C(g), and sum_h e_h e_g e_h^-1 is |C(g)|
+        times sum_k zeta^phi(k) e_k over the class.  Other classes contribute
+        nothing.  Rows have disjoint supports, so they are orthonormal once
+        divided by sqrt(|class|).
         """
-        n = self.dim
+        G, exps, N = self.group, self.cocycle.exps, self.cocycle.order
+        cay, inv = G.cayley, G.inverse
+        h = np.arange(self.dim)
         rows = []
-        for g in range(n):
-            e = self.basis_vector(g)
-            rows.append(self.left_matrix(e) - self.right_matrix(e))
-        mat = np.vstack(rows)
-        _, sigma, vh = np.linalg.svd(mat)
-        sigma = np.concatenate([sigma, np.zeros(n - len(sigma))])
-        in_band = (sigma > CLUSTER_TOL) & (sigma < ROUND_TOL)
-        if in_band.any():
-            raise AlgebraError(
-                f"center rank is ambiguous: singular values {sigma[in_band]} fall "
-                "between 1e-8 and 1e-6; tolerance review required")
-        null = vh[sigma <= CLUSTER_TOL].conj()   # null space is V, not V^H
-        if len(null) == 0:
-            raise AlgebraError("empty center: algebra data is corrupt")
-        return null
+        for g in conjugacy_classes(G).representatives:
+            hg = cay[h, g]
+            conj = cay[hg, inv]                       # h g h^-1
+            phase = (exps[h, g] + exps[hg, inv] - exps[h, inv]) % N
+            if phase[conj == g].any():
+                continue                              # not c-regular
+            phi = np.empty(self.dim, dtype=np.int64)
+            phi[conj] = phase
+            if (phi[conj] != phase).any():
+                raise AlgebraError(
+                    f"conjugation phase of class {g} is not constant on the cosets of "
+                    "its centralizer; the cocycle table is inconsistent")
+            members = np.unique(conj)
+            row = np.zeros(self.dim, dtype=complex)
+            row[members] = np.exp(2j * np.pi * phi[members] / N) / np.sqrt(len(members))
+            rows.append(row)
+        if not rows:
+            raise AlgebraError("empty center: the identity is not c-regular, so the table "
+                               "is not normalized")
+        return np.array(rows)
+
+
+def commutator_residual(A: TwistedGroupAlgebra, Z: np.ndarray) -> float:
+    """max |e_x z - z e_x| over the rows z of Z and every basis element e_x.
+
+    Both products permute coefficients: at position xj, e_x z holds
+    c(x,j) z[j] and z e_x holds c(j',x) z[j'] with j' = x j x^-1.  Comparing
+    the two for every x and every j in the support of z covers every nonzero
+    position of either side, because conjugation maps a support it does not
+    preserve partly outside itself.  Cost: #G times the number of nonzeros.
+    """
+    cay, inv, omega = A.group.cayley, A.group.inverse, A.omega
+    i, j = np.nonzero(Z)
+    x = np.arange(A.dim)[:, None]
+    jc = cay[cay[x, j], inv[x]]                  # x j x^-1, shape (#G, nonzeros)
+    return float(np.abs(Z[i, j] * omega[x, j] - Z[i, jc] * omega[jc, x]).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +233,11 @@ def wedderburn_decompose(A: TwistedGroupAlgebra, seed: int = 0, max_retries: int
     action on the center; each eigenvector spans one primitive central
     idempotent.  Eigenvalue collisions trigger a retry with fresh randomness.
     """
-    n = A.dim
     Z = A.center_basis()
+    center_resid = commutator_residual(A, Z)
+    if center_resid > CLUSTER_TOL:
+        raise AlgebraError(
+            f"class sums do not commute with the basis (residual {center_resid:.2e})")
     r = len(Z)
     rng = np.random.default_rng(seed)
     last_err = None
@@ -232,6 +265,7 @@ def wedderburn_decompose(A: TwistedGroupAlgebra, seed: int = 0, max_retries: int
                                    tuple(np.round(b.character.real, 6)),
                                    tuple(np.round(b.character.imag, 6))))
         diagnostics = {
+            "center_commutator_residual": center_resid,
             "idempotency_residual": max(
                 float(np.abs(A.multiply(b.idempotent, b.idempotent) - b.idempotent).max())
                 for b in blocks),

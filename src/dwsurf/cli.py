@@ -34,7 +34,11 @@ def parse_cocycle(spec: str, G: FiniteGroup) -> TwoCocycle:
     if s == "trivial":
         return trivial_cocycle(G)
     if s.startswith("heisenberg:"):
-        c = heisenberg_cocycle(int(s.split(":", 1)[1]))
+        try:
+            n = int(s.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad numeric argument in cocycle descriptor {spec!r}") from None
+        c = heisenberg_cocycle(n)
         if c.group != G:
             raise ValueError(f"cocycle {s} lives on {c.group.name}, not on {G.name}")
         return TwoCocycle(G, c.order, c.exps, c.name)

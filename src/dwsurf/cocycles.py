@@ -271,18 +271,24 @@ def write_cocycle_file(c: TwoCocycle, path) -> None:
 
 
 def read_cocycle_file(path, G: FiniteGroup, name: str = "") -> TwoCocycle:
+    """Parse the text format; every malformed line is rejected by number."""
     n = G.order
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("order "):
-        raise CocycleError("cocycle file must start with an 'order N' header")
-    order = int(lines[0].split()[1])
+        lines = [(num, ln.strip()) for num, ln in enumerate(fh, 1) if ln.strip()]
+    header = lines[0][1].split() if lines else []
+    if len(header) != 2 or header[0] != "order" or not header[1].isdecimal() or int(header[1]) < 1:
+        raise CocycleError("cocycle file must start with an 'order N' header, N >= 1")
+    order = int(header[1])
     exps = np.full((n, n), -1, dtype=np.int64)
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise CocycleError(f"bad cocycle file line: {ln!r}")
-        i, j, k = map(int, parts)
+    for num, ln in lines[1:]:
+        try:
+            i, j, k = map(int, ln.split())
+        except ValueError:
+            raise CocycleError(f"line {num}: expected three integers 'i j k', got {ln!r}") from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise CocycleError(f"line {num}: index pair ({i}, {j}) is outside [0, {n})")
+        if exps[i, j] >= 0:
+            raise CocycleError(f"line {num}: pair ({i}, {j}) is given twice")
         exps[i, j] = k % order
     if (exps < 0).any():
         raise CocycleError("cocycle file does not cover every pair (i, j)")

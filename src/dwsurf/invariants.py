@@ -14,6 +14,7 @@ integrality.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -171,9 +172,10 @@ def dw_direct(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec, workers: int = 1
     if not spec.orientable and not c.is_sign_valued:
         raise InvariantError("non-orientable surfaces need a sign-valued cocycle")
     pres = relator_presentation(spec)
+    workers = min(workers, G.order, os.cpu_count() or 1)   # at most one chunk per worker
     if workers > 1 and pres.generators > 0:
         chunks = [list(range(start, G.order, workers)) for start in range(workers)]
-        args = [(G, c, pres, spec.orientable, ch) for ch in chunks if ch]
+        args = [(G, c, pres, spec.orientable, ch) for ch in chunks]
         counts = np.zeros(c.order, dtype=np.int64)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_direct_worker, args):

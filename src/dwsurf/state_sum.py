@@ -16,6 +16,7 @@ sum has a closed form.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -294,9 +295,10 @@ def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation, star: bool = 
     n_vars, var_exp, terms, modulus = _edge_terms(A, tri)
     plan = plan_from_terms(n_vars, terms)
     n = A.group.order
+    workers = min(workers, n, os.cpu_count() or 1)   # at most one chunk per worker
     if workers > 1 and n_vars > 0 and plan.kinds[0] == "free":
         chunks = [list(range(start, n, workers)) for start in range(workers)]
-        args = [(A.group, modulus, n_vars, var_exp, terms, plan, ch) for ch in chunks if ch]
+        args = [(A.group, modulus, n_vars, var_exp, terms, plan, ch) for ch in chunks]
         counts = np.zeros(modulus, dtype=np.int64)
         visited = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:

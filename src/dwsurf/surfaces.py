@@ -53,7 +53,11 @@ class SurfaceSpec:
         head, sep, arg = text.replace(" ", "").partition(":")
         if not sep or head not in ("orientable", "nonorientable"):
             raise SurfaceError(f"cannot parse surface descriptor {text!r}")
-        return cls(head == "orientable", int(arg))
+        try:
+            genus = int(arg)
+        except ValueError:
+            raise SurfaceError(f"bad genus in surface descriptor {text!r}") from None
+        return cls(head == "orientable", genus)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,12 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwsurf.algebra import (AlgebraError, TwistedGroupAlgebra, block_character,
-                            decomposition_to_json, fs_indicators, wedderburn_decompose)
-from dwsurf.cocycles import (RootOfUnity, c_regular_count, heisenberg_cocycle,
+                            commutator_residual, decomposition_to_json, fs_indicators,
+                            wedderburn_decompose)
+from dwsurf.cocycles import (RootOfUnity, TwoCocycle, c_regular_count, heisenberg_cocycle,
                              sign_cocycles_catalog, trivial_cocycle, twist)
 from dwsurf.groups import build_group, conjugacy_classes
+from dwsurf.invariants import catalog_pairs, cross_check, sign_catalog_pairs
+from dwsurf.surfaces import SurfaceSpec
 
 
 def algebra(gspec, cocycle=None):
@@ -159,6 +164,90 @@ def test_center_basis_is_central_for_complex_tables():
             e = A.basis_vector(g)
             comm = A.multiply(z, e) - A.multiply(e, z)
             assert np.abs(comm).max() < 1e-10
+
+
+def null_space_center(A):
+    """Reference center: null space of the stacked commutation system
+    [L(e_g) - R(e_g)]_g, by a thin SVD.  Cost grows like #G^4; keep #G <= 16."""
+    assert A.dim <= 16
+    mat = np.vstack([A.left_matrix(A.basis_vector(g)) - A.right_matrix(A.basis_vector(g))
+                     for g in range(A.dim)])
+    _, sigma, vh = np.linalg.svd(mat, full_matrices=False)
+    return vh[sigma <= 1e-8].conj()   # the null space is spanned by rows of V, not V^H
+
+
+def assert_same_span(Z, W):
+    # orthonormal rows span the same space iff their projectors agree
+    assert Z.shape == W.shape
+    assert np.allclose(Z @ Z.conj().T, np.eye(len(Z)), atol=1e-12)
+    assert np.allclose(Z.T @ Z.conj(), W.T @ W.conj(), atol=1e-10)
+
+
+@pytest.mark.parametrize("G,c", catalog_pairs() + sign_catalog_pairs(),
+                         ids=lambda x: getattr(x, "name", None))
+def test_class_sum_center_matches_null_space(G, c):
+    A = TwistedGroupAlgebra(G, c)
+    Z = A.center_basis()
+    assert_same_span(Z, null_space_center(A))
+    assert len(Z) == c_regular_count(G, c)
+    assert commutator_residual(A, Z) < 1e-12
+
+
+@pytest.mark.parametrize("gspec,cname", [("symmetric:3", "trivial"), ("quaternion:8", "trivial"),
+                                         ("dihedral:8", "trivial"),
+                                         ("product(cyclic:3,cyclic:3)", "heisenberg:3"),
+                                         ("product(cyclic:4,cyclic:4)", "heisenberg:4")])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_class_sum_center_under_random_coboundary_twists(gspec, cname, data):
+    (G, c), = catalog_pairs([(gspec, cname)])
+    ks = data.draw(st.lists(st.integers(0, 11), min_size=G.order - 1, max_size=G.order - 1))
+    tc = twist(c, [RootOfUnity(0, 1)] + [RootOfUnity(k, 12) for k in ks])
+    A = TwistedGroupAlgebra(G, tc)
+    Z = A.center_basis()
+    assert_same_span(Z, null_space_center(A))
+    assert len(Z) == len(TwistedGroupAlgebra(G, c).center_basis())   # a class invariant
+
+
+@pytest.mark.parametrize("gspec", ["symmetric:3", "dihedral:8", "quaternion:8"])
+def test_center_rejects_table_that_is_not_a_cocycle(gspec):
+    # one entry c(h, g) = -1 with h outside the centralizer of the class
+    # representative g leaves g regular but breaks coset constancy of the phase
+    G = build_group(gspec)
+    classes = conjugacy_classes(G)
+    g = next(r for r, size in zip(classes.representatives, classes.sizes) if size > 1)
+    h = next(h for h in range(G.order) if G.mul(h, g) != G.mul(g, h))
+    exps = np.zeros((G.order, G.order), dtype=np.int64)
+    exps[h, g] = 1
+    with pytest.raises(AlgebraError, match="not constant on the cosets"):
+        TwistedGroupAlgebra(G, TwoCocycle(G, 2, exps)).center_basis()
+
+
+@pytest.mark.parametrize("gspec", ["symmetric:3", "dihedral:8"])
+def test_commutator_residual_matches_products(gspec):
+    rng = np.random.default_rng(5)
+    G = build_group(gspec)
+    b = [RootOfUnity(0, 1)] + [RootOfUnity(int(rng.integers(12)), 12) for _ in range(G.order - 1)]
+    A = TwistedGroupAlgebra(G, twist(trivial_cocycle(G), b))
+    Z = np.vstack([A.center_basis(), random_element(A, rng), np.eye(A.dim)[[1]]])
+    Z[-2, rng.integers(A.dim, size=3)] = 0       # sparse rows must not hide a commutator
+    e = [A.basis_vector(x) for x in range(A.dim)]
+    for z in Z:
+        want = max(np.abs(A.multiply(ex, z) - A.multiply(z, ex)).max() for ex in e)
+        assert abs(commutator_residual(A, z[None]) - want) < 1e-12
+    assert commutator_residual(A, A.center_basis()) < 1e-12
+
+
+@pytest.mark.parametrize("genus,expected", [(2, 32152), (3, 417163552)])
+def test_symmetric_five_verlinde_matches_character_degrees(genus, expected):
+    # sum over irreducible degrees d = 1,1,4,4,5,5,6 of (120/d)^(2g-2)
+    assert sum((120 // d) ** (2 * genus - 2) for d in (1, 1, 4, 4, 5, 5, 6)) == expected
+    G = build_group("symmetric:5")
+    rep = cross_check(G, trivial_cocycle(G), SurfaceSpec(True, genus), methods=("verlinde",))
+    assert rep.passed
+    assert rep.diagnostics["block_dims"] == [1, 1, 4, 4, 5, 5, 6]
+    assert rep.integrality["nearest"] == expected
+    assert rep.diagnostics["center_commutator_residual"] == 0.0
 
 
 def test_decomposition_of_complex_twisted_algebra():

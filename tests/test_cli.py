@@ -133,6 +133,28 @@ def test_unknown_group_is_a_computation_error(capsys):
     assert "error" in json.loads(out)
 
 
+def test_malformed_cocycle_file_is_a_computation_error(tmp_path, capsys):
+    path = tmp_path / "bad.cocycle"
+    path.write_text("order 2\n" + "".join(f"{i} {j} 0\n" for i in range(2) for j in range(2))
+                    + "5 0 1\n")
+    code, out = run(capsys, "compute", "--group", "cyclic:2", "--cocycle", f"file:{path}",
+                    "--surface", "orientable:1")
+    assert code == 1
+    assert "line 6" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("flag,value", [("--surface", "orientable:x"),
+                                        ("--surface", "nonorientable:"),
+                                        ("--cocycle", "heisenberg:q")])
+def test_bad_numeric_descriptor_is_named(capsys, flag, value):
+    argv = {"--group": "product(cyclic:2,cyclic:2)", "--cocycle": "heisenberg:2",
+            "--surface": "orientable:1", flag: value}
+    code, out = run(capsys, "compute", *(x for kv in argv.items() for x in kv))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert repr(value) in error and "invalid literal" not in error
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["compute", "--surface", "orientable:1"]) == 2   # missing --group
     capsys.readouterr()
@@ -160,6 +182,8 @@ def test_parse_cocycle_validates_group():
         parse_cocycle("heisenberg:3", G)
     with pytest.raises(ValueError):
         parse_cocycle("mystery", G)
+    with pytest.raises(ValueError, match="'heisenberg:q'"):
+        parse_cocycle("heisenberg:q", G)
 
 
 def test_seed_env_override(monkeypatch, capsys):

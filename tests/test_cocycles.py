@@ -256,3 +256,31 @@ def test_cocycle_file_requires_full_table(tmp_path):
     path.write_text("order 2\n0 0 0\n")
     with pytest.raises(CocycleError):
         read_cocycle_file(path, G)
+
+
+def _full_table_lines(n):
+    return [f"{i} {j} 0" for i in range(n) for j in range(n)]
+
+
+@pytest.mark.parametrize("edit,line,message", [
+    (lambda ls: ls + ["2 0 0"], 6, "outside"),          # index >= #G
+    (lambda ls: ls[:-1] + ["-1 -1 1"], 5, "outside"),   # would wrap onto (1, 1)
+    (lambda ls: ls + ["0 1 1"], 6, "given twice"),      # repeated pair
+    (lambda ls: ls[:-1] + ["1 one 0"], 5, "three integers"),
+    (lambda ls: ls[:-1] + ["1 1 0 0"], 5, "three integers"),
+])
+def test_cocycle_file_rejects_bad_lines_by_number(tmp_path, edit, line, message):
+    G = build_group("cyclic:2")
+    path = tmp_path / "bad.cocycle"
+    path.write_text("\n".join(["order 2"] + edit(_full_table_lines(2))) + "\n")
+    with pytest.raises(CocycleError, match=f"line {line}: .*{message}"):
+        read_cocycle_file(path, G)
+
+
+@pytest.mark.parametrize("header", ["order 0", "order -2", "order two", "order", "N 2"])
+def test_cocycle_file_rejects_bad_headers(tmp_path, header):
+    G = build_group("cyclic:2")
+    path = tmp_path / "bad.cocycle"
+    path.write_text("\n".join([header] + _full_table_lines(2)) + "\n")
+    with pytest.raises(CocycleError, match="'order N' header"):
+        read_cocycle_file(path, G)

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from dwsurf import invariants, state_sum
 from dwsurf.algebra import TwistedGroupAlgebra, fs_indicators, wedderburn_decompose
 from dwsurf.cocycles import (RootOfUnity, heisenberg_cocycle, sign_cocycles_catalog,
                              trivial_cocycle, twist)
@@ -9,8 +12,9 @@ from dwsurf.invariants import (InvariantError, boundary_hom_count, boundary_hom_
                                cocycle_weight_nonorientable, cocycle_weight_orientable,
                                count_homs, cross_check, dw_direct, dw_labeling_oracle,
                                enumerate_homs, mednykh_count, verlinde)
+from dwsurf.state_sum import run_state_sum
 from dwsurf.surfaces import (RelatorPresentation, SurfaceSpec, relator_presentation,
-                             seven_vertex_torus, tetrahedron_sphere)
+                             seven_vertex_torus, standard_triangulation, tetrahedron_sphere)
 
 TORUS = SurfaceSpec(True, 1)
 SPHERE = SurfaceSpec(True, 0)
@@ -179,6 +183,44 @@ def test_direct_workers_agree():
     G = build_group("quaternion:8")
     c = trivial_cocycle(G)
     assert dw_direct(G, c, GENUS2, workers=2) == dw_direct(G, c, GENUS2)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in process."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+@pytest.mark.parametrize("cpus,requested,expected", [
+    (4, 10 ** 6, 4),      # capped by the CPU count
+    (64, 10 ** 6, 8),     # capped by the number of chunks, one per element of Q8
+    (64, 3, 3),           # the request itself
+    (None, 10 ** 6, None),  # unknown CPU count: run in process, no pool
+])
+def test_worker_count_is_clamped(monkeypatch, cpus, requested, expected):
+    G = build_group("quaternion:8")
+    c = trivial_cocycle(G)
+    A = TwistedGroupAlgebra(G, c)
+    tri = standard_triangulation(SurfaceSpec(True, 1))
+    direct, states = dw_direct(G, c, GENUS2), run_state_sum(A, tri)
+    made = []
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    for module in (invariants, state_sum):
+        monkeypatch.setattr(module, "ProcessPoolExecutor",
+                            lambda max_workers: RecordingPool(made, max_workers))
+    assert dw_direct(G, c, GENUS2, workers=requested) == direct
+    assert np.array_equal(run_state_sum(A, tri, workers=requested).counts, states.counts)
+    assert made == ([] if expected is None else [expected, expected])
 
 
 def test_direct_coboundary_invariance():

@@ -20,6 +20,8 @@ def test_spec_parsing_and_chi():
     assert SurfaceSpec.parse("nonorientable:3").chi == -1
     with pytest.raises(SurfaceError):
         SurfaceSpec.parse("torus")
+    with pytest.raises(SurfaceError, match="'orientable:x'"):
+        SurfaceSpec.parse("orientable:x")
     with pytest.raises(SurfaceError):
         SurfaceSpec(False, 0)
 
