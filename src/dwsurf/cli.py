@@ -88,7 +88,7 @@ def cmd_statesum(args) -> int:
     else:
         raise ValueError(f"cannot parse --tri {args.tri!r}")
     A = TwistedGroupAlgebra(G, c)
-    res = run_state_sum(A, tri, star=not spec.orientable, workers=args.workers)
+    res = run_state_sum(A, tri, star=not spec.orientable)
     _emit({"value": [res.value.real, res.value.imag],
            "states_visited": res.states_visited,
            "plan": res.plan.to_json()})
@@ -252,7 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--workers", type=int, default=1)
+
+    def worker_flag(p):
+        p.add_argument("--workers", type=int, default=1,
+                       help="processes for direct enumeration")
 
     p = sub.add_parser("compute", help="evaluate one surface invariant")
     p.add_argument("--group", required=True)
@@ -265,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--json", action="store_true", default=True)
     group.add_argument("--csv", action="store_true")
     common(p)
+    worker_flag(p)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("statesum", help="contract a state sum over a triangulation")
@@ -287,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with explicit (group, cocycle, surface) entries")
     p.add_argument("--json", action="store_true")
     common(p)
+    worker_flag(p)
     p.set_defaults(func=cmd_check)
     return parser
 

@@ -231,6 +231,8 @@ def build_group(spec: str) -> FiniteGroup:
         k = int(arg)
     except ValueError:
         raise GroupError(f"bad numeric argument in group descriptor {spec!r}") from None
+    if head in ("cyclic", "dihedral") and k > MAX_ORDER:   # cap before the O(k^3) table check
+        raise GroupError(f"group order {k} exceeds the cap of {MAX_ORDER}")
     if head == "cyclic":
         G = cyclic_group(k)
     elif head == "dihedral":

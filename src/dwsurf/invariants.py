@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import TwistedGroupAlgebra, WedderburnDecomposition, fs_indicators, wedderburn_decompose
 from .cocycles import RootOfUnity, TwoCocycle, c_regular_count, trivial_cocycle
 from .groups import FiniteGroup, conjugacy_classes
-from .state_sum import TriangleTerm, exact_contraction, plan_from_terms, run_state_sum
+from .state_sum import TriangleTerm, plan_from_terms, run_state_sum
 from .surfaces import (RelatorPresentation, SimplicialSurface, SurfaceSpec,
                        relator_presentation, seven_vertex_torus, standard_triangulation,
                        tetrahedron_sphere)
@@ -187,6 +187,114 @@ def dw_direct(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec, workers: int = 1
 
 # ---------------------------------------------------------------------------
 # labeling-sum oracle on simplicial surfaces
+
+def exact_contraction(group, modulus: int, n_vars: int, var_exp, terms, plan):
+    """Backtracking sum of root-of-unity exponents over admissible labelings.
+
+    The labeling oracle's engine, kept apart from the state sum's frontier
+    table so that the two stay independent checks of each other.  Returns
+    (counts, states_visited) with counts[k] the number of admissible
+    labelings of total exponent k mod modulus.
+    """
+    n = group.order
+    cay = [list(map(int, row)) for row in group.cayley]
+    inv = list(map(int, group.inverse))
+    exp2 = [[list(map(int, row)) for row in t.exp2] for t in terms]
+    exp1 = [None if t.exp1 is None else list(map(int, t.exp1)) for t in terms]
+    uexp = [None if e is None else list(map(int, e)) for e in var_exp]
+    slots_of = [[] for _ in range(n_vars)]
+    for ti, term in enumerate(terms):
+        for s, v in enumerate(term.vars):
+            slots_of[v].append((ti, s))
+    labels = [[-1, -1, -1] for _ in terms]
+    filled = [0] * len(terms)
+    val = [-1] * n_vars
+    counts = [0] * modulus
+    visited = 0
+    order = plan.order
+    domain = list(range(n))
+
+    def candidates(var):
+        forced = None
+        for ti, s in slots_of[var]:
+            if filled[ti] == 2 and labels[ti][s] < 0:
+                l = labels[ti]
+                if s == 0:
+                    x = inv[cay[l[1]][l[2]]]
+                elif s == 1:
+                    x = inv[cay[l[2]][l[0]]]
+                else:
+                    x = inv[cay[l[0]][l[1]]]
+                v = inv[x] if terms[ti].inverted[s] else x
+                if forced is None:
+                    forced = v
+                elif forced != v:
+                    return ()
+        if forced is not None:
+            return (forced,)
+        return None
+
+    def assign(var, v):
+        # returns (ok, exponent delta, slots touched)
+        delta = uexp[var][v] if uexp[var] is not None else 0
+        touched = []
+        ok = True
+        for ti, s in slots_of[var]:
+            term = terms[ti]
+            lab = inv[v] if term.inverted[s] else v
+            labels[ti][s] = lab
+            filled[ti] += 1
+            touched.append((ti, s))
+            pi, pj = term.pair
+            if s == pi:
+                other = labels[ti][pj]
+                if other >= 0:
+                    delta += exp2[ti][lab][other]
+            elif s == pj:
+                other = labels[ti][pi]
+                if other >= 0:
+                    delta += exp2[ti][other][lab]
+            if term.exp1_slot == s and exp1[ti] is not None:
+                delta += exp1[ti][lab]
+            if filled[ti] == 3:
+                l = labels[ti]
+                if cay[cay[l[0]][l[1]]][l[2]] != 0:
+                    ok = False
+                    break
+        return ok, delta, touched
+
+    def undo(var, touched):
+        for ti, s in touched:
+            labels[ti][s] = -1
+            filled[ti] -= 1
+        val[var] = -1
+
+    expo = 0
+
+    def walk(pos):
+        nonlocal expo, visited
+        if pos == n_vars:
+            counts[expo % modulus] += 1
+            return
+        var = order[pos]
+        cand = candidates(var)
+        if cand == ():
+            return
+        if cand is None:
+            cand = domain
+        for v in cand:
+            visited += 1
+            val[var] = v
+            ok, delta, touched = assign(var, v)
+            if ok:
+                expo += delta
+                walk(pos + 1)
+                expo -= delta
+            undo(var, touched)
+
+    walk(0)
+    return counts, visited
+
 
 def dw_labeling_oracle(G: FiniteGroup, c: TwoCocycle, surf: SimplicialSurface,
                        node_limit: int = 10 ** 7) -> complex:
@@ -369,7 +477,7 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
     if "statesum" in methods:
         A = TwistedGroupAlgebra(G, c)
         tri = standard_triangulation(spec)
-        res = run_state_sum(A, tri, star=not spec.orientable, workers=workers)
+        res = run_state_sum(A, tri, star=not spec.orientable)
         values["statesum"] = float(G.order) ** (-spec.chi) * res.value
         states = res.states_visited
         diagnostics["statesum_plan_free_edges"] = res.plan.free_count

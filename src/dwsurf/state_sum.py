@@ -1,13 +1,15 @@
-"""State sums on glued triangulations, contracted exactly by backtracking.
+"""State sums on glued triangulations, contracted exactly by a frontier table.
 
 For a twisted group algebra the pairing vector is supported on g (x) g^-1, so
 an edge never carries a dense tensor index: it carries a single group element,
 and a triangle's trace factor vanishes unless the boundary product is the
-identity.  The contraction is therefore a backtracking search over edge
-labels in which a triangle with two labeled edges forces the third.  Every
+identity.  The contraction is therefore variable elimination over edge labels
+along a fixed plan: a table keyed by the labels of the open (frontier) edges
+and the exponent so far, where a triangle with two labeled edges forces the
+third and an edge leaves the table once its triangles are complete.  Every
 admissible labeling contributes a root of unity, accumulated as an exact
-integer exponent histogram; the only floating-point step is the final
-embedding into complex doubles.
+int64 exponent histogram; the only floating-point step is the final embedding
+into complex doubles.
 
 A dense contraction over raw structure constants is also provided; it is used
 to validate the sparse engine against small matrix algebras, where the state
@@ -16,14 +18,21 @@ sum has a closed form.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import AlgebraError, TwistedGroupAlgebra
 from .surfaces import GluedTriangulation, SurfaceError, orientability_and_orientation
+
+# Rows a free edge may expand the contraction table to.  A row is a few
+# machine words, so this stays well under 1 GB, and it is above the largest
+# table of symmetric:5 at genus 3 (120^3 rows).
+MAX_TABLE_ROWS = 2 ** 22
+
+
+class ContractionError(ValueError):
+    """A contraction whose exact counts or table size would exceed the engine's bounds."""
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,8 @@ class ContractionPlan:
         return sum(k == "free" for k in self.kinds)
 
     def estimate_nodes(self, domain_size: int) -> int:
-        """Upper bound on search states visited for a given group order."""
+        """Upper bound on the table rows a contraction generates for a given
+        group order (and on the states a backtracking search visits)."""
         total, width = 0, 1
         for kind in self.kinds:
             width *= domain_size if kind == "free" else 1
@@ -57,7 +67,7 @@ class ContractionPlan:
 @dataclass(frozen=True)
 class StateSumResult:
     value: complex
-    states_visited: int
+    states_visited: int  # contraction table rows generated
     counts: np.ndarray   # histogram of root-of-unity exponents
     modulus: int
     plan: ContractionPlan
@@ -116,113 +126,103 @@ def plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
     return ContractionPlan(tuple(order), tuple(kinds))
 
 
-def exact_contraction(group, modulus: int, n_vars: int, var_exp, terms, plan,
-                      first_values=None):
-    """Backtracking sum of root-of-unity exponents over admissible labelings.
+def exact_contraction(group, modulus: int, n_vars: int, var_exp, terms, plan):
+    """Frontier dynamic program over the plan's edge order.
 
-    Returns (counts, states_visited) with counts[k] the number of admissible
-    labelings of total exponent k mod modulus.  ``first_values`` restricts the
-    first plan variable, which is how worker partitioning stays deterministic.
+    The table holds one row per distinct (labels of the open frontier edges,
+    exponent mod modulus), with an int64 multiplicity.  A free edge repeats
+    every row #G times; a forced edge is one gather from the Cayley and
+    inverse tables.  A completed triangle filters rows by its boundary product
+    and adds its exponent terms.  An edge whose triangles are all complete
+    leaves the frontier, and rows with equal keys merge.
+
+    Returns (counts, rows) with counts[k] the number of admissible labelings
+    of total exponent k mod modulus and rows the number of table rows
+    generated.
     """
     n = group.order
-    cay = [list(map(int, row)) for row in group.cayley]
-    inv = list(map(int, group.inverse))
-    exp2 = [[list(map(int, row)) for row in t.exp2] for t in terms]
-    exp1 = [None if t.exp1 is None else list(map(int, t.exp1)) for t in terms]
-    uexp = [None if e is None else list(map(int, e)) for e in var_exp]
-    slots_of = [[] for _ in range(n_vars)]
+    if n ** plan.free_count >= 2 ** 63:
+        raise ContractionError(f"{n}^{plan.free_count} labelings reach the int64 bound 2^63; "
+                               "the exact counts would wrap around")
+    label = np.min_scalar_type(n - 1)
+    cay, inv = group.cayley.astype(label), group.inverse.astype(label)
+    terms_of = [[] for _ in range(n_vars)]
     for ti, term in enumerate(terms):
-        for s, v in enumerate(term.vars):
-            slots_of[v].append((ti, s))
-    labels = [[-1, -1, -1] for _ in terms]
-    filled = [0] * len(terms)
-    val = [-1] * n_vars
-    counts = [0] * modulus
-    visited = 0
-    order = plan.order
-    domain = list(range(n))
-    top_domain = list(first_values) if first_values is not None else domain
+        for v in set(term.vars):
+            terms_of[v].append(ti)
+    unlabeled = [len(set(term.vars)) for term in terms]   # per term, distinct edges
+    open_terms = [len(ts) for ts in terms_of]               # per edge, incomplete terms
+    cols = {}   # frontier edge -> label column
+    expo = np.zeros(1, dtype=np.int64)
+    mult = np.ones(1, dtype=np.int64)
+    rows = 0
 
-    def candidates(var):
-        forced = None
-        for ti, s in slots_of[var]:
-            if filled[ti] == 2 and labels[ti][s] < 0:
-                l = labels[ti]
-                if s == 0:
-                    x = inv[cay[l[1]][l[2]]]
-                elif s == 1:
-                    x = inv[cay[l[2]][l[0]]]
-                else:
-                    x = inv[cay[l[0]][l[1]]]
-                v = inv[x] if terms[ti].inverted[s] else x
-                if forced is None:
-                    forced = v
-                elif forced != v:
-                    return ()
-        if forced is not None:
-            return (forced,)
-        return None
+    def slot_label(term, s):
+        col = cols[term.vars[s]]
+        return inv[col] if term.inverted[s] else col
 
-    def assign(var, v):
-        # returns (ok, exponent delta, slots touched)
-        delta = uexp[var][v] if uexp[var] is not None else 0
-        touched = []
-        ok = True
-        for ti, s in slots_of[var]:
+    for var, kind in zip(plan.order, plan.kinds):
+        if kind == "free":
+            if len(mult) * n > MAX_TABLE_ROWS:
+                raise ContractionError(f"the contraction table would grow to {len(mult) * n} "
+                                       f"rows, beyond the bound of {MAX_TABLE_ROWS}")
+            cols = {u: np.repeat(col, n) for u, col in cols.items()}
+            cols[var] = np.tile(np.arange(n, dtype=label), len(mult))
+            expo, mult = np.repeat(expo, n), np.repeat(mult, n)
+        else:
+            term, s = next((terms[ti], terms[ti].vars.index(var)) for ti in terms_of[var]
+                           if unlabeled[ti] == 1 and terms[ti].vars.count(var) == 1)
+            # l_s = (l_{s+1} l_{s+2})^-1, read cyclically
+            prod = cay[slot_label(term, (s + 1) % 3), slot_label(term, (s + 2) % 3)]
+            cols[var] = prod if term.inverted[s] else inv[prod]
+        rows += len(mult)
+        if var_exp[var] is not None:
+            expo = (expo + var_exp[var][cols[var]]) % modulus
+        keep = None
+        closed = [] if open_terms[var] else [var]
+        for ti in terms_of[var]:
+            unlabeled[ti] -= 1
+            if unlabeled[ti]:
+                continue
             term = terms[ti]
-            lab = inv[v] if term.inverted[s] else v
-            labels[ti][s] = lab
-            filled[ti] += 1
-            touched.append((ti, s))
-            pi, pj = term.pair
-            if s == pi:
-                other = labels[ti][pj]
-                if other >= 0:
-                    delta += exp2[ti][lab][other]
-            elif s == pj:
-                other = labels[ti][pi]
-                if other >= 0:
-                    delta += exp2[ti][other][lab]
-            if term.exp1_slot == s and exp1[ti] is not None:
-                delta += exp1[ti][lab]
-            if filled[ti] == 3:
-                l = labels[ti]
-                if cay[cay[l[0]][l[1]]][l[2]] != 0:
-                    ok = False
-                    break
-        return ok, delta, touched
+            l = [slot_label(term, s) for s in range(3)]
+            ok = cay[cay[l[0], l[1]], l[2]] == 0
+            keep = ok if keep is None else keep & ok
+            delta = term.exp2[l[term.pair[0]], l[term.pair[1]]]
+            if term.exp1 is not None:
+                delta = delta + term.exp1[l[term.exp1_slot]]
+            expo = (expo + delta) % modulus
+            for u in set(term.vars):
+                open_terms[u] -= 1
+                if not open_terms[u]:
+                    closed.append(u)
+        if keep is not None and not keep.all():
+            cols = {u: col[keep] for u, col in cols.items()}
+            expo, mult = expo[keep], mult[keep]
+        if not len(mult):
+            break
+        if closed:
+            for u in closed:
+                del cols[u]
+            cols, expo, mult = _merge(cols, expo, mult)
+    counts = np.zeros(modulus, dtype=np.int64)
+    np.add.at(counts, expo, mult)
+    return counts, rows
 
-    def undo(var, touched):
-        for ti, s in touched:
-            labels[ti][s] = -1
-            filled[ti] -= 1
-        val[var] = -1
 
-    expo = 0
-
-    def walk(pos):
-        nonlocal expo, visited
-        if pos == n_vars:
-            counts[expo % modulus] += 1
-            return
-        var = order[pos]
-        cand = candidates(var)
-        if cand == ():
-            return
-        if cand is None:
-            cand = top_domain if pos == 0 else domain
-        for v in cand:
-            visited += 1
-            val[var] = v
-            ok, delta, touched = assign(var, v)
-            if ok:
-                expo += delta
-                walk(pos + 1)
-                expo -= delta
-            undo(var, touched)
-
-    walk(0)
-    return counts, visited
+def _merge(cols: dict, expo: np.ndarray, mult: np.ndarray):
+    """Sum the multiplicities of rows with equal labels and exponent."""
+    order = np.lexsort([expo, *cols.values()])
+    expo, mult = expo[order], mult[order]
+    cols = {u: col[order] for u, col in cols.items()}
+    new = np.empty(len(mult), dtype=bool)
+    new[:1] = True
+    new[1:] = expo[1:] != expo[:-1]
+    for col in cols.values():
+        new[1:] |= col[1:] != col[:-1]
+    starts = np.flatnonzero(new)
+    return ({u: col[starts] for u, col in cols.items()}, expo[starts],
+            np.add.reduceat(mult, starts))
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +235,7 @@ def _edge_terms(A: TwistedGroupAlgebra, tri: GluedTriangulation):
     rng_n = np.arange(n)
     pair_weight = (-exps[rng_n, inv]) % N   # c(g, g^-1)^-1 per edge label
     triangle_closer = exps[rng_n, inv]      # c(x3, x3^-1) for the third slot
-    edges = tri.edge_flags()
-    edge_of_flag = {}
-    for e, (f, p) in enumerate(edges):
-        edge_of_flag[f] = e
-        edge_of_flag[p] = e
+    edges, edge_of_flag = _edge_index(tri)
     var_exp = []
     for f, p in edges:
         var_exp.append(pair_weight if tri.reversal[f] else None)
@@ -255,13 +251,19 @@ def _edge_terms(A: TwistedGroupAlgebra, tri: GluedTriangulation):
     return len(edges), var_exp, terms, N
 
 
-def plan_contraction(tri: GluedTriangulation) -> ContractionPlan:
-    """Deterministic greedy contraction order for a triangulation's edges."""
+def _edge_index(tri: GluedTriangulation):
+    """The edges as flag pairs, and the edge index of every flag."""
     edges = tri.edge_flags()
     edge_of_flag = {}
     for e, (f, p) in enumerate(edges):
         edge_of_flag[f] = e
         edge_of_flag[p] = e
+    return edges, edge_of_flag
+
+
+def plan_contraction(tri: GluedTriangulation) -> ContractionPlan:
+    """Deterministic greedy contraction order for a triangulation's edges."""
+    edges, edge_of_flag = _edge_index(tri)
     terms = []
     for t in range(tri.n_triangles):
         vars_ = tuple(edge_of_flag[3 * t + s] for s in range(3))
@@ -269,13 +271,8 @@ def plan_contraction(tri: GluedTriangulation) -> ContractionPlan:
     return plan_from_terms(len(edges), terms)
 
 
-def _chunk_worker(args):
-    group, modulus, n_vars, var_exp, terms, plan, chunk = args
-    return exact_contraction(group, modulus, n_vars, var_exp, terms, plan, first_values=chunk)
-
-
-def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation, star: bool = False,
-                  workers: int = 1) -> StateSumResult:
+def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation,
+                  star: bool = False) -> StateSumResult:
     """Contract the state sum of A over a glued triangulation.
 
     With ``star=False`` the triangulation must be orientable; it is brought to
@@ -294,35 +291,22 @@ def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation, star: bool = 
         tri = result.oriented
     n_vars, var_exp, terms, modulus = _edge_terms(A, tri)
     plan = plan_from_terms(n_vars, terms)
-    n = A.group.order
-    workers = min(workers, n, os.cpu_count() or 1)   # at most one chunk per worker
-    if workers > 1 and n_vars > 0 and plan.kinds[0] == "free":
-        chunks = [list(range(start, n, workers)) for start in range(workers)]
-        args = [(A.group, modulus, n_vars, var_exp, terms, plan, ch) for ch in chunks]
-        counts = np.zeros(modulus, dtype=np.int64)
-        visited = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part, seen in pool.map(_chunk_worker, args):
-                counts += np.asarray(part, dtype=np.int64)
-                visited += seen
-    else:
-        part, visited = exact_contraction(A.group, modulus, n_vars, var_exp, terms, plan)
-        counts = np.asarray(part, dtype=np.int64)
-    scale = float(n) ** (tri.n_triangles - tri.n_edges)
+    counts, rows = exact_contraction(A.group, modulus, n_vars, var_exp, terms, plan)
+    scale = float(A.group.order) ** (tri.n_triangles - tri.n_edges)
     roots = np.exp(2j * np.pi * np.arange(modulus) / modulus)
     value = complex(scale * (counts @ roots))
-    return StateSumResult(value, visited, counts, modulus, plan)
+    return StateSumResult(value, rows, counts, modulus, plan)
 
 
-def fhk_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation, workers: int = 1) -> complex:
+def fhk_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> complex:
     """State sum of an oriented surface: trace form over triangles, pairing
     vector over edges."""
-    return run_state_sum(A, tri, star=False, workers=workers).value
+    return run_state_sum(A, tri, star=False).value
 
 
-def star_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation, workers: int = 1) -> complex:
+def star_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> complex:
     """State sum of a (possibly non-orientable) surface using the involution."""
-    return run_state_sum(A, tri, star=True, workers=workers).value
+    return run_state_sum(A, tri, star=True).value
 
 
 # ---------------------------------------------------------------------------

@@ -94,11 +94,17 @@ def test_statesum_from_triangulation_file(capsys, tmp_path):
     assert abs(json.loads(out)["value"][0] - 3) < 1e-8
 
 
-def test_statesum_workers_match(capsys):
-    base = ("statesum", "--group", "quaternion:8", "--surface", "orientable:1")
-    _, solo = run(capsys, *base, "--workers", "1")
-    _, duo = run(capsys, *base, "--workers", "2")
-    assert json.loads(solo)["value"] == json.loads(duo)["value"]
+def test_statesum_takes_no_workers(capsys):
+    assert main(["statesum", "--group", "quaternion:8", "--surface", "orientable:1",
+                 "--workers", "2"]) == 2
+    capsys.readouterr()
+
+
+def test_statesum_overflow_is_a_computation_error(capsys):
+    code, out = run(capsys, "compute", "--group", "symmetric:5", "--surface", "orientable:5",
+                    "--method", "statesum")
+    assert code == 1
+    assert json.loads(out)["error"].startswith("ContractionError")
 
 
 def test_decompose_output(capsys):
@@ -131,6 +137,13 @@ def test_unknown_group_is_a_computation_error(capsys):
     code, out = run(capsys, "compute", "--group", "sporadic:1", "--surface", "orientable:1")
     assert code == 1
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("group", ["cyclic:3000", "dihedral:5000"])
+def test_oversized_group_is_refused_before_it_is_built(capsys, group):
+    code, out = run(capsys, "compute", "--group", group, "--surface", "orientable:1")
+    assert code == 1
+    assert json.loads(out)["error"].startswith("GroupError")
 
 
 def test_malformed_cocycle_file_is_a_computation_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from dwsurf import invariants, state_sum
+from dwsurf import invariants
 from dwsurf.algebra import TwistedGroupAlgebra, fs_indicators, wedderburn_decompose
 from dwsurf.cocycles import (RootOfUnity, heisenberg_cocycle, sign_cocycles_catalog,
                              trivial_cocycle, twist)
@@ -12,7 +12,6 @@ from dwsurf.invariants import (InvariantError, boundary_hom_count, boundary_hom_
                                cocycle_weight_nonorientable, cocycle_weight_orientable,
                                count_homs, cross_check, dw_direct, dw_labeling_oracle,
                                enumerate_homs, mednykh_count, verlinde)
-from dwsurf.state_sum import run_state_sum
 from dwsurf.surfaces import (RelatorPresentation, SurfaceSpec, relator_presentation,
                              seven_vertex_torus, standard_triangulation, tetrahedron_sphere)
 
@@ -210,17 +209,13 @@ class RecordingPool:
 def test_worker_count_is_clamped(monkeypatch, cpus, requested, expected):
     G = build_group("quaternion:8")
     c = trivial_cocycle(G)
-    A = TwistedGroupAlgebra(G, c)
-    tri = standard_triangulation(SurfaceSpec(True, 1))
-    direct, states = dw_direct(G, c, GENUS2), run_state_sum(A, tri)
+    direct = dw_direct(G, c, GENUS2)
     made = []
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    for module in (invariants, state_sum):
-        monkeypatch.setattr(module, "ProcessPoolExecutor",
-                            lambda max_workers: RecordingPool(made, max_workers))
+    monkeypatch.setattr(invariants, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(made, max_workers))
     assert dw_direct(G, c, GENUS2, workers=requested) == direct
-    assert np.array_equal(run_state_sum(A, tri, workers=requested).counts, states.counts)
-    assert made == ([] if expected is None else [expected, expected])
+    assert made == ([] if expected is None else [expected])
 
 
 def test_direct_coboundary_invariance():

@@ -1,13 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dwsurf import invariants, state_sum
 from dwsurf.algebra import AlgebraError, TwistedGroupAlgebra
 from dwsurf.cocycles import RootOfUnity, heisenberg_cocycle, sign_cocycles_catalog, trivial_cocycle, twist
 from dwsurf.groups import build_group, conjugacy_classes
-from dwsurf.state_sum import (dense_state_sum, fhk_state_sum, plan_contraction, run_state_sum,
-                              star_state_sum)
-from dwsurf.surfaces import (SurfaceError, SurfaceSpec, flip_triangle, pachner_variants,
-                             standard_triangulation)
+from dwsurf.state_sum import (ContractionError, dense_state_sum, fhk_state_sum, plan_contraction,
+                              run_state_sum, star_state_sum)
+from dwsurf.surfaces import (SurfaceError, SurfaceSpec, flip_triangle, pachner_13, pachner_22,
+                             pachner_variants, standard_triangulation)
 
 
 def algebra(gspec, c=None):
@@ -193,7 +198,7 @@ def test_coboundary_invariance_of_state_sums():
 
 
 # ---------------------------------------------------------------------------
-# errors and workers
+# errors and bounds
 
 def test_plain_sum_rejects_nonorientable_input():
     A = algebra("cyclic:2")
@@ -208,10 +213,84 @@ def test_star_rejects_complex_valued_cocycles():
         star_state_sum(A, standard_triangulation(SurfaceSpec(False, 2)))
 
 
-def test_worker_partitioning_is_exact():
-    A = algebra("quaternion:8")
+def test_int64_overflow_is_refused_before_contracting():
+    # symmetric:5 at genus 5 has 10 free edges: 120^10 labelings exceed 2^63
+    A = algebra("symmetric:5")
+    with pytest.raises(ContractionError, match="2\\^63"):
+        run_state_sum(A, standard_triangulation(SurfaceSpec(True, 5)))
+
+
+def subdivided_torus():
+    """The torus after 11 round-robin subdivisions: an 11-edge frontier."""
     tri = standard_triangulation(SurfaceSpec(True, 1))
-    solo = run_state_sum(A, tri, workers=1)
-    duo = run_state_sum(A, tri, workers=2)
-    assert np.array_equal(solo.counts, duo.counts)
-    assert solo.value == duo.value
+    for i in range(11):
+        tri = pachner_13(tri, i % tri.n_triangles)
+    return tri
+
+
+def test_table_size_is_bounded():
+    tri = subdivided_torus()
+    with pytest.raises(ContractionError, match=str(state_sum.MAX_TABLE_ROWS)):
+        run_state_sum(algebra("quaternion:8"), tri)
+    # the same surface fits for a smaller group, with the torus value
+    assert abs(fhk_state_sum(algebra("cyclic:2"), tri) - 2) < 1e-10
+
+
+def test_symmetric5_genus2_state_sum():
+    A = algebra("symmetric:5")
+    spec = SurfaceSpec(True, 2)
+    res = run_state_sum(A, standard_triangulation(spec))
+    # sum over the irreducible degrees 1,1,4,4,5,5,6 of (120/d)^2
+    assert abs(120.0 ** (-spec.chi) * res.value - 32152) < 1e-8 * 32152
+
+
+# ---------------------------------------------------------------------------
+# frontier table against the labeling oracle's backtracking engine
+
+def _property_pairs():
+    pairs = []
+    for gspec in ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6", "symmetric:3",
+                  "dihedral:8", "quaternion:8", "product(cyclic:2,cyclic:2)"):
+        G = build_group(gspec)
+        pairs.append((G, trivial_cocycle(G)))
+    c = heisenberg_cocycle(2)
+    pairs.append((c.group, c))
+    for gspec in ("cyclic:2", "cyclic:4", "dihedral:8", "quaternion:8"):
+        G = build_group(gspec)
+        pairs.extend((G, c) for c in sign_cocycles_catalog(G))
+    return pairs
+
+
+PROPERTY_PAIRS = _property_pairs()
+MOVES = st.lists(st.tuples(st.sampled_from(["13", "22", "flip"]), st.integers(0, 10 ** 6)),
+                 max_size=4)
+
+
+def apply_moves(tri, moves):
+    for move, k in moves:
+        if move == "13":
+            tri = pachner_13(tri, k % tri.n_triangles)
+        elif move == "flip":
+            tri = flip_triangle(tri, k % tri.n_triangles)
+        else:
+            flippable = [f for f, p in tri.edge_flags() if f // 3 != p // 3]
+            if flippable:
+                tri = pachner_22(tri, flippable[k % len(flippable)])
+    return tri
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.sampled_from(["orientable:0", "orientable:1", "nonorientable:2"]),
+       pair=st.sampled_from(range(len(PROPERTY_PAIRS))), moves=MOVES)
+def test_frontier_table_matches_backtracking(base, pair, moves):
+    G, c = PROPERTY_PAIRS[pair]
+    spec = SurfaceSpec.parse(base)
+    assume(spec.orientable or c.is_sign_valued)
+    A = TwistedGroupAlgebra(G, c)
+    tri = apply_moves(standard_triangulation(spec), moves)
+    table = run_state_sum(A, tri, star=not spec.orientable)
+    with mock.patch.object(state_sum, "exact_contraction", invariants.exact_contraction):
+        search = run_state_sum(A, tri, star=not spec.orientable)
+    assert table.counts.dtype == np.int64
+    assert np.array_equal(table.counts, np.asarray(search.counts))
+    assert table.states_visited <= table.plan.estimate_nodes(G.order)
