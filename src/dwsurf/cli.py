@@ -64,7 +64,7 @@ def cmd_compute(args) -> int:
     spec = SurfaceSpec.parse(args.surface)
     methods = ("direct", "statesum", "verlinde") if args.method == "all" else (args.method,)
     report = cross_check(G, c, spec, methods=methods, oracle=args.oracle,
-                         tol=args.tol, seed=args.seed, workers=args.workers)
+                         tol=args.tol, seed=args.seed)
     if args.csv:
         print("group,cocycle,surface,method,re,im")
         for method, v in sorted(report.values.items()):
@@ -108,28 +108,28 @@ def cmd_decompose(args) -> int:
 # ---------------------------------------------------------------------------
 # validation suites
 
-def _suite_theorems(seed: int, workers: int) -> list:
+def _suite_theorems(seed: int) -> list:
     rows = []
     for G, c in catalog_pairs():
         for genus in range(0, 3):
             spec = SurfaceSpec(True, genus)
-            rep = cross_check(G, c, spec, seed=seed, workers=workers)
+            rep = cross_check(G, c, spec, seed=seed)
             rows.append((f"orientable routes {G.name}/{c.name}/{spec.name}", rep.passed,
                          f"deviation {rep.max_deviation:.2e}"))
         spec = SurfaceSpec(True, 3)
-        rep = cross_check(G, c, spec, methods=("direct", "verlinde"), seed=seed, workers=workers)
+        rep = cross_check(G, c, spec, methods=("direct", "verlinde"), seed=seed)
         rows.append((f"orientable routes {G.name}/{c.name}/{spec.name}", rep.passed,
                      f"deviation {rep.max_deviation:.2e}"))
     for G, c in nonorientable_catalog_pairs():
         for genus in (1, 2, 3):
             spec = SurfaceSpec(False, genus)
-            rep = cross_check(G, c, spec, seed=seed, workers=workers)
+            rep = cross_check(G, c, spec, seed=seed)
             rows.append((f"nonorientable routes {G.name}/{c.name}/{spec.name}", rep.passed,
                          f"deviation {rep.max_deviation:.2e}"))
     return rows
 
 
-def _suite_oracles(seed: int, workers: int) -> list:
+def _suite_oracles(seed: int) -> list:
     rows = []
     oracle_pairs = [("cyclic:2", "trivial"), ("cyclic:3", "trivial"),
                     ("product(cyclic:2,cyclic:2)", "heisenberg:2")]
@@ -169,7 +169,7 @@ def _suite_oracles(seed: int, workers: int) -> list:
     return rows
 
 
-def _suite_invariance(seed: int, workers: int) -> list:
+def _suite_invariance(seed: int) -> list:
     rng = np.random.default_rng(seed)
     rows = []
     sphere = standard_triangulation(SurfaceSpec(True, 0))
@@ -227,14 +227,14 @@ def cmd_check(args) -> int:
             c = parse_cocycle(entry.get("cocycle", "trivial"), G)
             spec = SurfaceSpec.parse(entry["surface"])
             rep = cross_check(G, c, spec, tol=entry.get("tol", 1e-8),
-                              seed=entry.get("seed", args.seed), workers=args.workers)
+                              seed=entry.get("seed", args.seed))
             rows.append((f"{G.name}/{c.name}/{spec.name}", rep.passed,
                          f"deviation {rep.max_deviation:.2e}"))
     else:
         names = list(SUITES) if args.suite == "all" else [args.suite]
         rows = []
         for name in names:
-            rows.extend(SUITES[name](args.seed, args.workers))
+            rows.extend(SUITES[name](args.seed))
     if args.json:
         _emit({"rows": [{"name": n, "passed": p, "detail": d} for n, p, d in rows],
                "passed": all(p for _, p, _ in rows)})
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def worker_flag(p):
         p.add_argument("--workers", type=int, default=1,
-                       help="processes for direct enumeration")
+                       help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("compute", help="evaluate one surface invariant")
     p.add_argument("--group", required=True)

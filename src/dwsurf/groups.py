@@ -9,8 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Everything downstream is cubic-to-exponential in the order, so the cap keeps
-# all validation suites at desk scale.  symmetric(5) (order 120) is the one
-# sanctioned exception; see build_group.
+# all validation suites at desk scale.  The cyclic and dihedral builders and
+# direct_product apply it before building a table; symmetric_group has its own
+# degree bound, which admits symmetric(5) (order 120).
 MAX_ORDER = 64
 
 
@@ -145,6 +146,7 @@ def involution_set(G: FiniteGroup) -> np.ndarray:
 def cyclic_group(n: int) -> FiniteGroup:
     if n <= 0:
         raise GroupError(f"cyclic order must be positive, got {n}")
+    _check_cap(n)
     idx = np.arange(n)
     cay = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(f"cyclic:{n}", n, cay, _inverses_of(cay))
@@ -154,6 +156,7 @@ def dihedral_group(order: int) -> FiniteGroup:
     """Dihedral group of the given (even) order; element i + m*j is r^i s^j."""
     if order <= 0 or order % 2:
         raise GroupError(f"dihedral order must be a positive even integer, got {order}")
+    _check_cap(order)
     m = order // 2
     cay = np.empty((order, order), dtype=np.int64)
     for i1, j1, i2, j2 in itertools.product(range(m), (0, 1), range(m), (0, 1)):
@@ -198,11 +201,16 @@ def symmetric_group(n: int) -> FiniteGroup:
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     na, nb = A.order, B.order
     order = na * nb
-    if order > MAX_ORDER:
-        raise GroupError(f"product order {order} exceeds the cap of {MAX_ORDER}")
+    _check_cap(order)
     cay = (A.cayley[:, None, :, None] * nb + B.cayley[None, :, None, :]).reshape(order, order)
     name = f"product({A.name},{B.name})"
     return FiniteGroup(name, order, cay, _inverses_of(cay))
+
+
+def _check_cap(order: int) -> None:
+    """Refuse an order above MAX_ORDER before its O(order^3) table check."""
+    if order > MAX_ORDER:
+        raise GroupError(f"group order {order} exceeds the cap of {MAX_ORDER}")
 
 
 def _inverses_of(cay: np.ndarray) -> np.ndarray:
@@ -231,23 +239,17 @@ def build_group(spec: str) -> FiniteGroup:
         k = int(arg)
     except ValueError:
         raise GroupError(f"bad numeric argument in group descriptor {spec!r}") from None
-    if head in ("cyclic", "dihedral") and k > MAX_ORDER:   # cap before the O(k^3) table check
-        raise GroupError(f"group order {k} exceeds the cap of {MAX_ORDER}")
     if head == "cyclic":
-        G = cyclic_group(k)
-    elif head == "dihedral":
-        G = dihedral_group(k)
-    elif head == "quaternion":
+        return cyclic_group(k)
+    if head == "dihedral":
+        return dihedral_group(k)
+    if head == "quaternion":
         if k != 8:
             raise GroupError("only quaternion:8 is supported")
-        G = quaternion_group()
-    elif head == "symmetric":
-        G = symmetric_group(k)
-    else:
-        raise GroupError(f"unknown group family {head!r}")
-    if G.order > MAX_ORDER and G.name != "symmetric:5":
-        raise GroupError(f"group order {G.order} exceeds the cap of {MAX_ORDER}")
-    return G
+        return quaternion_group()
+    if head == "symmetric":
+        return symmetric_group(k)
+    raise GroupError(f"unknown group family {head!r}")
 
 
 def _split_product(inner: str) -> tuple[str, str]:

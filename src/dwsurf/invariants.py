@@ -1,21 +1,23 @@
 """Dijkgraaf-Witten invariants of closed surfaces, by every route at once.
 
-The direct route enumerates homomorphisms from the surface group to G and
-weights each one by an exact root-of-unity evaluation of the 2-cocycle on the
-fundamental cycle of the standard polygon.  The state-sum route contracts the
-twisted group algebra over a triangulation.  The Verlinde route reads the
-invariant off the Wedderburn block dimensions (and, for non-orientable
-surfaces, the symmetric/skew indicators).  A separate labeling sum over a
-simplicial triangulation serves as a fidelity oracle for small inputs.
-cross_check runs the routes side by side and reports agreement and
-integrality.
+The direct route sums over homomorphisms from the surface group to G, each
+weighted by an exact root-of-unity evaluation of the 2-cocycle on the
+fundamental cycle of the standard polygon.  It cuts the polygon along its
+handles (crosscaps), so the sum becomes a product of transfer operators on
+(relator prefix, exponent) counts: O(n^3) work per handle operator, built
+once, and genus is a loop count.  The brute-force enumeration of all
+n^generators tuples stays behind count_homs as an oracle.  The state-sum
+route contracts the twisted group algebra over a triangulation.  The
+Verlinde route reads the invariant off the Wedderburn block dimensions (and,
+for non-orientable surfaces, the symmetric/skew indicators).  A separate
+labeling sum over a simplicial triangulation serves as a fidelity oracle for
+small inputs.  cross_check runs the routes side by side and reports
+agreement and integrality.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +26,8 @@ from .algebra import TwistedGroupAlgebra, WedderburnDecomposition, fs_indicators
 from .cocycles import RootOfUnity, TwoCocycle, c_regular_count, trivial_cocycle
 from .groups import FiniteGroup, conjugacy_classes
 from .state_sum import TriangleTerm, plan_from_terms, run_state_sum
-from .surfaces import (RelatorPresentation, SimplicialSurface, SurfaceSpec,
-                       relator_presentation, seven_vertex_torus, standard_triangulation,
-                       tetrahedron_sphere)
+from .surfaces import (RelatorPresentation, SimplicialSurface, SurfaceSpec, seven_vertex_torus,
+                       standard_triangulation, tetrahedron_sphere)
 
 
 class InvariantError(ValueError):
@@ -71,8 +72,9 @@ def count_homs(G: FiniteGroup, pres: RelatorPresentation, cap: int = 10 ** 8) ->
 
 
 def _weighted_hom_counts(G: FiniteGroup, c: TwoCocycle, pres: RelatorPresentation,
-                         orientable: bool, first_values=None) -> np.ndarray:
-    """Histogram over k of relator-satisfying assignments with weight zeta^k."""
+                         orientable: bool) -> np.ndarray:
+    """Histogram over k of relator-satisfying assignments with weight zeta^k,
+    by enumerating all n^generators tuples; the brute force behind count_homs."""
     n, m, N = G.order, pres.generators, c.order
     counts = np.zeros(N, dtype=np.int64)
     if m == 0:
@@ -85,7 +87,7 @@ def _weighted_hom_counts(G: FiniteGroup, c: TwoCocycle, pres: RelatorPresentatio
     vals = [None] * m
     for j in range(1, m):
         vals[j] = (base // n ** (m - 1 - j)) % n
-    for v0 in (first_values if first_values is not None else range(n)):
+    for v0 in range(n):
         vals[0] = np.full(rest, v0)
         h = None
         esum = np.zeros(rest, dtype=np.int64)
@@ -158,31 +160,88 @@ def cocycle_weight_nonorientable(c: TwoCocycle, pres: RelatorPresentation, hom) 
     return 1 if r.numerator == 0 else -1
 
 
-def _direct_worker(args):
-    G, c, pres, orientable, chunk = args
-    return _weighted_hom_counts(G, c, pres, orientable, first_values=chunk)
+# Rows of the general handle operator are built this many (row, a, b) entries
+# at a time, so that no n^3-sized temporary exists for the largest groups.
+_BLOCK_ENTRIES = 1 << 18
 
 
-def dw_direct(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec, workers: int = 1) -> complex:
+def _operator_rows(G: FiniteGroup, c: TwoCocycle, rows: np.ndarray, orientable: bool,
+                   first: bool = False) -> np.ndarray:
+    """Transfer operator rows T[i, h, k]: the number of handles (a, b), or of
+    crosscaps x, that take the relator prefix rows[i] to h with cocycle
+    exponent k mod N.
+
+    A handle reads the letters a, b, a^-1, b^-1 and pays c(x, x^-1) back for
+    x = a, b; a crosscap reads x, x.  Each letter adds exps[prefix, letter],
+    except the first letter of the whole relator (first=True, rows = [0]),
+    which carries no c(1, g) term, as in cocycle_weight_orientable.
+    """
+    n, N = G.order, c.order
+    cay, inv, exps = G.cayley, G.inverse, c.exps
+    idx = np.arange(n)
+    if orientable:
+        shape = (len(rows), n, n)
+        a, b = idx[None, :, None], idx[None, None, :]
+        letters = (a, b, inv[a], inv[b])
+        pay_back = exps[idx, inv]
+        k = -(pay_back[a] + pay_back[b])
+    else:
+        shape = (len(rows), n)
+        letters = (idx[None, :],) * 2
+        k = 0
+    h = np.asarray(rows).reshape((-1,) + (1,) * (len(shape) - 1))
+    row = np.arange(len(rows)).reshape(h.shape)
+    for pos, e in enumerate(letters):
+        if pos or not first:
+            k = k + exps[h, e]
+        h = cay[h, e]
+    slot = (row * n + h) * N + np.mod(k, N)
+    hist = np.bincount(np.broadcast_to(slot, shape).ravel(), minlength=len(rows) * n * N)
+    return hist.reshape(len(rows), n, N)
+
+
+def _direct_counts(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> np.ndarray:
+    """Histogram over k of homomorphisms pi_1(surface) -> G of weight zeta_N^k.
+
+    The state v[h, k] counts partial assignments of relator prefix h and
+    exponent k.  The first handle or crosscap starts at the identity prefix
+    (one operator row, O(n^2) work); every further one applies the general
+    operator, built once in O(n^3) (handle) or O(n^2) (crosscap) work, as N
+    int64 matmuls with a cyclic shift in k.  Genus is a loop count.
+    """
+    n, N = G.order, c.order
+    steps = spec.genus
+    if steps == 0:
+        return np.eye(1, N, dtype=np.int64)[0]
+    generators = 2 * steps if spec.orientable else steps
+    if n ** generators >= 2 ** 63:
+        raise InvariantError(f"{n}^{generators} homomorphism candidates overflow int64 counts")
+    v = _operator_rows(G, c, np.zeros(1, dtype=np.int64), spec.orientable, first=True)[0]
+    if steps > 1:
+        block = max(1, _BLOCK_ENTRIES // (n * n if spec.orientable else n))
+        T = np.empty((N, n, n), dtype=np.int64)   # T[d, h', h], transposed for the matmuls
+        for start in range(0, n, block):
+            stop = min(n, start + block)
+            rows = _operator_rows(G, c, np.arange(start, stop), spec.orientable)
+            T[:, :, start:stop] = rows.transpose(2, 1, 0)
+        for _ in range(steps - 1):
+            v = sum(np.roll(T[d] @ v, d, axis=1) for d in range(N))
+    return v[0]
+
+
+def dw_direct(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> complex:
     """(1/#G) sum over homomorphisms of the cocycle weight.
 
+    The homomorphism sum is cut along the handles (crosscaps) of the standard
+    relator into a product of transfer operators: O(n^3 + g n^2 N^2) work for
+    genus g, order n and cocycle order N, and memory of n^2 N int64 counts.
+    Counts are exact; #G^generators >= 2^63 is refused with InvariantError.
     The sphere contributes the single trivial homomorphism, giving 1/#G for
     every cocycle.
     """
     if not spec.orientable and not c.is_sign_valued:
         raise InvariantError("non-orientable surfaces need a sign-valued cocycle")
-    pres = relator_presentation(spec)
-    workers = min(workers, G.order, os.cpu_count() or 1)   # at most one chunk per worker
-    if workers > 1 and pres.generators > 0:
-        chunks = [list(range(start, G.order, workers)) for start in range(workers)]
-        args = [(G, c, pres, spec.orientable, ch) for ch in chunks]
-        counts = np.zeros(c.order, dtype=np.int64)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_direct_worker, args):
-                counts += part
-    else:
-        counts = _weighted_hom_counts(G, c, pres, spec.orientable)
-    return complex(counts @ _roots(c.order)) / G.order
+    return complex(_direct_counts(G, c, spec) @ _roots(c.order)) / G.order
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +525,18 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
                 oracle: bool = False, tol: float = 1e-8, seed: int = 0,
                 workers: int = 1) -> InvariantReport:
     """Run the requested routes and compare; disagreement yields a failing
-    report with all raw values rather than an exception."""
+    report with all raw values rather than an exception.
+
+    ``workers`` has no effect: every route runs in this process.  It is
+    still accepted so that existing callers keep working.
+    """
     values: dict = {}
     diagnostics: dict = {}
     states = None
     if not spec.orientable and not c.is_sign_valued:
         raise InvariantError("non-orientable surfaces need a sign-valued cocycle")
     if "direct" in methods:
-        values["direct"] = dw_direct(G, c, spec, workers=workers)
+        values["direct"] = dw_direct(G, c, spec)
     if "statesum" in methods:
         A = TwistedGroupAlgebra(G, c)
         tri = standard_triangulation(spec)

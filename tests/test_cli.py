@@ -94,6 +94,11 @@ def test_statesum_from_triangulation_file(capsys, tmp_path):
     assert abs(json.loads(out)["value"][0] - 3) < 1e-8
 
 
+def test_workers_flag_is_accepted_and_has_no_effect(capsys):
+    argv = ("compute", "--group", "quaternion:8", "--surface", "orientable:2")
+    assert run(capsys, *argv, "--workers", "3") == run(capsys, *argv)
+
+
 def test_statesum_takes_no_workers(capsys):
     assert main(["statesum", "--group", "quaternion:8", "--surface", "orientable:1",
                  "--workers", "2"]) == 2

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from dwsurf.groups import (FiniteGroup, GroupError, build_group, conjugacy_classes,
-                           involution_set)
+from dwsurf import groups
+from dwsurf.groups import (MAX_ORDER, FiniteGroup, GroupError, build_group, conjugacy_classes,
+                           cyclic_group, dihedral_group, involution_set)
 
 
 def brute_classes(G):
@@ -70,6 +71,23 @@ def test_order_cap_on_products():
     build_group("product(cyclic:8,cyclic:8)")  # exactly at the cap
     with pytest.raises(GroupError):
         build_group("product(cyclic:8,cyclic:16)")
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("a group table was built")
+
+
+@pytest.mark.parametrize("builder,order", [(cyclic_group, MAX_ORDER + 1),
+                                           (dihedral_group, MAX_ORDER + 2),   # even, above the cap
+                                           (cyclic_group, 3000)])
+def test_builders_apply_the_order_cap_before_building(monkeypatch, builder, order):
+    monkeypatch.setattr(groups, "FiniteGroup", _refuse_to_build)
+    with pytest.raises(GroupError, match="exceeds the cap"):
+        builder(order)
+
+
+def test_builders_accept_the_cap_itself():
+    assert cyclic_group(MAX_ORDER).order == dihedral_group(MAX_ORDER).order == MAX_ORDER
 
 
 def test_symmetric_five_is_the_sanctioned_large_case():

@@ -1,17 +1,21 @@
-import os
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwsurf import invariants
 from dwsurf.algebra import TwistedGroupAlgebra, fs_indicators, wedderburn_decompose
-from dwsurf.cocycles import (RootOfUnity, heisenberg_cocycle, sign_cocycles_catalog,
-                             trivial_cocycle, twist)
+from dwsurf.cli import main
+from dwsurf.cocycles import (RootOfUnity, TwoCocycle, heisenberg_cocycle,
+                             sign_cocycles_catalog, trivial_cocycle, twist)
 from dwsurf.groups import build_group, conjugacy_classes, involution_set
 from dwsurf.invariants import (InvariantError, boundary_hom_count, boundary_hom_count_brute,
                                cocycle_weight_nonorientable, cocycle_weight_orientable,
                                count_homs, cross_check, dw_direct, dw_labeling_oracle,
-                               enumerate_homs, mednykh_count, verlinde)
+                               enumerate_homs, mednykh_count, sign_catalog_pairs, verlinde)
+from dwsurf.invariants import _direct_counts, _weighted_hom_counts
 from dwsurf.surfaces import (RelatorPresentation, SurfaceSpec, relator_presentation,
                              seven_vertex_torus, standard_triangulation, tetrahedron_sphere)
 
@@ -179,43 +183,10 @@ def test_direct_requires_sign_values_on_nonorientable():
 
 
 def test_direct_workers_agree():
+    """workers is accepted for compatibility and changes nothing."""
     G = build_group("quaternion:8")
     c = trivial_cocycle(G)
-    assert dw_direct(G, c, GENUS2, workers=2) == dw_direct(G, c, GENUS2)
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in process."""
-
-    def __init__(self, made, max_workers):
-        made.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, args):
-        return map(fn, args)
-
-
-@pytest.mark.parametrize("cpus,requested,expected", [
-    (4, 10 ** 6, 4),      # capped by the CPU count
-    (64, 10 ** 6, 8),     # capped by the number of chunks, one per element of Q8
-    (64, 3, 3),           # the request itself
-    (None, 10 ** 6, None),  # unknown CPU count: run in process, no pool
-])
-def test_worker_count_is_clamped(monkeypatch, cpus, requested, expected):
-    G = build_group("quaternion:8")
-    c = trivial_cocycle(G)
-    direct = dw_direct(G, c, GENUS2)
-    made = []
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(invariants, "ProcessPoolExecutor",
-                        lambda max_workers: RecordingPool(made, max_workers))
-    assert dw_direct(G, c, GENUS2, workers=requested) == direct
-    assert made == ([] if expected is None else [expected])
+    assert cross_check(G, c, GENUS2, workers=2).values == cross_check(G, c, GENUS2).values
 
 
 def test_direct_coboundary_invariance():
@@ -225,6 +196,75 @@ def test_direct_coboundary_invariance():
     for _ in range(5):
         b = [RootOfUnity(0, 1)] + [RootOfUnity(int(rng.integers(6)), 6) for _ in range(8)]
         assert abs(dw_direct(c.group, twist(c, b), GENUS2) - base) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# transfer operator against the brute-force enumeration
+
+SMALL_GROUPS = ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "product(cyclic:2,cyclic:2)",
+                "cyclic:5", "symmetric:3", "cyclic:6", "quaternion:8", "dihedral:8", "cyclic:8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_transfer_histogram_equals_brute_force_on_random_tables(data):
+    """Any table in [0, N), cocycle or not, normalized or not."""
+    G = build_group(data.draw(st.sampled_from(SMALL_GROUPS)))
+    orientable = data.draw(st.booleans())
+    genus = data.draw(st.integers(0, 2) if orientable else st.integers(1, 3))
+    N = data.draw(st.integers(1, 6))
+    flat = data.draw(st.lists(st.integers(0, N - 1), min_size=G.order ** 2,
+                              max_size=G.order ** 2))
+    c = TwoCocycle(G, N, np.reshape(flat, (G.order, G.order)))
+    spec = SurfaceSpec(orientable, genus)
+    want = _weighted_hom_counts(G, c, relator_presentation(spec), orientable)
+    assert np.array_equal(_direct_counts(G, c, spec), want)
+
+
+def test_transfer_histogram_equals_weights_on_sign_catalog():
+    for G, c in sign_catalog_pairs():
+        for k in (1, 2, 3):
+            spec = SurfaceSpec(False, k)
+            pres = relator_presentation(spec)
+            want = np.zeros(c.order, dtype=np.int64)
+            for hom in enumerate_homs(G, pres):
+                want[0 if cocycle_weight_nonorientable(c, pres, hom) == 1 else c.order // 2] += 1
+            assert np.array_equal(_direct_counts(G, c, spec), want), (G.name, c.name, k)
+
+
+@pytest.mark.parametrize("genus,value", [(2, 32152), (3, 417163552),
+                                         (4, 5973872205952)])   # 120^8 < 2^63
+def test_symmetric_five_direct_is_pinned(genus, value):
+    G = build_group("symmetric:5")
+    counts = _direct_counts(G, trivial_cocycle(G), SurfaceSpec(True, genus))
+    assert counts.tolist() == [value * 120]
+
+
+def test_symmetric_five_genus_three_routes_agree():
+    G = build_group("symmetric:5")
+    rep = cross_check(G, trivial_cocycle(G), SurfaceSpec(True, 3))
+    assert rep.passed
+    assert set(rep.values) == {"direct", "statesum", "verlinde"}
+    assert rep.integrality["nearest"] == 417163552
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("the transfer operator was built")
+
+
+def test_direct_refuses_int64_overflow_before_building(monkeypatch):
+    G = build_group("symmetric:5")
+    monkeypatch.setattr(invariants, "_operator_rows", _refuse_to_build)
+    with pytest.raises(InvariantError, match="overflow"):
+        dw_direct(G, trivial_cocycle(G), SurfaceSpec(True, 5))   # 120^10 >= 2^63
+
+
+def test_direct_overflow_is_a_computation_error(monkeypatch, capsys):
+    monkeypatch.setattr(invariants, "_operator_rows", _refuse_to_build)
+    code = main(["compute", "--group", "symmetric:5", "--surface", "orientable:5",
+                 "--method", "direct"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"].startswith("InvariantError")
 
 
 # ---------------------------------------------------------------------------
