@@ -9,9 +9,12 @@ indicator of every block.
 Cocycle scalars enter exactly (roots of unity) and are embedded into complex
 doubles late.  The center is built exactly, as twisted class sums: which
 classes are c-regular and the phase of every coefficient are integer
-computations, with no rank cutoff.  Tolerances: 1e-8 for the commutator
-residual of the embedded class sums and for idempotents, 1e-6 for eigenvalue
-separation and for integer rounding of block dimensions.
+computations, with no rank cutoff.  Characters and indicators are closed forms
+in the primitive central idempotents, O(#G) each, with no basis of the ideals.
+Tolerances: 1e-8 for the commutator residual of the embedded class sums, for
+idempotents and for matching an idempotent's involution image, 1e-6 for
+eigenvalue separation and for integer rounding of block dimensions and of
+indicators (the indicator margin is reported as fs_rounding_residual).
 """
 
 from __future__ import annotations
@@ -196,12 +199,15 @@ def commutator_residual(A: TwistedGroupAlgebra, Z: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One matrix block of the Wedderburn decomposition."""
+    """One matrix block of the Wedderburn decomposition.
+
+    The character and the indicator are closed forms in the idempotent e (see
+    _block_from_eigenvector and fs_indicators); no basis of A.e is built.
+    """
 
     idempotent: np.ndarray    # primitive central idempotent e in A
     dim: int                  # d with the block isomorphic to Mat_d(C)
     character: np.ndarray     # chi(g) = tr(g on the simple module), length #G
-    ideal_basis: np.ndarray   # orthonormal columns spanning A.e, shape (#G, d^2)
     fs: int | None = None     # +1 symmetric, -1 skew, 0 dual pair, None unset
 
 
@@ -293,35 +299,13 @@ def _block_from_eigenvector(A: TwistedGroupAlgebra, u: np.ndarray) -> Block:
     if abs(d - round(d)) > ROUND_TOL or round(d) < 1:
         raise AlgebraError(f"block dimension {d} is not a positive integer within 1e-6")
     d = int(round(d))
-    basis = _ideal_basis(A, e, d)
-    char = _ideal_character(A, basis, d)
+    # tr(L_{g.e}) = d chi(g) since A.e holds d copies of the simple module, and
+    # tr(L_x) = #G x[1] with (g.e)[1] = c(g, g^-1) e[g^-1]
+    inv = A.group.inverse
+    char = A.dim * A.omega[np.arange(A.dim), inv] * e[inv] / d
     if abs(char[0] - d) > 1e-6:
         raise AlgebraError("character does not evaluate to the dimension at the identity")
-    return Block(e, d, char, basis)
-
-
-def _ideal_basis(A: TwistedGroupAlgebra, e: np.ndarray, d: int) -> np.ndarray:
-    """Orthonormal basis of the ideal A.e via the column space of right
-    multiplication by e; its rank d^2 is known in advance and cross-checked."""
-    R = A.right_matrix(e)
-    u, sigma, _ = np.linalg.svd(R)
-    rank = int(np.sum(sigma > CLUSTER_TOL))
-    if rank != d * d:
-        raise AlgebraError(
-            f"ideal basis is ill-conditioned: rank {rank} at cutoff 1e-8, expected {d * d}")
-    return u[:, :rank]
-
-
-def _ideal_character(A: TwistedGroupAlgebra, basis: np.ndarray, d: int) -> np.ndarray:
-    """chi(g) = tr(left multiplication by g on A.e) / d."""
-    n = A.dim
-    P = basis @ basis.conj().T      # orthogonal projection onto the ideal
-    cay, omega = A.group.cayley, A.omega
-    rows = np.arange(n)
-    char = np.empty(n, dtype=complex)
-    for g in range(n):
-        char[g] = np.sum(omega[g] * P[rows, cay[g]]) / d
-    return char
+    return Block(e, d, char)
 
 
 def _validate_blocks(A: TwistedGroupAlgebra, blocks: list) -> None:
@@ -337,20 +321,23 @@ def _validate_blocks(A: TwistedGroupAlgebra, blocks: list) -> None:
                 raise AlgebraError("idempotents are not orthogonal")
 
 
-def block_character(A: TwistedGroupAlgebra, dec: WedderburnDecomposition, block: int, g: int) -> complex:
-    """Character value chi_block(g), as computed from the left ideal."""
-    return complex(dec.blocks[block].character[g])
-
-
 def fs_indicators(dec: WedderburnDecomposition) -> WedderburnDecomposition:
     """Fill the symmetric/skew/dual indicator of every block.
 
-    The involution either permutes two blocks (both get 0) or restricts to a
-    d x d matrix block, where the dimension of the fixed subspace decides
-    between +1 (d(d+1)/2, symmetric form) and -1 (d(d-1)/2, skew form).
+    fs = tr(S o R_e) / d for the involution S and right multiplication R_e by
+    the block idempotent.  S maps A.e onto the ideal of the involution image of
+    e, so the trace is 0 for blocks in a dual pair; on a self-dual block Mat_d
+    it is a transpose for a symmetric or a skew form, whose fixed subspace has
+    dimension (d^2 + tr)/2 = d(d+1)/2 or d(d-1)/2, i.e. tr = +d or -d.  In the
+    group basis the diagonal of S o R_e at g comes from e[g^-2] alone:
+    tr = sum_g c(g^-1, g) c(g, g^-2) e[g^-2].  Matching S.e against the
+    idempotents decides the pairing independently, and the two must agree.
     """
     A = dec.algebra
     S = A.star_matrix
+    g, inv = np.arange(A.dim), A.group.inverse
+    sq_inv = A.group.cayley[inv, inv]            # g^-2
+    phase = A.omega[inv, g] * A.omega[g, sq_inv]
     blocks = list(dec.blocks)
     images = []
     for b in blocks:
@@ -360,28 +347,22 @@ def fs_indicators(dec: WedderburnDecomposition) -> WedderburnDecomposition:
         if dists[mate] > CLUSTER_TOL:
             raise AlgebraError("involution image of an idempotent matches no block")
         images.append(mate)
-    out = []
+    out, margin = [], 0.0
     for k, b in enumerate(blocks):
-        if images[k] != k:
-            if images[images[k]] != k:
-                raise AlgebraError("involution does not pair blocks consistently")
-            out.append(replace(b, fs=0))
-            continue
-        B = b.ideal_basis
-        M = B.conj().T @ S @ B
-        if np.abs(M @ M - np.eye(M.shape[0])).max() > 1e-6:
-            raise AlgebraError("restricted involution is not an involution; decomposition error")
-        fixed = (M.shape[0] + np.trace(M).real) / 2
-        d = b.dim
-        if abs(fixed - d * (d + 1) // 2) < 1e-6:
-            out.append(replace(b, fs=+1))
-        elif abs(fixed - d * (d - 1) // 2) < 1e-6:
-            out.append(replace(b, fs=-1))
-        else:
-            raise AlgebraError(
-                f"fixed subspace dimension {fixed} matches neither d(d+1)/2 nor d(d-1)/2; "
-                "decomposition error")
-    return WedderburnDecomposition(A, tuple(out), dec.seed, dict(dec.diagnostics))
+        if images[images[k]] != k:
+            raise AlgebraError("involution does not pair blocks consistently")
+        ratio = complex(np.sum(phase * b.idempotent[sq_inv])) / b.dim
+        fs = int(round(ratio.real))
+        margin = max(margin, abs(ratio - fs))
+        if abs(ratio - fs) > ROUND_TOL or abs(fs) > 1:
+            raise AlgebraError(f"indicator {ratio} is not -1, 0 or +1 within 1e-6; "
+                               "decomposition error")
+        if (fs == 0) != (images[k] != k):
+            raise AlgebraError(f"indicator {fs} disagrees with the involution's block "
+                               "pairing; decomposition error")
+        out.append(replace(b, fs=fs))
+    return WedderburnDecomposition(A, tuple(out), dec.seed,
+                                   dict(dec.diagnostics, fs_rounding_residual=margin))
 
 
 def decomposition_to_json(dec: WedderburnDecomposition) -> dict:

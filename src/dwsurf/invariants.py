@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -422,11 +423,10 @@ def mednykh_count(G: FiniteGroup, spec: SurfaceSpec,
     if dec is None:
         dec = wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G)), seed)
     n = G.order
-    val = n * sum((n / b.dim) ** (2 * spec.genus - 2) for b in dec.blocks)
-    nearest = round(val)
-    if abs(val - nearest) > 1e-6 * max(1.0, abs(nearest)):
-        raise InvariantError(f"homomorphism count {val} is not near an integer")
-    return int(nearest)
+    val = n * sum(Fraction(n, b.dim) ** (2 * spec.genus - 2) for b in dec.blocks)
+    if val.denominator != 1:
+        raise InvariantError(f"homomorphism count {val} is not an integer")
+    return int(val)
 
 
 def boundary_hom_count(G: FiniteGroup, genus: int, boundary: tuple,

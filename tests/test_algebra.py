@@ -1,11 +1,12 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwsurf.algebra import (AlgebraError, TwistedGroupAlgebra, block_character,
+from dwsurf.algebra import (AlgebraError, TwistedGroupAlgebra, WedderburnDecomposition,
                             commutator_residual, decomposition_to_json, fs_indicators,
                             wedderburn_decompose)
 from dwsurf.cocycles import (RootOfUnity, TwoCocycle, c_regular_count, heisenberg_cocycle,
@@ -281,7 +282,7 @@ def test_symmetric_three_dims_and_character():
     two = dec.blocks[2]
     transposition = conjugacy_classes(G).representatives[1]
     assert abs(two.character[transposition]) < 1e-8
-    assert abs(block_character(TwistedGroupAlgebra(G, trivial_cocycle(G)), dec, 2, 0) - 2) < 1e-8
+    assert abs(two.character[0] - 2) < 1e-8
 
 
 @pytest.mark.parametrize("gspec", ["cyclic:6", "symmetric:3", "quaternion:8", "dihedral:8"])
@@ -314,6 +315,61 @@ def test_decomposition_is_deterministic():
     assert a == b
     other = wedderburn_decompose(A, seed=12345)
     assert other.dims == wedderburn_decompose(A, seed=0).dims
+
+
+def ideal_basis_reference(A, block):
+    """Reference character and indicator of a block from an orthonormal basis B
+    of its ideal A.e: the column space of right multiplication by e (rank d^2,
+    by a full SVD), chi(g) = tr(P L_g)/d with the projector P = B B*, and for
+    sign-valued cocycles the fixed dimension of the restricted involution
+    B* S B.  Cost #G^3 per block."""
+    e, d, n = block.idempotent, block.dim, A.dim
+    u, sigma, _ = np.linalg.svd(A.right_matrix(e))
+    assert np.sum(sigma > 1e-8) == d * d
+    B = u[:, :d * d]
+    P = B @ B.conj().T
+    char = np.array([np.trace(P @ A.left_matrix(A.basis_vector(g))) for g in range(n)]) / d
+    if not A.cocycle.is_sign_valued:
+        return char, None
+    M = B.conj().T @ A.star_matrix @ B
+    if np.abs(M).max() < 1e-8:
+        return char, 0                  # the involution maps A.e onto another block
+    assert np.abs(M @ M - np.eye(d * d)).max() < 1e-8
+    fixed = (d * d + np.trace(M).real) / 2
+    assert abs(fixed - round(fixed)) < 1e-8
+    return char, {d * (d + 1) // 2: 1, d * (d - 1) // 2: -1}[round(fixed)]
+
+
+def twelfth_root_twist(c, seed):
+    """c times the coboundary of random 12th roots of unity (1 on the identity)."""
+    rng = np.random.default_rng(seed)
+    n = c.group.order
+    return twist(c, [RootOfUnity(0, 1)] + [RootOfUnity(int(rng.integers(12)), 12)
+                                           for _ in range(n - 1)])
+
+
+BLOCK_PAIRS = catalog_pairs() + sign_catalog_pairs() + [
+    (G, twelfth_root_twist(c, 8)) for G, c in
+    catalog_pairs([("quaternion:8", "trivial"), ("product(cyclic:3,cyclic:3)", "heisenberg:3")])]
+
+
+@pytest.mark.parametrize("G,c", BLOCK_PAIRS, ids=lambda x: getattr(x, "name", None))
+def test_closed_forms_match_ideal_basis_reference(G, c):
+    dec = wedderburn_decompose(TwistedGroupAlgebra(G, c))
+    if c.is_sign_valued:
+        dec = fs_indicators(dec)
+    for b in dec.blocks:
+        char, fs = ideal_basis_reference(dec.algebra, b)
+        assert np.abs(b.character - char).max() < 1e-9
+        assert b.fs == fs
+
+
+@pytest.mark.parametrize("G,c", BLOCK_PAIRS, ids=lambda x: getattr(x, "name", None))
+def test_projective_characters_are_orthonormal(G, c):
+    # (1/#G) sum_g chi_i(g) conj(chi_j(g)) = delta_ij
+    chars = np.array([b.character for b in wedderburn_decompose(TwistedGroupAlgebra(G, c)).blocks])
+    gram = chars @ chars.conj().T / G.order
+    assert np.abs(gram - np.eye(len(chars))).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +482,19 @@ def test_indicators_invariant_under_sign_twists():
         assert sorted(dec.fs_list) == sorted(base.fs_list)
 
 
+@pytest.mark.parametrize("idempotent,match", [
+    ((0.0, 1.0), "disagrees with the involution's block pairing"),   # trace 0, S.x = x
+    ((0.3, 0.0), "not -1, 0 or \\+1 within 1e-6"),                   # trace 0.6
+])
+def test_indicator_is_checked_against_the_block_pairing(idempotent, match):
+    # a one-block decomposition of C[Z/2] whose "idempotent" is fixed by the
+    # involution, so the pairing says self-dual, but whose trace is wrong
+    dec = wedderburn_decompose(algebra("cyclic:2"))
+    fake = replace(dec.blocks[0], idempotent=np.array(idempotent, dtype=complex))
+    with pytest.raises(AlgebraError, match=match):
+        fs_indicators(WedderburnDecomposition(dec.algebra, (fake,), 0, {}))
+
+
 def test_fs_requires_sign_valued_cocycle():
     c = heisenberg_cocycle(3)
     dec = wedderburn_decompose(TwistedGroupAlgebra(c.group, c))
@@ -438,3 +507,4 @@ def test_decomposition_export_shape():
     assert {b["dim"] for b in data["blocks"]} == {1}
     assert all(len(b["character"]) == 2 for b in data["blocks"])
     assert "idempotency_residual" in data["residuals"]
+    assert data["residuals"]["fs_rounding_residual"] < 1e-12

@@ -328,6 +328,9 @@ def test_hom_count_formula():
     assert mednykh_count(S3, TORUS) == 18
     assert mednykh_count(build_group("cyclic:2"), GENUS2) == 16
     assert mednykh_count(S3, SPHERE) == 1
+    # 120 * sum (120/d)^10 over d = 1,1,4,4,5,5,6: past 2^53, so summed exactly
+    assert (mednykh_count(build_group("symmetric:5"), SurfaceSpec(True, 6))
+            == 148601832300811431690240)
     with pytest.raises(InvariantError):
         mednykh_count(S3, KLEIN)
 
@@ -406,6 +409,7 @@ def test_cross_check_nonorientable():
     rep = cross_check(c.group, c, KLEIN)
     assert rep.passed
     assert rep.integrality["nearest"] == 1
+    assert rep.diagnostics["fs_rounding_residual"] < 1e-12
 
 
 def test_cross_check_report_is_jsonable():
