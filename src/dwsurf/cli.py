@@ -63,13 +63,11 @@ def cmd_compute(args) -> int:
     c = parse_cocycle(args.cocycle, G)
     spec = SurfaceSpec.parse(args.surface)
     methods = ("direct", "statesum", "verlinde") if args.method == "all" else (args.method,)
-    report = cross_check(G, c, spec, methods=methods, oracle=args.oracle,
-                         tol=args.tol, seed=args.seed)
+    report = cross_check(G, c, spec, methods=methods, oracle=args.oracle, seed=args.seed)
     if args.csv:
         print("group,cocycle,surface,method,re,im")
         for method, v in sorted(report.values.items()):
-            print(f"{report.group},{report.cocycle},{report.surface},{method},"
-                  f"{v.real!r},{v.imag!r}")
+            print(f"{report.group},{report.cocycle},{report.surface},{method},{float(v)!r},0.0")
     else:
         _emit(report.to_json())
     check_requested = len(report.values) > 1 or report.integrality is not None
@@ -89,7 +87,8 @@ def cmd_statesum(args) -> int:
         raise ValueError(f"cannot parse --tri {args.tri!r}")
     A = TwistedGroupAlgebra(G, c)
     res = run_state_sum(A, tri, star=not spec.orientable)
-    _emit({"value": [res.value.real, res.value.imag],
+    _emit({"value": [float(res.value), 0.0],
+           "exact": str(res.value),
            "states_visited": res.states_visited,
            "plan": res.plan.to_json()})
     return 0
@@ -106,7 +105,11 @@ def cmd_decompose(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# validation suites
+# validation suites: every value is an exact Fraction, compared with ==
+
+def _values_detail(report) -> str:
+    return ", ".join(f"{method} {v}" for method, v in report.values.items())
+
 
 def _suite_theorems(seed: int) -> list:
     rows = []
@@ -115,17 +118,17 @@ def _suite_theorems(seed: int) -> list:
             spec = SurfaceSpec(True, genus)
             rep = cross_check(G, c, spec, seed=seed)
             rows.append((f"orientable routes {G.name}/{c.name}/{spec.name}", rep.passed,
-                         f"deviation {rep.max_deviation:.2e}"))
+                         _values_detail(rep)))
         spec = SurfaceSpec(True, 3)
         rep = cross_check(G, c, spec, methods=("direct", "verlinde"), seed=seed)
         rows.append((f"orientable routes {G.name}/{c.name}/{spec.name}", rep.passed,
-                     f"deviation {rep.max_deviation:.2e}"))
+                     _values_detail(rep)))
     for G, c in nonorientable_catalog_pairs():
         for genus in (1, 2, 3):
             spec = SurfaceSpec(False, genus)
             rep = cross_check(G, c, spec, seed=seed)
             rows.append((f"nonorientable routes {G.name}/{c.name}/{spec.name}", rep.passed,
-                         f"deviation {rep.max_deviation:.2e}"))
+                         _values_detail(rep)))
     return rows
 
 
@@ -138,9 +141,8 @@ def _suite_oracles(seed: int) -> list:
                            (seven_vertex_torus(), SurfaceSpec(True, 1))):
             got = dw_labeling_oracle(G, c, surf)
             want = dw_direct(G, c, spec)
-            ok = abs(got - want) <= 1e-8 * max(1.0, abs(want))
             rows.append((f"labeling oracle {G.name}/{c.name} chi={surf.euler_characteristic}",
-                         ok, f"{got:.6g} vs {want:.6g}"))
+                         got == want, f"{got} vs {want}"))
     for G, c in catalog_pairs():
         for genus in (1, 2, 3):
             spec = SurfaceSpec(True, genus)
@@ -164,7 +166,7 @@ def _suite_oracles(seed: int) -> list:
     for G, c in sign_catalog_pairs():
         dec = fs_indicators(wedderburn_decompose(TwistedGroupAlgebra(G, c), seed))
         lhs = sum(b.fs * b.dim for b in dec.blocks)
-        inv_sum = int(sum(int(round(c.complex_table[g, g].real)) for g in involution_set(G)))
+        inv_sum = sum(1 if c.exps[g, g] == 0 else -1 for g in involution_set(G))
         rows.append((f"indicator sum {G.name}/{c.name}", lhs == inv_sum, f"{lhs} vs {inv_sum}"))
     return rows
 
@@ -176,9 +178,7 @@ def _suite_invariance(seed: int) -> list:
     variants = pachner_variants(sphere, 5, seed=seed)
     for G, c in catalog_pairs():
         A = TwistedGroupAlgebra(G, c)
-        ok = abs(fhk_state_sum(A, sphere) - G.order) <= 1e-8 * G.order
-        for tri in variants:
-            ok = ok and abs(fhk_state_sum(A, tri) - G.order) <= 1e-8 * G.order
+        ok = all(fhk_state_sum(A, tri) == G.order for tri in [sphere, *variants])
         rows.append((f"sphere refinement {G.name}/{c.name}", ok, "6 triangulations"))
     for G, c in catalog_pairs([("symmetric:3", "trivial"),
                                ("product(cyclic:2,cyclic:2)", "heisenberg:2")]):
@@ -190,46 +190,62 @@ def _suite_invariance(seed: int) -> list:
             flags = [f for f, p in tri2.edge_flags() if f // 3 != p // 3]
             tri2 = pachner_22(tri2, flags[0])
             val = fhk_state_sum(A, tri2)
-            ok = abs(val - base) <= 1e-8 * max(1.0, abs(base))
-            rows.append((f"refined {spec.name} {G.name}/{c.name}", ok, f"{val:.6g} vs {base:.6g}"))
+            rows.append((f"refined {spec.name} {G.name}/{c.name}", val == base, f"{val} vs {base}"))
     for G, c in catalog_pairs():
         base = dw_direct(G, c, SurfaceSpec(True, 1))
         ok = True
         for _ in range(20):
             b = [RootOfUnity(0, 1)] + [RootOfUnity(int(rng.integers(12)), 12)
                                        for _ in range(G.order - 1)]
-            val = dw_direct(G, twist(c, b), SurfaceSpec(True, 1))
-            ok = ok and abs(val - base) <= 1e-10 * max(1.0, abs(base))
+            ok = ok and dw_direct(G, twist(c, b), SurfaceSpec(True, 1)) == base
         rows.append((f"coboundary direct {G.name}/{c.name}", ok, "torus, 20 random twists"))
     for G, c in nonorientable_catalog_pairs():
         A = TwistedGroupAlgebra(G, c)
         for spec in (SurfaceSpec(False, 1), SurfaceSpec(False, 2)):
             tri = standard_triangulation(spec)
             base = star_state_sum(A, tri)
-            ok = True
-            for t in range(tri.n_triangles):
-                val = star_state_sum(A, flip_triangle(tri, t))
-                ok = ok and abs(val - base) <= 1e-10 * max(1.0, abs(base))
-            rows.append((f"orientation flips {G.name}/{c.name}/{spec.name}", ok, f"{base:.6g}"))
+            ok = all(star_state_sum(A, flip_triangle(tri, t)) == base
+                     for t in range(tri.n_triangles))
+            rows.append((f"orientation flips {G.name}/{c.name}/{spec.name}", ok, str(base)))
     return rows
 
 
 SUITES = {"theorems": _suite_theorems, "oracles": _suite_oracles, "invariance": _suite_invariance}
 
 
+def _config_entries(path) -> list:
+    """The entries of a --config file, each an object with string "group" and
+    "surface", an optional string "cocycle" and an optional integer "seed";
+    any other shape or key is rejected by entry index."""
+    with open(path, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    if not isinstance(entries, list):
+        raise ValueError("a --config file must hold a JSON list of entries")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"config entry {i} must be an object, got {entry!r}")
+        for key in entry:
+            if key not in ("group", "surface", "cocycle", "seed"):
+                raise ValueError(f"config entry {i} has an unknown key {key!r}")
+        for key in ("group", "surface"):
+            if not isinstance(entry.get(key), str):
+                raise ValueError(f"config entry {i} needs a string {key!r}")
+        if not isinstance(entry.get("cocycle", ""), str):
+            raise ValueError(f"config entry {i}: 'cocycle' must be a string")
+        if type(entry.get("seed", 0)) is not int:
+            raise ValueError(f"config entry {i}: 'seed' must be an integer")
+    return entries
+
+
 def cmd_check(args) -> int:
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            entries = json.load(fh)
         rows = []
-        for entry in entries:
+        for entry in _config_entries(args.config):
             G = build_group(entry["group"])
             c = parse_cocycle(entry.get("cocycle", "trivial"), G)
             spec = SurfaceSpec.parse(entry["surface"])
-            rep = cross_check(G, c, spec, tol=entry.get("tol", 1e-8),
-                              seed=entry.get("seed", args.seed))
-            rows.append((f"{G.name}/{c.name}/{spec.name}", rep.passed,
-                         f"deviation {rep.max_deviation:.2e}"))
+            rep = cross_check(G, c, spec, seed=entry.get("seed", args.seed))
+            rows.append((f"{G.name}/{c.name}/{spec.name}", rep.passed, _values_detail(rep)))
     else:
         names = list(SUITES) if args.suite == "all" else [args.suite]
         rows = []
@@ -263,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", required=True)
     p.add_argument("--method", choices=["direct", "statesum", "verlinde", "all"], default="all")
     p.add_argument("--oracle", action="store_true", help="also run the labeling-sum oracle")
-    p.add_argument("--tol", type=float, default=1e-8)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", default=True)
     group.add_argument("--csv", action="store_true")

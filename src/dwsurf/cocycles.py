@@ -3,8 +3,10 @@
 All cocycle arithmetic is exact: a value exp(2*pi*i*k/N) is stored as the
 integer exponent k modulo a common order N, and the cocycle identity, all
 coboundary manipulation and regularity scans are integer computations.
-Complex embeddings happen only downstream, in the algebra and state-sum
-layers.
+A histogram of exponents, sum_k counts[k] zeta_N^k, reduces to an exact
+integer modulo the cyclotomic polynomial Phi_N (cyclotomic_integer); the
+direct, state-sum and labeling routes end there.  Complex embeddings happen
+only in the algebra layer.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -59,6 +61,44 @@ class RootOfUnity:
 
     def __repr__(self):
         return f"RootOfUnity({self.numerator}/{self.order})"
+
+
+def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list, list]:
+    """Quotient and remainder of integer polynomials (lowest degree first) by
+    a monic divisor, in Python ints."""
+    num, m = list(num), len(den) - 1
+    quot = [0] * max(len(num) - m, 0)
+    for i in range(len(num) - 1 - m, -1, -1):
+        q = quot[i] = num[i + m]
+        if q:
+            for j, dj in enumerate(den):
+                num[i + j] -= q * dj
+    return quot, num[:m]
+
+
+@cache
+def cyclotomic_polynomial(N: int) -> tuple:
+    """Integer coefficients of Phi_N, lowest degree first: x^N - 1 divided by
+    Phi_d for every proper divisor d of N."""
+    poly = [-1] + [0] * (N - 1) + [1]
+    for d in range(1, N):
+        if N % d == 0:
+            poly, _ = _divmod_monic(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
+
+
+def cyclotomic_integer(counts: Sequence[int], route: str) -> int:
+    """The integer sum_k counts[k] zeta_N^k, N = len(counts), exactly.
+
+    The remainder modulo Phi_N is the canonical form in Z[zeta_N]; it is a
+    constant exactly when the sum is an integer.  Otherwise the histogram did
+    not come from a cocycle, and the error names the route that produced it.
+    """
+    _, rem = _divmod_monic([int(k) for k in counts], cyclotomic_polynomial(len(counts)))
+    if any(rem[1:]):
+        raise CocycleError(f"{route}: the sum of roots of unity of order {len(counts)} "
+                           f"is not an integer (remainder {rem} modulo Phi_{len(counts)})")
+    return rem[0]
 
 
 class CocycleCheck(NamedTuple):

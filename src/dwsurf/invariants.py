@@ -11,8 +11,11 @@ route contracts the twisted group algebra over a triangulation.  The
 Verlinde route reads the invariant off the Wedderburn block dimensions (and,
 for non-orientable surfaces, the symmetric/skew indicators).  A separate
 labeling sum over a simplicial triangulation serves as a fidelity oracle for
-small inputs.  cross_check runs the routes side by side and reports
-agreement and integrality.
+small inputs.  Every route returns an exact Fraction: the direct, state-sum
+and labeling routes reduce their exponent histograms modulo the cyclotomic
+polynomial, and the Verlinde route sums powers of its integer block
+dimensions.  cross_check runs the routes side by side and decides agreement
+and integrality by exact equality.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import TwistedGroupAlgebra, WedderburnDecomposition, fs_indicators, wedderburn_decompose
-from .cocycles import RootOfUnity, TwoCocycle, c_regular_count, trivial_cocycle
+from .cocycles import RootOfUnity, TwoCocycle, c_regular_count, cyclotomic_integer, trivial_cocycle
 from .groups import FiniteGroup, conjugacy_classes
 from .state_sum import TriangleTerm, plan_from_terms, run_state_sum
 from .surfaces import (RelatorPresentation, SimplicialSurface, SurfaceSpec, seven_vertex_torus,
@@ -105,10 +108,6 @@ def _weighted_hom_counts(G: FiniteGroup, c: TwoCocycle, pres: RelatorPresentatio
                 esum -= exps[vals[j], inv[vals[j]]]
         counts += np.bincount(esum[h == 0] % N, minlength=N)
     return counts
-
-
-def _roots(N: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(N) / N)
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +229,20 @@ def _direct_counts(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> np.ndarr
     return v[0]
 
 
-def dw_direct(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> complex:
+def dw_direct(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> Fraction:
     """(1/#G) sum over homomorphisms of the cocycle weight.
 
     The homomorphism sum is cut along the handles (crosscaps) of the standard
     relator into a product of transfer operators: O(n^3 + g n^2 N^2) work for
     genus g, order n and cocycle order N, and memory of n^2 N int64 counts.
-    Counts are exact; #G^generators >= 2^63 is refused with InvariantError.
-    The sphere contributes the single trivial homomorphism, giving 1/#G for
-    every cocycle.
+    Counts are exact and reduce to an exact integer modulo Phi_N;
+    #G^generators >= 2^63 is refused with InvariantError.  The sphere
+    contributes the single trivial homomorphism, giving 1/#G for every
+    cocycle.
     """
     if not spec.orientable and not c.is_sign_valued:
         raise InvariantError("non-orientable surfaces need a sign-valued cocycle")
-    return complex(_direct_counts(G, c, spec) @ _roots(c.order)) / G.order
+    return Fraction(cyclotomic_integer(_direct_counts(G, c, spec), "direct route"), G.order)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ def exact_contraction(group, modulus: int, n_vars: int, var_exp, terms, plan):
 
 
 def dw_labeling_oracle(G: FiniteGroup, c: TwoCocycle, surf: SimplicialSurface,
-                       node_limit: int = 10 ** 7) -> complex:
+                       node_limit: int = 10 ** 7) -> Fraction:
     """Sum over admissible edge labelings of a simplicial surface.
 
     A by-the-book reference evaluation: every oriented edge gets a group
@@ -393,25 +393,24 @@ def dw_labeling_oracle(G: FiniteGroup, c: TwoCocycle, surf: SimplicialSurface,
         terms.append(TriangleTerm(tuple(vars_), tuple(invs), pair, table))
     plan = plan_from_terms(len(edges), terms)
     counts, _ = exact_contraction(G, N, len(edges), [None] * len(edges), terms, plan)
-    value = np.asarray(counts) @ _roots(N)
-    return complex(value) * float(n) ** (-surf.n_vertices)
+    return Fraction(cyclotomic_integer(counts, "labeling oracle"), n ** surf.n_vertices)
 
 
 # ---------------------------------------------------------------------------
 # Verlinde-type evaluation and counting formulas
 
-def verlinde(dec: WedderburnDecomposition, spec: SurfaceSpec) -> complex:
+def verlinde(dec: WedderburnDecomposition, spec: SurfaceSpec) -> Fraction:
     """(#G)^(-chi) sum over blocks of (dim)^chi, or of (fs * dim)^chi when
-    non-orientable; blocks in a dual pair contribute nothing for every chi."""
-    n = dec.algebra.dim
+    non-orientable; blocks in a dual pair contribute nothing for every chi.
+    Exact, from the validated integer dimensions and indicators."""
     chi = spec.chi
     if spec.orientable:
-        total = sum(float(b.dim) ** chi for b in dec.blocks)
+        total = sum(Fraction(b.dim) ** chi for b in dec.blocks)
     else:
         if any(b.fs is None for b in dec.blocks):
             raise InvariantError("non-orientable evaluation needs fs indicators")
-        total = sum(float(b.fs * b.dim) ** chi for b in dec.blocks if b.fs)
-    return complex(float(n) ** (-chi) * total)
+        total = sum(Fraction(b.fs * b.dim) ** chi for b in dec.blocks if b.fs)
+    return Fraction(dec.algebra.dim) ** (-chi) * total
 
 
 def mednykh_count(G: FiniteGroup, spec: SurfaceSpec,
@@ -436,6 +435,8 @@ def boundary_hom_count(G: FiniteGroup, genus: int, boundary: tuple,
 
     Character formula: #G^(2g-1) * prod |K_i| * sum over irreducibles of
     dim^(2-2g-k) * prod chi(g_i), evaluated from the trivial-cocycle blocks.
+    The characters are floats, so a count of 2^53 or more, where a double no
+    longer pins the integer, is refused with InvariantError.
     """
     k = len(boundary)
     if k < 1:
@@ -453,6 +454,9 @@ def boundary_hom_count(G: FiniteGroup, genus: int, boundary: tuple,
         total += prod
     val = float(n) ** (2 * genus - 1) * float(np.prod(class_sizes)) * total
     nearest = round(val.real)
+    if abs(nearest) >= 2 ** 53:
+        raise InvariantError(f"boundary count {val} is past 2^53, where doubles do not "
+                             "resolve integers")
     if abs(val - nearest) > 1e-6 * max(1.0, abs(nearest)):
         raise InvariantError(f"boundary count {val} is not near an integer")
     return int(nearest)
@@ -496,9 +500,7 @@ class InvariantReport:
     cocycle: str
     surface: str
     chi: int
-    values: dict
-    max_deviation: float
-    tol: float
+    values: dict         # route -> exact Fraction
     integrality: dict | None
     diagnostics: dict = field(default_factory=dict)
     passed: bool = False
@@ -510,9 +512,8 @@ class InvariantReport:
             "cocycle": self.cocycle,
             "surface": self.surface,
             "chi": self.chi,
-            "values": {k: [float(v.real), float(v.imag)] for k, v in self.values.items()},
-            "max_deviation": self.max_deviation,
-            "tol": self.tol,
+            "values": {k: [float(v), 0.0] for k, v in self.values.items()},
+            "exact": {k: str(v) for k, v in self.values.items()},
             "integrality": self.integrality,
             "diagnostics": self.diagnostics,
             "passed": self.passed,
@@ -522,10 +523,13 @@ class InvariantReport:
 
 def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
                 methods: tuple = ("direct", "statesum", "verlinde"),
-                oracle: bool = False, tol: float = 1e-8, seed: int = 0,
-                workers: int = 1) -> InvariantReport:
+                oracle: bool = False, seed: int = 0, workers: int = 1) -> InvariantReport:
     """Run the requested routes and compare; disagreement yields a failing
     report with all raw values rather than an exception.
+
+    The values are exact Fractions, so the routes agree when they are equal,
+    and for chi <= 0 the value must be an integer, >= 1 on orientable
+    surfaces and >= 0 on non-orientable ones.
 
     ``workers`` has no effect: every route runs in this process.  It is
     still accepted so that existing callers keep working.
@@ -541,7 +545,7 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
         A = TwistedGroupAlgebra(G, c)
         tri = standard_triangulation(spec)
         res = run_state_sum(A, tri, star=not spec.orientable)
-        values["statesum"] = float(G.order) ** (-spec.chi) * res.value
+        values["statesum"] = Fraction(G.order) ** (-spec.chi) * res.value
         states = res.states_visited
         diagnostics["statesum_plan_free_edges"] = res.plan.free_count
     if "verlinde" in methods:
@@ -561,24 +565,19 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
         values["labeling_oracle"] = dw_labeling_oracle(G, c, surf)
 
     vals = list(values.values())
-    scale = max(1.0, max(abs(v) for v in vals))
-    deviation = max((abs(a - b) for a, b in itertools.combinations(vals, 2)), default=0.0)
-    deviation /= scale
     integrality = None
     integrality_ok = True
     if spec.chi <= 0 and vals:
         v = values.get("direct", vals[0])
-        nearest = round(v.real)
-        residual = abs(v - nearest) / max(1.0, abs(nearest))
-        positive_ok = nearest >= 1 if spec.orientable else nearest >= 0
-        integrality = {"nearest": int(nearest), "residual": float(residual),
-                       "positive_ok": bool(positive_ok)}
-        integrality_ok = residual <= tol and positive_ok
-    passed = (deviation <= tol and integrality_ok
+        positive_ok = v >= 1 if spec.orientable else v >= 0
+        integrality = {"nearest": round(v), "integer": v.denominator == 1,
+                       "positive_ok": positive_ok}
+        integrality_ok = v.denominator == 1 and positive_ok
+    passed = (len(set(vals)) <= 1 and integrality_ok
               and diagnostics.get("sum_d_squared_ok", True)
               and diagnostics.get("block_count_matches_regular_classes", True))
     return InvariantReport(G.name, c.name or "cocycle", spec.name, spec.chi, values,
-                           float(deviation), tol, integrality, diagnostics, passed, states)
+                           integrality, diagnostics, passed, states)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ along a fixed plan: a table keyed by the labels of the open (frontier) edges
 and the exponent so far, where a triangle with two labeled edges forces the
 third and an edge leaves the table once its triangles are complete.  Every
 admissible labeling contributes a root of unity, accumulated as an exact
-int64 exponent histogram; the only floating-point step is the final embedding
-into complex doubles.
+int64 exponent histogram, which reduces modulo the cyclotomic polynomial to
+an exact integer; the value is that integer times #G^(triangles - edges), a
+Fraction.  This engine involves no floating point.
 
 A dense contraction over raw structure constants is also provided; it is used
 to validate the sparse engine against small matrix algebras, where the state
@@ -19,10 +20,12 @@ sum has a closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .algebra import AlgebraError, TwistedGroupAlgebra
+from .cocycles import cyclotomic_integer
 from .surfaces import GluedTriangulation, SurfaceError, orientability_and_orientation
 
 # Rows a free edge may expand the contraction table to.  A row is a few
@@ -66,7 +69,7 @@ class ContractionPlan:
 
 @dataclass(frozen=True)
 class StateSumResult:
-    value: complex
+    value: Fraction
     states_visited: int  # contraction table rows generated
     counts: np.ndarray   # histogram of root-of-unity exponents
     modulus: int
@@ -292,19 +295,18 @@ def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation,
     n_vars, var_exp, terms, modulus = _edge_terms(A, tri)
     plan = plan_from_terms(n_vars, terms)
     counts, rows = exact_contraction(A.group, modulus, n_vars, var_exp, terms, plan)
-    scale = float(A.group.order) ** (tri.n_triangles - tri.n_edges)
-    roots = np.exp(2j * np.pi * np.arange(modulus) / modulus)
-    value = complex(scale * (counts @ roots))
+    scale = Fraction(A.group.order) ** (tri.n_triangles - tri.n_edges)
+    value = scale * cyclotomic_integer(counts, "state sum")
     return StateSumResult(value, rows, counts, modulus, plan)
 
 
-def fhk_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> complex:
+def fhk_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> Fraction:
     """State sum of an oriented surface: trace form over triangles, pairing
     vector over edges."""
     return run_state_sum(A, tri, star=False).value
 
 
-def star_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> complex:
+def star_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> Fraction:
     """State sum of a (possibly non-orientable) surface using the involution."""
     return run_state_sum(A, tri, star=True).value
 

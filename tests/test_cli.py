@@ -29,8 +29,24 @@ def test_compute_heisenberg_genus2_all_methods(capsys):
                     "--method", "all")
     data = json.loads(out)
     assert code == 0
-    for v in data["values"].values():
-        assert abs(v[0] - 4) < 1e-8 and abs(v[1]) < 1e-8
+    assert data["exact"] == {"direct": "4", "statesum": "4", "verlinde": "4"}
+    assert all(v == [4.0, 0.0] for v in data["values"].values())
+
+
+def test_symmetric5_genus6_is_exact_past_double_precision(capsys):
+    # sum over d = 1,1,4,4,5,5,6 of (120/d)^10: a double rounds it to ...994240
+    code, out = run(capsys, "compute", "--group", "symmetric:5", "--surface", "orientable:6",
+                    "--method", "verlinde")
+    data = json.loads(out)
+    assert code == 0
+    assert data["exact"]["verlinde"] == "1238348602506761930752"
+    assert data["integrality"]["nearest"] == 1238348602506761930752
+
+
+def test_tolerance_flag_is_gone(capsys):
+    assert main(["compute", "--group", "cyclic:2", "--surface", "orientable:1",
+                 "--tol", "1e-8"]) == 2
+    capsys.readouterr()
 
 
 def test_compute_projective_plane_value(capsys):
@@ -55,7 +71,7 @@ def test_compute_with_oracle(capsys):
                     "--oracle")
     data = json.loads(out)
     assert code == 0
-    assert abs(data["values"]["labeling_oracle"][0] - 2) < 1e-8
+    assert data["exact"]["labeling_oracle"] == "2"
 
 
 def test_compute_single_method(capsys):
@@ -79,7 +95,7 @@ def test_statesum_reports_plan(capsys):
                     "--cocycle", "heisenberg:2", "--surface", "orientable:1")
     data = json.loads(out)
     assert code == 0
-    assert abs(data["value"][0] - 1) < 1e-8
+    assert data["exact"] == "1" and data["value"] == [1.0, 0.0]
     assert data["plan"]["free_edges"] == 2
     assert data["states_visited"] > 0
 
@@ -91,7 +107,7 @@ def test_statesum_from_triangulation_file(capsys, tmp_path):
     code, out = run(capsys, "statesum", "--group", "symmetric:3",
                     "--surface", "orientable:1", "--tri", f"file:{path}")
     assert code == 0
-    assert abs(json.loads(out)["value"][0] - 3) < 1e-8
+    assert json.loads(out)["exact"] == "3"
 
 
 def test_workers_flag_is_accepted_and_has_no_effect(capsys):
@@ -127,8 +143,7 @@ def test_cocycle_file_descriptor(tmp_path, capsys):
     code, out = run(capsys, "compute", "--group", "product(cyclic:2,cyclic:2)",
                     "--cocycle", f"file:{path}", "--surface", "orientable:1")
     assert code == 0
-    got = json.loads(out)["values"]["direct"]
-    assert abs(got[0] - 1) < 1e-10 and abs(got[1]) < 1e-10
+    assert json.loads(out)["exact"]["direct"] == "1"
 
 
 def test_cocycle_group_mismatch_fails(capsys):
@@ -182,7 +197,7 @@ def test_usage_errors_exit_two(capsys):
 
 def test_check_config_file(capsys, tmp_path):
     config = [{"group": "cyclic:2", "cocycle": "trivial", "surface": "orientable:1"},
-              {"group": "symmetric:3", "surface": "orientable:2"}]
+              {"group": "symmetric:3", "surface": "orientable:2", "seed": 3}]
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(config))
     code, out = run(capsys, "check", "--config", str(path), "--json")
@@ -190,6 +205,29 @@ def test_check_config_file(capsys, tmp_path):
     assert code == 0
     assert data["passed"]
     assert len(data["rows"]) == 2
+
+
+ENTRY = {"group": "cyclic:2", "surface": "orientable:1"}
+
+
+@pytest.mark.parametrize("text,message", [
+    (json.dumps([{"surface": "orientable:1"}]), "entry 0 needs a string 'group'"),
+    (json.dumps([ENTRY, {"group": "cyclic:2"}]), "entry 1 needs a string 'surface'"),
+    (json.dumps([{"group": "cyclic:2", "surface": 1}]), "entry 0 needs a string 'surface'"),
+    (json.dumps([ENTRY, "cyclic:2"]), "entry 1 must be an object"),
+    (json.dumps(ENTRY), "JSON list"),
+    (json.dumps([dict(ENTRY, tol=1e-3)]), "entry 0 has an unknown key 'tol'"),
+    (json.dumps([dict(ENTRY, cocycle=2)]), "entry 0: 'cocycle' must be a string"),
+    (json.dumps([dict(ENTRY, seed="0")]), "entry 0: 'seed' must be an integer"),
+    (json.dumps([dict(ENTRY, seed=True)]), "entry 0: 'seed' must be an integer"),
+    ("[{", "JSONDecodeError"),
+])
+def test_malformed_config_is_a_json_error(capsys, tmp_path, text, message):
+    path = tmp_path / "suite.json"
+    path.write_text(text)
+    code, out = run(capsys, "check", "--config", str(path), "--json")
+    assert code == 1
+    assert message in json.loads(out)["error"]
 
 
 def test_parse_cocycle_validates_group():

@@ -1,10 +1,15 @@
 import itertools
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwsurf.cocycles import (CocycleError, RootOfUnity, TwoCocycle, c_regular_count,
-                             coboundary, heisenberg_cocycle, read_cocycle_file,
+                             coboundary, cyclotomic_integer, cyclotomic_polynomial,
+                             heisenberg_cocycle, read_cocycle_file,
                              sign_cocycles_catalog, trivial_cocycle, twist, verify_cocycle,
                              write_cocycle_file)
 from dwsurf.groups import build_group, conjugacy_classes
@@ -34,6 +39,61 @@ def test_root_multiplication_lifts_orders():
 
 def test_root_power():
     assert RootOfUnity(1, 6) ** 4 == RootOfUnity(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# exact reduction of root-of-unity sums
+
+def roots(N):
+    return np.exp(2j * np.pi * np.arange(N) / N)
+
+
+def test_cyclotomic_polynomials_are_integral_and_vanish_at_zeta():
+    for N in range(1, 65):
+        phi = cyclotomic_polynomial(N)
+        assert all(type(a) is int for a in phi) and phi[-1] == 1
+        assert len(phi) - 1 == sum(math.gcd(k, N) == 1 for k in range(1, N + 1))
+        assert abs(np.polyval(phi[::-1], np.exp(2j * np.pi / N))) < 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(1, 24), const=st.integers(-10 ** 30, 10 ** 30),
+       multiples=st.lists(st.tuples(st.integers(0, 23), st.integers(-1000, 1000)), max_size=8))
+def test_reduction_removes_multiples_of_phi(N, const, multiples):
+    phi = cyclotomic_polynomial(N)
+    counts = [const] + [0] * (N - 1)
+    for j, m in multiples:   # + m x^j Phi_N, folded by x^N = 1
+        for i, a in enumerate(phi):
+            counts[(i + j) % N] += m * a
+    if N > 1:   # 1 + zeta + ... + zeta^(N-1) = 0, so a shift makes a histogram
+        low = min(counts)
+        counts = [k - low for k in counts]
+    assert cyclotomic_integer(counts, "test route") == const
+    z = np.dot(np.array(counts, dtype=float), roots(N))
+    assert abs(z - const) <= 1e-9 * max(1, sum(map(abs, counts)))
+    if N >= 3:   # zeta_N itself is not rational
+        counts[1] += 1
+        with pytest.raises(CocycleError, match="test route"):
+            cyclotomic_integer(counts, "test route")
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.integers(1, 24).flatmap(
+    lambda N: st.lists(st.integers(0, 10 ** 6), min_size=N, max_size=N)))
+def test_reduction_agrees_with_float_embedding_on_random_histograms(counts):
+    z = np.dot(counts, roots(len(counts)))
+    try:
+        k = cyclotomic_integer(counts, "test route")
+    except CocycleError:
+        return
+    assert abs(z - k) <= 1e-9 * max(1, sum(counts))
+
+
+def test_reduction_refuses_a_primitive_root():
+    with pytest.raises(CocycleError, match="state sum"):
+        cyclotomic_integer([0, 1, 0], "state sum")   # zeta_3
+    assert cyclotomic_integer([0, 1, 1], "state sum") == -1
+    assert cyclotomic_integer(np.array([2, 5], dtype=np.int64), "direct route") == -3
 
 
 # ---------------------------------------------------------------------------

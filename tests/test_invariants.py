@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dwsurf.invariants import (InvariantError, boundary_hom_count, boundary_hom_
                                count_homs, cross_check, dw_direct, dw_labeling_oracle,
                                enumerate_homs, mednykh_count, sign_catalog_pairs, verlinde)
 from dwsurf.invariants import _direct_counts, _weighted_hom_counts
+from dwsurf.state_sum import fhk_state_sum, run_state_sum, star_state_sum
 from dwsurf.surfaces import (RelatorPresentation, SurfaceSpec, relator_presentation,
                              seven_vertex_torus, standard_triangulation, tetrahedron_sphere)
 
@@ -142,7 +144,7 @@ def test_weight_sum_is_rotation_invariant():
 def test_sphere_value_is_reciprocal_order():
     for gspec in ["cyclic:2", "symmetric:3", "quaternion:8"]:
         G = build_group(gspec)
-        assert abs(dw_direct(G, trivial_cocycle(G), SPHERE) - 1 / G.order) < 1e-12
+        assert dw_direct(G, trivial_cocycle(G), SPHERE) == Fraction(1, G.order)
 
 
 def test_direct_matches_streaming_route():
@@ -154,7 +156,9 @@ def test_direct_matches_streaming_route():
         pres = relator_presentation(spec)
         total = sum(cocycle_weight_orientable(c, pres, hom).value
                     for hom in enumerate_homs(G, pres))
-        assert abs(dw_direct(G, c, spec) - total / G.order) < 1e-10
+        # the float sum of embedded weights pins the integer it must equal
+        assert abs(total - round(total.real)) < 1e-9
+        assert dw_direct(G, c, spec) == Fraction(round(total.real), G.order)
 
 
 def test_direct_nonorientable_matches_streaming_route():
@@ -164,16 +168,16 @@ def test_direct_nonorientable_matches_streaming_route():
             pres = relator_presentation(spec)
             total = sum(cocycle_weight_nonorientable(c, pres, hom)
                         for hom in enumerate_homs(G, pres))
-            assert abs(dw_direct(G, c, spec) - total / G.order) < 1e-10
+            assert dw_direct(G, c, spec) == Fraction(total, G.order)
 
 
 def test_direct_spot_values():
     c = heisenberg_cocycle(2)
-    assert abs(dw_direct(c.group, c, TORUS) - 1) < 1e-10
-    assert abs(dw_direct(c.group, c, GENUS2) - 4) < 1e-10
-    assert abs(dw_direct(c.group, c, P2) - 0.5) < 1e-10
+    assert dw_direct(c.group, c, TORUS) == 1
+    assert dw_direct(c.group, c, GENUS2) == 4
+    assert dw_direct(c.group, c, P2) == Fraction(1, 2)
     S3 = build_group("symmetric:3")
-    assert abs(dw_direct(S3, trivial_cocycle(S3), TORUS) - 3) < 1e-10
+    assert dw_direct(S3, trivial_cocycle(S3), TORUS) == 3
 
 
 def test_direct_requires_sign_values_on_nonorientable():
@@ -195,7 +199,7 @@ def test_direct_coboundary_invariance():
     base = dw_direct(c.group, c, GENUS2)
     for _ in range(5):
         b = [RootOfUnity(0, 1)] + [RootOfUnity(int(rng.integers(6)), 6) for _ in range(8)]
-        assert abs(dw_direct(c.group, twist(c, b), GENUS2) - base) < 1e-10
+        assert dw_direct(c.group, twist(c, b), GENUS2) == base
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +249,31 @@ def test_symmetric_five_genus_three_routes_agree():
     rep = cross_check(G, trivial_cocycle(G), SurfaceSpec(True, 3))
     assert rep.passed
     assert set(rep.values) == {"direct", "statesum", "verlinde"}
+    assert set(rep.values.values()) == {417163552}
     assert rep.integrality["nearest"] == 417163552
+
+
+@pytest.mark.parametrize("genus,value", [(1, 7), (2, 32152), (4, 5973872205952)])
+def test_symmetric_five_routes_agree_exactly(genus, value):
+    G = build_group("symmetric:5")
+    rep = cross_check(G, trivial_cocycle(G), SurfaceSpec(True, genus))
+    assert rep.passed
+    assert set(rep.values) == {"direct", "statesum", "verlinde"}
+    assert all(type(v) is Fraction and v == value for v in rep.values.values())
+    assert rep.integrality == {"nearest": value, "integer": True, "positive_ok": True}
+
+
+def test_every_route_returns_a_fraction():
+    c = heisenberg_cocycle(2)
+    G, A = c.group, TwistedGroupAlgebra(c.group, c)
+    dec = fs_indicators(wedderburn_decompose(A))
+    values = [dw_direct(G, c, KLEIN), verlinde(dec, KLEIN), verlinde(dec, SPHERE),
+              dw_labeling_oracle(G, c, tetrahedron_sphere()),
+              fhk_state_sum(A, standard_triangulation(GENUS2)),
+              star_state_sum(A, standard_triangulation(KLEIN)),
+              run_state_sum(A, standard_triangulation(TORUS)).value]
+    assert all(type(v) is Fraction for v in values)
+    assert values[:4] == [1, 1, Fraction(1, 4), Fraction(1, 4)]
 
 
 def _refuse_to_build(*args, **kwargs):
@@ -273,15 +301,14 @@ def test_direct_overflow_is_a_computation_error(monkeypatch, capsys):
 def test_oracle_on_tetrahedron():
     G = build_group("cyclic:2")
     val = dw_labeling_oracle(G, trivial_cocycle(G), tetrahedron_sphere())
-    assert abs(val - 0.5) < 1e-10
+    assert val == Fraction(1, 2)
 
 
 def test_oracle_on_seven_vertex_torus():
     G = build_group("cyclic:2")
-    assert abs(dw_labeling_oracle(G, trivial_cocycle(G), seven_vertex_torus()) - 2) < 1e-10
+    assert dw_labeling_oracle(G, trivial_cocycle(G), seven_vertex_torus()) == 2
     c = heisenberg_cocycle(2)
-    got = dw_labeling_oracle(c.group, c, seven_vertex_torus())
-    assert abs(got - dw_direct(c.group, c, TORUS)) < 1e-9
+    assert dw_labeling_oracle(c.group, c, seven_vertex_torus()) == dw_direct(c.group, c, TORUS)
 
 
 def test_oracle_guard_rejects_large_scans():
@@ -296,24 +323,25 @@ def test_oracle_guard_rejects_large_scans():
 def test_verlinde_spot_values():
     c = heisenberg_cocycle(2)
     dec = wedderburn_decompose(TwistedGroupAlgebra(c.group, c))
-    assert abs(verlinde(dec, GENUS2) - 4) < 1e-12
+    assert verlinde(dec, GENUS2) == 4
     S3 = build_group("symmetric:3")
     decS3 = wedderburn_decompose(TwistedGroupAlgebra(S3, trivial_cocycle(S3)))
-    assert abs(verlinde(decS3, GENUS2) - 81) < 1e-12
-    assert abs(verlinde(decS3, TORUS) - 3) < 1e-12
+    assert verlinde(decS3, GENUS2) == 81
+    assert verlinde(decS3, TORUS) == 3
+    assert verlinde(decS3, SPHERE) == Fraction(1, 6)
 
 
 def test_verlinde_torus_counts_blocks():
     for gspec in ["cyclic:5", "dihedral:8", "quaternion:8"]:
         G = build_group(gspec)
         dec = wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G)))
-        assert abs(verlinde(dec, TORUS) - dec.block_count()) < 1e-12
+        assert verlinde(dec, TORUS) == dec.block_count()
 
 
 def test_verlinde_klein_bottle_z3():
     G = build_group("cyclic:3")
     dec = fs_indicators(wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G))))
-    assert abs(verlinde(dec, KLEIN) - 1) < 1e-12
+    assert verlinde(dec, KLEIN) == 1
 
 
 def test_verlinde_needs_indicators_for_nonorientable():
@@ -342,6 +370,14 @@ def test_boundary_formula_matches_brute_force():
     Z2 = build_group("cyclic:2")
     assert boundary_hom_count(Z2, 0, (1, 1)) == boundary_hom_count_brute(Z2, 0, (1, 1)) == 1
     assert boundary_hom_count(S3, 0, (0,)) == 1   # disk: only the trivial assignment
+
+
+def test_boundary_formula_refuses_counts_past_double_precision():
+    S5 = build_group("symmetric:5")
+    assert boundary_hom_count(S5, 2, (0,)) == mednykh_count(S5, GENUS2) == 120 * 32152
+    # the true count, 148601832300811431690240, needs more than a double's 53 bits
+    with pytest.raises(InvariantError, match="2\\^53"):
+        boundary_hom_count(S5, 6, (0,))
 
 
 def test_boundary_formula_two_holes():
@@ -373,11 +409,9 @@ def test_larger_bilinear_cocycles_keep_routes_in_step():
         assert dec.dims == (n,)
         direct = dw_direct(G, c, GENUS2)
         formula = verlinde(dec, GENUS2)
-        assert abs(direct - n * n) < 1e-8 * n * n
-        assert abs(formula - n * n) < 1e-12 * n * n
+        assert direct == formula == n * n
         res = run_state_sum(TwistedGroupAlgebra(G, c), standard_triangulation(GENUS2))
-        scaled = float(G.order) ** (-GENUS2.chi) * res.value
-        assert abs(scaled - n * n) < 1e-8 * n * n
+        assert Fraction(G.order) ** (-GENUS2.chi) * res.value == n * n
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +421,7 @@ def test_cross_check_symmetric3_genus2():
     S3 = build_group("symmetric:3")
     rep = cross_check(S3, trivial_cocycle(S3), GENUS2, oracle=False)
     assert rep.passed
-    for v in rep.values.values():
-        assert abs(v - 81) < 1e-8 * 81
+    assert all(v == 81 for v in rep.values.values())
     assert rep.integrality["nearest"] == 81
     assert rep.diagnostics["block_dims"] == [1, 1, 2]
 
@@ -404,7 +437,7 @@ def test_cross_check_nonorientable():
     c = heisenberg_cocycle(2)
     rep = cross_check(c.group, c, P2)
     assert rep.passed
-    assert all(abs(v - 0.5) < 1e-10 for v in rep.values.values())
+    assert all(v == Fraction(1, 2) for v in rep.values.values())
     assert rep.integrality is None   # chi = 1
     rep = cross_check(c.group, c, KLEIN)
     assert rep.passed
@@ -418,7 +451,32 @@ def test_cross_check_report_is_jsonable():
     rep = cross_check(G, trivial_cocycle(G), N3)
     data = json.loads(json.dumps(rep.to_json()))
     assert data["passed"]
-    assert set(data["values"]) == {"direct", "statesum", "verlinde"}
+    assert set(data["values"]) == set(data["exact"]) == {"direct", "statesum", "verlinde"}
+    assert set(data["exact"].values()) == {str(rep.values["direct"])}
+    assert not {"tol", "max_deviation"} & set(data)
+    assert "residual" not in data["integrality"]
+
+
+def test_cross_check_sees_differences_below_double_resolution(monkeypatch):
+    S3 = build_group("symmetric:3")
+    real_verlinde = invariants.verlinde
+    monkeypatch.setattr(invariants, "verlinde",
+                        lambda dec, spec: real_verlinde(dec, spec) + Fraction(1, 10 ** 30))
+    rep = cross_check(S3, trivial_cocycle(S3), GENUS2)
+    assert not rep.passed
+    assert rep.values["direct"] == rep.values["statesum"] == 81
+    assert rep.integrality == {"nearest": 81, "integer": True, "positive_ok": True}
+    monkeypatch.setattr(invariants, "dw_direct",
+                        lambda G, c, spec: Fraction(2 ** 60 + 1, 2))
+    rep = cross_check(S3, trivial_cocycle(S3), GENUS2, methods=("direct",))
+    assert not rep.passed
+    assert rep.integrality["integer"] is False and rep.integrality["positive_ok"]
+
+
+def test_cross_check_has_no_tolerance():
+    G = build_group("cyclic:2")
+    with pytest.raises(TypeError):
+        cross_check(G, trivial_cocycle(G), TORUS, tol=1e-8)
 
 
 def test_regression_fixture_of_catalog_values():
@@ -429,9 +487,9 @@ def test_regression_fixture_of_catalog_values():
     }
     for gspec, want in expected_torus.items():
         G = build_group(gspec)
-        assert abs(dw_direct(G, trivial_cocycle(G), TORUS) - want) < 1e-8
-    assert abs(dw_direct(*(lambda c: (c.group, c))(heisenberg_cocycle(2)), TORUS) - 1) < 1e-8
-    assert abs(dw_direct(*(lambda c: (c.group, c))(heisenberg_cocycle(3)), TORUS) - 1) < 1e-8
+        assert dw_direct(G, trivial_cocycle(G), TORUS) == want
+    assert dw_direct(*(lambda c: (c.group, c))(heisenberg_cocycle(2)), TORUS) == 1
+    assert dw_direct(*(lambda c: (c.group, c))(heisenberg_cocycle(3)), TORUS) == 1
     # genus-3 value equals #Hom/#G for the trivial class: 16038/6
     S3 = build_group("symmetric:3")
-    assert abs(dw_direct(S3, trivial_cocycle(S3), SurfaceSpec(True, 3)) - 2673) < 1e-8
+    assert dw_direct(S3, trivial_cocycle(S3), SurfaceSpec(True, 3)) == 2673
