@@ -17,7 +17,7 @@ from .surfaces import (GluedTriangulation, RelatorPresentation, SimplicialSurfac
                        pachner_13, pachner_22, relator_presentation, seven_vertex_torus,
                        standard_triangulation, tetrahedron_sphere)
 from .state_sum import (ContractionError, ContractionPlan, StateSumResult, dense_state_sum,
-                        fhk_state_sum, plan_contraction, run_state_sum, star_state_sum)
+                        fhk_state_sum, run_state_sum, star_state_sum)
 from .invariants import (InvariantError, InvariantReport, boundary_hom_count,
                          boundary_hom_count_brute, cocycle_weight_nonorientable,
                          cocycle_weight_orientable, count_homs, cross_check, dw_direct,

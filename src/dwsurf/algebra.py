@@ -113,9 +113,6 @@ class TwistedGroupAlgebra:
         """Trace of left multiplication by a: #G times the identity coefficient."""
         return self.dim * a[0]
 
-    def trace_form(self, a: np.ndarray, b: np.ndarray) -> complex:
-        return self.trace(self.multiply(a, b))
-
     def pairing_vector(self) -> PairingVector:
         """v = (1/#G) sum_g c(g, g^-1)^-1 g (x) g^-1, characterized by
         T(ab) = sum_i T(a v1_i) T(b v2_i)."""

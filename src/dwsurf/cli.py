@@ -65,9 +65,9 @@ def cmd_compute(args) -> int:
     methods = ("direct", "statesum", "verlinde") if args.method == "all" else (args.method,)
     report = cross_check(G, c, spec, methods=methods, oracle=args.oracle, seed=args.seed)
     if args.csv:
-        print("group,cocycle,surface,method,re,im")
+        print("group,cocycle,surface,method,re,im,exact")
         for method, v in sorted(report.values.items()):
-            print(f"{report.group},{report.cocycle},{report.surface},{method},{float(v)!r},0.0")
+            print(f"{report.group},{report.cocycle},{report.surface},{method},{float(v)!r},0.0,{v}")
     else:
         _emit(report.to_json())
     check_requested = len(report.values) > 1 or report.integrality is not None

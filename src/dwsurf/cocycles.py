@@ -147,11 +147,6 @@ class TwoCocycle:
         """True when every value is +1 or -1."""
         return bool(np.all((2 * self.exps) % self.order == 0))
 
-    def with_order(self, order: int) -> "TwoCocycle":
-        if order % self.order:
-            raise CocycleError("new order must be a multiple of the current one")
-        return TwoCocycle(self.group, order, self.exps * (order // self.order), self.name)
-
 
 def verify_cocycle(c: TwoCocycle) -> CocycleCheck:
     """Check normalization and the cocycle identity exactly.

@@ -90,13 +90,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def word(self, letters) -> int:
-        """Product of a sequence of element indices."""
-        out = 0
-        for x in letters:
-            out = int(self.cayley[out, x])
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class ConjugacyClasses:

@@ -252,107 +252,59 @@ def exact_contraction(group, modulus: int, n_vars: int, var_exp, terms, plan):
     """Backtracking sum of root-of-unity exponents over admissible labelings.
 
     The labeling oracle's engine, kept apart from the state sum's frontier
-    table so that the two stay independent checks of each other.  Returns
-    (counts, states_visited) with counts[k] the number of admissible
-    labelings of total exponent k mod modulus.
+    table so that the two stay independent checks of each other.  The edges
+    are labeled in plan.order.  A term is checked and weighted at the
+    position of its last edge; a term that closes there and holds that edge
+    once forces its label, l_s = (l_{s+1} l_{s+2})^-1.  Returns (counts,
+    states_visited) with counts[k] the number of admissible labelings of
+    total exponent k mod modulus.
     """
-    n = group.order
     cay = [list(map(int, row)) for row in group.cayley]
     inv = list(map(int, group.inverse))
-    exp2 = [[list(map(int, row)) for row in t.exp2] for t in terms]
-    exp1 = [None if t.exp1 is None else list(map(int, t.exp1)) for t in terms]
+    order = plan.order
+    position = {var: pos for pos, var in enumerate(order)}
+    closing = [[] for _ in order]    # per position: the terms completed there
+    forcing = [None] * len(order)    # per position: (term slots, slot) fixing its label
+    for term in terms:
+        last = max(position[v] for v in term.vars)
+        pi, pj = term.pair
+        closing[last].append((list(zip(term.vars, term.inverted)), pi, pj,
+                              term.exp2.tolist(), term.exp1_slot,
+                              None if term.exp1 is None else term.exp1.tolist()))
+        var = order[last]
+        if forcing[last] is None and term.vars.count(var) == 1:
+            forcing[last] = (closing[last][-1][0], term.vars.index(var))
     uexp = [None if e is None else list(map(int, e)) for e in var_exp]
-    slots_of = [[] for _ in range(n_vars)]
-    for ti, term in enumerate(terms):
-        for s, v in enumerate(term.vars):
-            slots_of[v].append((ti, s))
-    labels = [[-1, -1, -1] for _ in terms]
-    filled = [0] * len(terms)
-    val = [-1] * n_vars
+    val = [0] * n_vars
     counts = [0] * modulus
     visited = 0
-    order = plan.order
-    domain = list(range(n))
+    domain = range(group.order)
 
-    def candidates(var):
-        forced = None
-        for ti, s in slots_of[var]:
-            if filled[ti] == 2 and labels[ti][s] < 0:
-                l = labels[ti]
-                if s == 0:
-                    x = inv[cay[l[1]][l[2]]]
-                elif s == 1:
-                    x = inv[cay[l[2]][l[0]]]
-                else:
-                    x = inv[cay[l[0]][l[1]]]
-                v = inv[x] if terms[ti].inverted[s] else x
-                if forced is None:
-                    forced = v
-                elif forced != v:
-                    return ()
-        if forced is not None:
-            return (forced,)
-        return None
-
-    def assign(var, v):
-        # returns (ok, exponent delta, slots touched)
-        delta = uexp[var][v] if uexp[var] is not None else 0
-        touched = []
-        ok = True
-        for ti, s in slots_of[var]:
-            term = terms[ti]
-            lab = inv[v] if term.inverted[s] else v
-            labels[ti][s] = lab
-            filled[ti] += 1
-            touched.append((ti, s))
-            pi, pj = term.pair
-            if s == pi:
-                other = labels[ti][pj]
-                if other >= 0:
-                    delta += exp2[ti][lab][other]
-            elif s == pj:
-                other = labels[ti][pi]
-                if other >= 0:
-                    delta += exp2[ti][other][lab]
-            if term.exp1_slot == s and exp1[ti] is not None:
-                delta += exp1[ti][lab]
-            if filled[ti] == 3:
-                l = labels[ti]
-                if cay[cay[l[0]][l[1]]][l[2]] != 0:
-                    ok = False
-                    break
-        return ok, delta, touched
-
-    def undo(var, touched):
-        for ti, s in touched:
-            labels[ti][s] = -1
-            filled[ti] -= 1
-        val[var] = -1
-
-    expo = 0
-
-    def walk(pos):
-        nonlocal expo, visited
+    def walk(pos, expo):
+        nonlocal visited
         if pos == n_vars:
             counts[expo % modulus] += 1
             return
         var = order[pos]
-        cand = candidates(var)
-        if cand == ():
-            return
-        if cand is None:
-            cand = domain
+        cand = domain
+        if forcing[pos] is not None:
+            slots, s = forcing[pos]
+            l = [inv[val[u]] if flip else val[u] for u, flip in slots]
+            x = cay[l[(s + 1) % 3]][l[(s + 2) % 3]]
+            cand = (x if slots[s][1] else inv[x],)
         for v in cand:
             visited += 1
             val[var] = v
-            ok, delta, touched = assign(var, v)
-            if ok:
-                expo += delta
-                walk(pos + 1)
-                expo -= delta
-            undo(var, touched)
+            delta = 0 if uexp[var] is None else uexp[var][v]
+            for slots, pi, pj, exp2, k, exp1 in closing[pos]:
+                l = [inv[val[u]] if flip else val[u] for u, flip in slots]
+                if cay[cay[l[0]][l[1]]][l[2]] != 0:
+                    break
+                delta += exp2[l[pi]][l[pj]] + (0 if exp1 is None else exp1[l[k]])
+            else:
+                walk(pos + 1, expo + delta)
 
-    walk(0)
+    walk(0, 0)
     return counts, visited
 
 

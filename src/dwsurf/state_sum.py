@@ -238,10 +238,9 @@ def _edge_terms(A: TwistedGroupAlgebra, tri: GluedTriangulation):
     rng_n = np.arange(n)
     pair_weight = (-exps[rng_n, inv]) % N   # c(g, g^-1)^-1 per edge label
     triangle_closer = exps[rng_n, inv]      # c(x3, x3^-1) for the third slot
-    edges, edge_of_flag = _edge_index(tri)
-    var_exp = []
-    for f, p in edges:
-        var_exp.append(pair_weight if tri.reversal[f] else None)
+    edges = tri.edge_flags()
+    edge_of_flag = {flag: e for e, pair in enumerate(edges) for flag in pair}
+    var_exp = [pair_weight if tri.reversal[f] else None for f, _ in edges]
     terms = []
     for t in range(tri.n_triangles):
         vars_, invs = [], []
@@ -252,26 +251,6 @@ def _edge_terms(A: TwistedGroupAlgebra, tri: GluedTriangulation):
             invs.append(bool(not primary and tri.reversal[f]))
         terms.append(TriangleTerm(tuple(vars_), tuple(invs), (0, 1), exps, 2, triangle_closer))
     return len(edges), var_exp, terms, N
-
-
-def _edge_index(tri: GluedTriangulation):
-    """The edges as flag pairs, and the edge index of every flag."""
-    edges = tri.edge_flags()
-    edge_of_flag = {}
-    for e, (f, p) in enumerate(edges):
-        edge_of_flag[f] = e
-        edge_of_flag[p] = e
-    return edges, edge_of_flag
-
-
-def plan_contraction(tri: GluedTriangulation) -> ContractionPlan:
-    """Deterministic greedy contraction order for a triangulation's edges."""
-    edges, edge_of_flag = _edge_index(tri)
-    terms = []
-    for t in range(tri.n_triangles):
-        vars_ = tuple(edge_of_flag[3 * t + s] for s in range(3))
-        terms.append(TriangleTerm(vars_, (False,) * 3, (0, 1), np.zeros((1, 1), dtype=np.int64)))
-    return plan_from_terms(len(edges), terms)
 
 
 def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation,

@@ -62,8 +62,14 @@ def test_compute_csv_output(capsys):
                     "--csv")
     lines = out.strip().splitlines()
     assert code == 0
-    assert lines[0] == "group,cocycle,surface,method,re,im"
+    assert lines[0] == "group,cocycle,surface,method,re,im,exact"
     assert len(lines) == 4
+    assert [line.split(",")[-1] for line in lines[1:]] == ["3", "3", "3"]
+    # past 2^53 the float column rounds; the exact column does not
+    code, out = run(capsys, "compute", "--group", "symmetric:5", "--surface", "orientable:6",
+                    "--method", "verlinde", "--csv")
+    assert code == 0
+    assert out.strip().splitlines()[1].split(",")[-1] == "1238348602506761930752"
 
 
 def test_compute_with_oracle(capsys):

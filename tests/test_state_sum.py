@@ -10,8 +10,8 @@ from dwsurf import invariants, state_sum
 from dwsurf.algebra import AlgebraError, TwistedGroupAlgebra
 from dwsurf.cocycles import RootOfUnity, heisenberg_cocycle, sign_cocycles_catalog, trivial_cocycle, twist
 from dwsurf.groups import build_group, conjugacy_classes
-from dwsurf.state_sum import (ContractionError, dense_state_sum, fhk_state_sum, plan_contraction,
-                              run_state_sum, star_state_sum)
+from dwsurf.state_sum import (ContractionError, dense_state_sum, fhk_state_sum, run_state_sum,
+                              star_state_sum)
 from dwsurf.surfaces import (SurfaceError, SurfaceSpec, flip_triangle, pachner_13, pachner_22,
                              pachner_variants, standard_triangulation)
 
@@ -34,23 +34,27 @@ def matrix_structure_constants(d):
 
 
 # ---------------------------------------------------------------------------
-# contraction plans
+# contraction plans: they depend only on the triangulation's edges
+
+def plan_of(tri):
+    return run_state_sum(algebra("cyclic:1"), tri).plan
+
 
 def test_torus_plan_has_two_free_edges():
     tri = standard_triangulation(SurfaceSpec(True, 1))
-    plan = plan_contraction(tri)
+    plan = plan_of(tri)
     assert plan.free_count == 2
     assert plan.kinds.count("forced") == 1
 
 
 def test_sphere_plan_has_two_free_edges():
-    plan = plan_contraction(standard_triangulation(SurfaceSpec(True, 0)))
+    plan = plan_of(standard_triangulation(SurfaceSpec(True, 0)))
     assert plan.free_count == 2
 
 
 def test_genus_two_plan_bound():
     tri = standard_triangulation(SurfaceSpec(True, 2))
-    plan = plan_contraction(tri)
+    plan = plan_of(tri)
     assert plan.free_count <= 5           # node bound |G|^free <= |G|^5
     assert len(plan.order) == tri.n_edges
     assert sorted(plan.order) == list(range(tri.n_edges))
@@ -295,4 +299,5 @@ def test_frontier_table_matches_backtracking(base, pair, moves):
         search = run_state_sum(A, tri, star=not spec.orientable)
     assert table.counts.dtype == np.int64
     assert np.array_equal(table.counts, np.asarray(search.counts))
+    assert Fraction(G.order) ** (-spec.chi) * table.value == invariants.dw_direct(G, c, spec)
     assert table.states_visited <= table.plan.estimate_nodes(G.order)
