@@ -11,10 +11,13 @@ doubles late.  The center is built exactly, as twisted class sums: which
 classes are c-regular and the phase of every coefficient are integer
 computations, with no rank cutoff.  Characters and indicators are closed forms
 in the primitive central idempotents, O(#G) each, with no basis of the ideals.
-Tolerances: 1e-8 for the commutator residual of the embedded class sums, for
-idempotents and for matching an idempotent's involution image, 1e-6 for
-eigenvalue separation and for integer rounding of block dimensions and of
-indicators (the indicator margin is reported as fs_rounding_residual).
+The idempotents are eigenvectors of a generic central element in center
+coordinates, scaled by one linear solve so that they sum to the unit and
+checked for idempotency and orthogonality in the same coordinates.
+Tolerances: 1e-8 for the commutator residual of the class sums and for matching
+an idempotent's involution image, 1e-7 for closure and idempotency in center
+coordinates, 1e-6 for eigenvalue separation and for integer rounding of block
+dimensions and of indicators (the indicator margin is fs_rounding_residual).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .groups import FiniteGroup, conjugacy_classes
 
 CLUSTER_TOL = 1e-8
 ROUND_TOL = 1e-6
+MAX_RETRIES = 5
 
 
 class AlgebraError(ValueError):
@@ -199,7 +203,7 @@ class Block:
     """One matrix block of the Wedderburn decomposition.
 
     The character and the indicator are closed forms in the idempotent e (see
-    _block_from_eigenvector and fs_indicators); no basis of A.e is built.
+    _block_from_idempotent and fs_indicators); no basis of A.e is built.
     """
 
     idempotent: np.ndarray    # primitive central idempotent e in A
@@ -229,12 +233,13 @@ class WedderburnDecomposition:
         return len(self.blocks)
 
 
-def wedderburn_decompose(A: TwistedGroupAlgebra, seed: int = 0, max_retries: int = 5) -> WedderburnDecomposition:
+def wedderburn_decompose(A: TwistedGroupAlgebra, seed: int = 0) -> WedderburnDecomposition:
     """Split A into matrix blocks via eigenprojections of a generic central element.
 
-    A random real combination of the center basis is diagonalized in its left
-    action on the center; each eigenvector spans one primitive central
-    idempotent.  Eigenvalue collisions trigger a retry with fresh randomness.
+    A random real combination of the class sums acts on the center by an r x r
+    matrix read off the class-sum product table; its eigenvectors span the
+    primitive central idempotents (Burnside's eigenvector method).  Eigenvalue
+    collisions trigger a retry with fresh randomness.
     """
     Z = A.center_basis()
     center_resid = commutator_residual(A, Z)
@@ -242,53 +247,57 @@ def wedderburn_decompose(A: TwistedGroupAlgebra, seed: int = 0, max_retries: int
         raise AlgebraError(
             f"class sums do not commute with the basis (residual {center_resid:.2e})")
     r = len(Z)
+    coords = _center_product_table(A, Z)
+    one = Z[:, 0].conj()                         # the unit in center coordinates
     rng = np.random.default_rng(seed)
-    last_err = None
-    for _ in range(max_retries):
-        t = rng.standard_normal(r)
-        z = t @ Z
-        # left action of z restricted to the center, in center coordinates
-        images = np.array([A.multiply(z, Z[j]) for j in range(r)])
-        coords = images @ Z.conj().T
-        resid = np.abs(images - coords @ Z).max()
-        if resid > 1e-7:
-            raise AlgebraError(f"center is not closed under multiplication (residual {resid:.2e})")
-        evals, evecs = np.linalg.eig(coords.T)
+    for _ in range(MAX_RETRIES):
+        # row b holds the coordinates of z.Z_b for z = t.Z
+        act = np.tensordot(rng.standard_normal(r), coords, axes=1)
+        evals, evecs = np.linalg.eig(act.T)
         gaps = np.abs(evals[:, None] - evals[None, :])[~np.eye(r, dtype=bool)]
-        if r > 1 and gaps.min() < 1e-6 * max(1.0, np.abs(evals).max()):
-            last_err = AlgebraError("eigenvalue collision in the generic central element")
-            continue
-        try:
-            blocks = [_block_from_eigenvector(A, evecs[:, k] @ Z) for k in range(r)]
-        except AlgebraError as err:
-            last_err = err
-            continue
-        _validate_blocks(A, blocks)
-        blocks.sort(key=lambda b: (b.dim,
-                                   tuple(np.round(b.character.real, 6)),
-                                   tuple(np.round(b.character.imag, 6))))
-        diagnostics = {
-            "center_commutator_residual": center_resid,
-            "idempotency_residual": max(
-                float(np.abs(A.multiply(b.idempotent, b.idempotent) - b.idempotent).max())
-                for b in blocks),
-            "dim_rounding_residual": max(
-                float(abs(np.sqrt((A.trace(b.idempotent)).real) - b.dim)) for b in blocks),
-        }
-        return WedderburnDecomposition(A, tuple(blocks), seed, diagnostics)
-    raise AlgebraError(f"decomposition failed after {max_retries} attempts: {last_err}")
+        if gaps.min(initial=np.inf) >= 1e-6 * max(1.0, np.abs(evals).max()):
+            break
+    else:
+        raise AlgebraError(f"eigenvalue collision in {MAX_RETRIES} generic central elements")
+    C = evecs * np.linalg.solve(evecs, one)      # e_k (column k) scaled to sum to the unit
+    # e_i e_j in center coordinates, contracted one index at a time: (i, c, j)
+    prods = np.tensordot(np.tensordot(C, coords, axes=(0, 0)), C, axes=(1, 0))
+    prods[np.arange(r), :, np.arange(r)] -= C.T
+    idem_resid = max(float(np.abs(prods).max()), float(np.abs(C.sum(axis=1) - one).max()))
+    if idem_resid > 1e-7:
+        raise AlgebraError("eigenprojections are not orthogonal idempotents summing to the "
+                           f"unit (residual {idem_resid:.2e})")
+    blocks = [_block_from_idempotent(A, e) for e in C.T @ Z]
+    if sum(b.dim * b.dim for b in blocks) != A.dim:
+        raise AlgebraError("block dimensions do not satisfy sum d^2 = #G")
+    blocks.sort(key=lambda b: (b.dim,
+                               tuple(np.round(b.character.real, 6)),
+                               tuple(np.round(b.character.imag, 6))))
+    diagnostics = {
+        "center_commutator_residual": center_resid,
+        "idempotency_residual": idem_resid,
+        "dim_rounding_residual": float(max(abs(np.sqrt(A.trace(b.idempotent).real) - b.dim)
+                                           for b in blocks)),
+    }
+    return WedderburnDecomposition(A, tuple(blocks), seed, diagnostics)
 
 
-def _block_from_eigenvector(A: TwistedGroupAlgebra, u: np.ndarray) -> Block:
-    # u spans C.e for a primitive central idempotent e; fix the scale from u^2
-    usq = A.multiply(u, u)
-    k = int(np.argmax(np.abs(u)))
-    alpha = usq[k] / u[k]
-    if abs(alpha) < 1e-12:
-        raise AlgebraError("nilpotent eigenvector; generic element was degenerate")
-    e = u / alpha
-    if np.abs(A.multiply(e, e) - e).max() > CLUSTER_TOL:
-        raise AlgebraError("eigenprojection did not yield an idempotent")
+def _center_product_table(A: TwistedGroupAlgebra, Z: np.ndarray) -> np.ndarray:
+    """coords[a, b] = center coordinates of Z_a Z_b, checked for closure.  The rows
+    of Z have disjoint supports, so all r^2 products are one gather over at most
+    #G^2 pairs (x, y): Z[a,x] Z[b,y] c(x,y) lands at position xy of product (a, b)."""
+    a, x = np.nonzero(Z)
+    w, xx = Z[a, x], x[:, None]
+    images = np.zeros((len(Z), len(Z), A.dim), dtype=complex)
+    np.add.at(images, (a[:, None], a, A.group.cayley[xx, x]), np.outer(w, w) * A.omega[xx, x])
+    coords = images @ Z.conj().T
+    resid = np.abs(images - coords @ Z).max()
+    if resid > 1e-7:
+        raise AlgebraError(f"center is not closed under multiplication (residual {resid:.2e})")
+    return coords
+
+
+def _block_from_idempotent(A: TwistedGroupAlgebra, e: np.ndarray) -> Block:
     t = A.trace(e)
     if abs(t.imag) > ROUND_TOL:
         raise AlgebraError(f"non-real trace {t} on an idempotent")
@@ -303,19 +312,6 @@ def _block_from_eigenvector(A: TwistedGroupAlgebra, u: np.ndarray) -> Block:
     if abs(char[0] - d) > 1e-6:
         raise AlgebraError("character does not evaluate to the dimension at the identity")
     return Block(e, d, char)
-
-
-def _validate_blocks(A: TwistedGroupAlgebra, blocks: list) -> None:
-    n = A.dim
-    if sum(b.dim * b.dim for b in blocks) != n:
-        raise AlgebraError("block dimensions do not satisfy sum d^2 = #G")
-    total = np.sum([b.idempotent for b in blocks], axis=0)
-    if np.abs(total - A.unit()).max() > 1e-7:
-        raise AlgebraError("idempotents do not sum to the unit")
-    for i, bi in enumerate(blocks):
-        for bj in blocks[i + 1:]:
-            if np.abs(A.multiply(bi.idempotent, bj.idempotent)).max() > 1e-7:
-                raise AlgebraError("idempotents are not orthogonal")
 
 
 def fs_indicators(dec: WedderburnDecomposition) -> WedderburnDecomposition:

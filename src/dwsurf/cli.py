@@ -8,6 +8,7 @@ All randomness flows from --seed (default 0, overridable via DW_SEED).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -65,9 +66,10 @@ def cmd_compute(args) -> int:
     methods = ("direct", "statesum", "verlinde") if args.method == "all" else (args.method,)
     report = cross_check(G, c, spec, methods=methods, oracle=args.oracle, seed=args.seed)
     if args.csv:
-        print("group,cocycle,surface,method,re,im,exact")
-        for method, v in sorted(report.values.items()):
-            print(f"{report.group},{report.cocycle},{report.surface},{method},{float(v)!r},0.0,{v}")
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(["group", "cocycle", "surface", "method", "re", "im", "exact"])
+        out.writerows([report.group, report.cocycle, report.surface, method, repr(float(v)), "0.0", v]
+                      for method, v in sorted(report.values.items()))
     else:
         _emit(report.to_json())
     check_requested = len(report.values) > 1 or report.integrality is not None

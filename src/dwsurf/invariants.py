@@ -493,15 +493,14 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
         raise InvariantError("non-orientable surfaces need a sign-valued cocycle")
     if "direct" in methods:
         values["direct"] = dw_direct(G, c, spec)
+    A = TwistedGroupAlgebra(G, c)
     if "statesum" in methods:
-        A = TwistedGroupAlgebra(G, c)
         tri = standard_triangulation(spec)
         res = run_state_sum(A, tri, star=not spec.orientable)
         values["statesum"] = Fraction(G.order) ** (-spec.chi) * res.value
         states = res.states_visited
         diagnostics["statesum_plan_free_edges"] = res.plan.free_count
     if "verlinde" in methods:
-        A = TwistedGroupAlgebra(G, c)
         dec = wedderburn_decompose(A, seed)
         if not spec.orientable:
             dec = fs_indicators(dec)

@@ -302,6 +302,58 @@ def test_block_structure_invariants(gspec):
         assert np.abs(A.multiply(b1.idempotent, b2.idempotent)).max() < 1e-8
 
 
+@pytest.mark.parametrize("gspec", ["cyclic:64", "product(cyclic:8,cyclic:8)"])
+def test_abelian_order_64_splits_into_its_linear_characters(gspec):
+    # r = #G: the largest center, where the contraction order of the checks matters.
+    # 64 distinct homomorphisms G -> C* are all the linear characters of G.
+    G = build_group(gspec)
+    dec = wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G)))
+    assert dec.dims == (1,) * 64
+    chars = np.array([b.character for b in dec.blocks])
+    assert np.abs(chars[:, G.cayley] - chars[:, :, None] * chars[:, None, :]).max() < 1e-9
+    assert np.abs(chars[:, 0] - 1).max() < 1e-9
+    assert np.abs(chars @ chars.conj().T / 64 - np.eye(64)).max() < 1e-9
+
+
+def fake_eig(eigenvectors):
+    """np.linalg.eig replacement: distinct eigenvalues, the given eigenvectors."""
+    def eig(m):
+        return np.arange(len(m), dtype=complex), eigenvectors(len(m))
+    return eig
+
+
+@pytest.mark.parametrize("eigenvectors,match", [
+    (np.eye, "not a positive integer"),        # scaled to the unit and two zeros: traces 6, 0, 0
+    (lambda r: np.random.default_rng(0).standard_normal((r, r)), "not orthogonal idempotents"),
+])
+def test_decomposition_rejects_wrong_eigenvectors(monkeypatch, eigenvectors, match):
+    A = algebra("symmetric:3")
+    monkeypatch.setattr(np.linalg, "eig", fake_eig(eigenvectors))
+    with pytest.raises(AlgebraError, match=match):
+        wedderburn_decompose(A)
+
+
+def test_decomposition_retries_then_rejects_eigenvalue_collisions(monkeypatch):
+    calls = []
+
+    def eig(m):
+        calls.append(m)
+        return np.zeros(len(m), dtype=complex), np.eye(len(m))
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    with pytest.raises(AlgebraError, match="eigenvalue collision"):
+        wedderburn_decompose(algebra("cyclic:3"))
+    assert len(calls) == 5
+    assert not np.allclose(calls[0], calls[1])    # fresh randomness on each attempt
+
+
+def test_decomposition_rejects_center_that_is_not_closed():
+    # e_0 and e_1 commute with C[Z/3] but e_1 e_1 = e_2 leaves their span
+    A = algebra("cyclic:3")
+    A.center_basis = lambda: np.eye(3, dtype=complex)[:2]
+    with pytest.raises(AlgebraError, match="not closed under multiplication"):
+        wedderburn_decompose(A)
+
+
 def test_block_count_matches_regular_classes_for_nontrivial_cocycles():
     for c in sign_cocycles_catalog(build_group("dihedral:8")):
         dec = wedderburn_decompose(TwistedGroupAlgebra(c.group, c))

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -70,6 +72,16 @@ def test_compute_csv_output(capsys):
                     "--method", "verlinde", "--csv")
     assert code == 0
     assert out.strip().splitlines()[1].split(",")[-1] == "1238348602506761930752"
+    # a group name with commas is quoted, so every row parses back to 7 fields
+    code, out = run(capsys, "compute", "--group", "product(cyclic:2,cyclic:2)",
+                    "--cocycle", "heisenberg:2", "--surface", "orientable:2", "--method", "all",
+                    "--csv")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert code == 0
+    assert header == ["group", "cocycle", "surface", "method", "re", "im", "exact"]
+    assert [len(row) for row in rows] == [7, 7, 7]
+    assert [(row[0], row[3], row[-1]) for row in rows] == [
+        ("product(cyclic:2,cyclic:2)", method, "4") for method in ("direct", "statesum", "verlinde")]
 
 
 def test_compute_with_oracle(capsys):
