@@ -16,11 +16,10 @@ from .surfaces import (GluedTriangulation, RelatorPresentation, SimplicialSurfac
                        SurfaceError, SurfaceSpec, flip_triangle, orientability_and_orientation,
                        pachner_13, pachner_22, relator_presentation, seven_vertex_torus,
                        standard_triangulation, tetrahedron_sphere)
-from .state_sum import (ContractionError, ContractionPlan, StateSumResult, dense_state_sum,
-                        fhk_state_sum, run_state_sum, star_state_sum)
+from .state_sum import (ContractionError, ContractionPlan, StateSumResult, fhk_state_sum,
+                        run_state_sum, star_state_sum)
 from .invariants import (InvariantError, InvariantReport, boundary_hom_count,
-                         boundary_hom_count_brute, cocycle_weight_nonorientable,
-                         cocycle_weight_orientable, count_homs, cross_check, dw_direct,
-                         dw_labeling_oracle, enumerate_homs, mednykh_count, verlinde)
+                         boundary_hom_count_brute, count_homs, cross_check, dw_direct,
+                         dw_labeling_oracle, mednykh_count, verlinde)
 
 __version__ = "0.1.0"

@@ -1,10 +1,13 @@
 """Twisted group algebras over C and their Wedderburn block structure.
 
 The algebra A = C[G] with multiplication g1.g2 = c(g1,g2) g1g2 is semisimple;
-this module computes its trace form, pairing vector, center, primitive
-central idempotents, block dimensions, projective characters, the involution
+this module computes its trace form, center, primitive central idempotents,
+block dimensions, projective characters, the matrix of the involution
 g* = c(g,g^-1) g^-1 for sign-valued cocycles, and the symmetric/skew/dual
-indicator of every block.
+indicator of every block.  No general product of two elements is formed:
+the only products are those of class sums, tabulated once in center
+coordinates.  The reference multiplication, the regular matrices and the
+dense structure constants are test oracles, in tests/oracles.py.
 
 Cocycle scalars enter exactly (roots of unity) and are embedded into complex
 doubles late.  The center is built exactly, as twisted class sums: which
@@ -39,20 +42,6 @@ class AlgebraError(ValueError):
     """Numerical failure or unsupported algebra operation."""
 
 
-@dataclass(frozen=True, eq=False)
-class PairingVector:
-    """The element of A (x) A dual to the trace form, one term per group element.
-
-    Term g carries coefficient coeff[g] on g (x) g^-1.
-    """
-
-    coeffs: np.ndarray
-
-    def terms(self, G: FiniteGroup):
-        for g in range(G.order):
-            yield g, int(G.inverse[g]), self.coeffs[g]
-
-
 class TwistedGroupAlgebra:
     """C[G] with multiplication deformed by a normalized 2-cocycle.
 
@@ -71,58 +60,9 @@ class TwistedGroupAlgebra:
     def __repr__(self):
         return f"TwistedGroupAlgebra({self.group.name}, {self.cocycle.name or 'cocycle'})"
 
-    def unit(self) -> np.ndarray:
-        e = np.zeros(self.dim, dtype=complex)
-        e[0] = 1.0
-        return e
-
-    def basis_vector(self, g: int) -> np.ndarray:
-        e = np.zeros(self.dim, dtype=complex)
-        e[g] = 1.0
-        return e
-
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if len(a) != self.dim or len(b) != self.dim:
-            raise AlgebraError("element size does not match the algebra")
-        cay, omega = self.group.cayley, self.omega
-        out = np.zeros(self.dim, dtype=complex)
-        for i in range(self.dim):
-            ai = a[i]
-            if ai != 0:
-                out[cay[i]] += (ai * omega[i]) * b
-        return out
-
-    def left_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of x -> a.x in the group basis."""
-        cay, omega = self.group.cayley, self.omega
-        n = self.dim
-        L = np.zeros((n, n), dtype=complex)
-        cols = np.arange(n)
-        for i in range(n):
-            if a[i] != 0:
-                L[cay[i], cols] += a[i] * omega[i]
-        return L
-
-    def right_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of x -> x.a in the group basis."""
-        cay, omega = self.group.cayley, self.omega
-        n = self.dim
-        R = np.zeros((n, n), dtype=complex)
-        for j in range(n):
-            if a[j] != 0:
-                R[cay[:, j], np.arange(n)] += a[j] * omega[:, j]
-        return R
-
     def trace(self, a: np.ndarray) -> complex:
         """Trace of left multiplication by a: #G times the identity coefficient."""
         return self.dim * a[0]
-
-    def pairing_vector(self) -> PairingVector:
-        """v = (1/#G) sum_g c(g, g^-1)^-1 g (x) g^-1, characterized by
-        T(ab) = sum_i T(a v1_i) T(b v2_i)."""
-        inv = self.group.inverse
-        coeffs = np.conj(self.omega[np.arange(self.dim), inv]) / self.dim
-        return PairingVector(coeffs)
 
     @cached_property
     def star_matrix(self) -> np.ndarray:
@@ -133,17 +73,6 @@ class TwistedGroupAlgebra:
         S = np.zeros((n, n), dtype=complex)
         S[inv, np.arange(n)] = self.omega[np.arange(n), inv]
         return S
-
-    def star(self, a: np.ndarray) -> np.ndarray:
-        return self.star_matrix @ a
-
-    def structure_constants(self) -> np.ndarray:
-        """Dense C[i,j,k] with e_i e_j = sum_k C[i,j,k] e_k (for cross-checks)."""
-        n = self.dim
-        C = np.zeros((n, n, n), dtype=complex)
-        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        C[i, j, self.group.cayley] = self.omega
-        return C
 
     def center_basis(self) -> np.ndarray:
         """Orthonormal rows spanning the center: the twisted class sums.

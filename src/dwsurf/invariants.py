@@ -6,16 +6,17 @@ fundamental cycle of the standard polygon.  It cuts the polygon along its
 handles (crosscaps), so the sum becomes a product of transfer operators on
 (relator prefix, exponent) counts: O(n^3) work per handle operator, built
 once, and genus is a loop count.  The brute-force enumeration of all
-n^generators tuples stays behind count_homs as an oracle.  The state-sum
-route contracts the twisted group algebra over a triangulation.  The
-Verlinde route reads the invariant off the Wedderburn block dimensions (and,
-for non-orientable surfaces, the symmetric/skew indicators).  A separate
-labeling sum over a simplicial triangulation serves as a fidelity oracle for
-small inputs.  Every route returns an exact Fraction: the direct, state-sum
-and labeling routes reduce their exponent histograms modulo the cyclotomic
-polynomial, and the Verlinde route sums powers of its integer block
-dimensions.  cross_check runs the routes side by side and decides agreement
-and integrality by exact equality.
+n^generators tuples stays behind count_homs as the oracle of the dw check
+hom-count rows; the weight of a single homomorphism is a test oracle
+(tests/oracles.py).  The state-sum route contracts the twisted group algebra
+over a triangulation.  The Verlinde route reads the invariant off the
+Wedderburn block dimensions (and, for non-orientable surfaces, the
+symmetric/skew indicators).  A separate labeling sum over a simplicial
+triangulation serves as a fidelity oracle for small inputs.  Every route
+returns an exact Fraction: the direct, state-sum and labeling routes reduce
+their exponent histograms modulo the cyclotomic polynomial, and the Verlinde
+route sums powers of its integer block dimensions.  cross_check runs the
+routes side by side and decides agreement and integrality by exact equality.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import TwistedGroupAlgebra, WedderburnDecomposition, fs_indicators, wedderburn_decompose
-from .cocycles import RootOfUnity, TwoCocycle, c_regular_count, cyclotomic_integer, trivial_cocycle
+from .cocycles import TwoCocycle, c_regular_count, cyclotomic_integer, trivial_cocycle
 from .groups import FiniteGroup, conjugacy_classes
 from .state_sum import TriangleTerm, plan_from_terms, run_state_sum
 from .surfaces import (RelatorPresentation, SimplicialSurface, SurfaceSpec, seven_vertex_torus,
@@ -40,31 +41,6 @@ class InvariantError(ValueError):
 
 # ---------------------------------------------------------------------------
 # homomorphism enumeration
-
-def enumerate_homs(G: FiniteGroup, pres: RelatorPresentation):
-    """Stream all generator assignments whose relator product is the identity.
-
-    Assignments are tuples of element indices, in lexicographic order; the
-    last generator is scanned against the already-fixed prefix, which prunes
-    most of the word evaluation.
-    """
-    n, m = G.order, pres.generators
-    if m == 0:
-        yield ()
-        return
-    cay = [list(map(int, row)) for row in G.cayley]
-    inv = list(map(int, G.inverse))
-    word = pres.word
-    for prefix in itertools.product(range(n), repeat=m - 1):
-        for v in range(n):
-            assign = prefix + (v,)
-            h = 0
-            for letter in word:
-                x = assign[letter - 1] if letter > 0 else inv[assign[-letter - 1]]
-                h = cay[h][x]
-            if h == 0:
-                yield assign
-
 
 def count_homs(G: FiniteGroup, pres: RelatorPresentation, cap: int = 10 ** 8) -> int:
     """Brute-force |Hom(pi, G)| by vectorized enumeration, capped in tuples."""
@@ -110,56 +86,6 @@ def _weighted_hom_counts(G: FiniteGroup, c: TwoCocycle, pres: RelatorPresentatio
     return counts
 
 
-# ---------------------------------------------------------------------------
-# cocycle weights of single homomorphisms
-
-def cocycle_weight_orientable(c: TwoCocycle, pres: RelatorPresentation, hom) -> RootOfUnity:
-    """Evaluate the cocycle on the fundamental cycle of the surface polygon.
-
-    With letters g_1..g_m of the relator under the assignment and prefixes
-    h_i = g_1..g_i, the weight is prod_{i<m} c(h_i, g_{i+1}) divided by
-    c(x, x^-1) over the generator images x.  Coboundary-invariant, and pinned
-    against the other routes by the cross-check suites.
-    """
-    G, exps, N = c.group, c.exps, c.order
-    cay, inv = G.cayley, G.inverse
-    if not pres.word:
-        return RootOfUnity.one()
-    elems = [hom[l - 1] if l > 0 else int(inv[hom[-l - 1]]) for l in pres.word]
-    h, k = elems[0], 0
-    for e in elems[1:]:
-        k += int(exps[h, e])
-        h = int(cay[h, e])
-    if h != 0:
-        raise InvariantError("assignment does not satisfy the relator")
-    for x in hom:
-        k -= int(exps[x, inv[x]])
-    return RootOfUnity(k, N)
-
-
-def cocycle_weight_nonorientable(c: TwoCocycle, pres: RelatorPresentation, hom) -> int:
-    """Weight of a homomorphism for a sign-valued cocycle: +1 or -1.
-
-    Every generator occurs twice positively in the relator, so no inverse
-    correction arises; the coefficients live mod 2.
-    """
-    if not c.is_sign_valued:
-        raise InvariantError("non-orientable weights need a sign-valued cocycle")
-    G, exps = c.group, c.exps
-    cay = G.cayley
-    elems = [hom[l - 1] for l in pres.word]
-    if not elems:
-        return 1
-    h, k = elems[0], 0
-    for e in elems[1:]:
-        k += int(exps[h, e])
-        h = int(cay[h, e])
-    if h != 0:
-        raise InvariantError("assignment does not satisfy the relator")
-    r = RootOfUnity(k, c.order)
-    return 1 if r.numerator == 0 else -1
-
-
 # Rows of the general handle operator are built this many (row, a, b) entries
 # at a time, so that no n^3-sized temporary exists for the largest groups.
 _BLOCK_ENTRIES = 1 << 18
@@ -174,7 +100,7 @@ def _operator_rows(G: FiniteGroup, c: TwoCocycle, rows: np.ndarray, orientable: 
     A handle reads the letters a, b, a^-1, b^-1 and pays c(x, x^-1) back for
     x = a, b; a crosscap reads x, x.  Each letter adds exps[prefix, letter],
     except the first letter of the whole relator (first=True, rows = [0]),
-    which carries no c(1, g) term, as in cocycle_weight_orientable.
+    which carries no c(1, g) term, as in _weighted_hom_counts.
     """
     n, N = G.order, c.order
     cay, inv, exps = G.cayley, G.inverse, c.exps
@@ -365,23 +291,20 @@ def verlinde(dec: WedderburnDecomposition, spec: SurfaceSpec) -> Fraction:
     return Fraction(dec.algebra.dim) ** (-chi) * total
 
 
-def mednykh_count(G: FiniteGroup, spec: SurfaceSpec,
-                  dec: WedderburnDecomposition | None = None, seed: int = 0) -> int:
+def mednykh_count(G: FiniteGroup, spec: SurfaceSpec, seed: int = 0) -> int:
     """|Hom(pi_1(orientable surface), G)| from ordinary irreducible dimensions:
-    #G * sum over irreducibles of (#G/dim)^(2g-2)."""
+    #G * sum over irreducibles of (#G/dim)^(2g-2), i.e. #G times the Verlinde
+    value of the trivial cocycle."""
     if not spec.orientable:
         raise InvariantError("the homomorphism-count formula is for orientable surfaces")
-    if dec is None:
-        dec = wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G)), seed)
-    n = G.order
-    val = n * sum(Fraction(n, b.dim) ** (2 * spec.genus - 2) for b in dec.blocks)
+    dec = wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G)), seed)
+    val = G.order * verlinde(dec, spec)
     if val.denominator != 1:
         raise InvariantError(f"homomorphism count {val} is not an integer")
     return int(val)
 
 
-def boundary_hom_count(G: FiniteGroup, genus: int, boundary: tuple,
-                       dec: WedderburnDecomposition | None = None, seed: int = 0) -> int:
+def boundary_hom_count(G: FiniteGroup, genus: int, boundary: tuple, seed: int = 0) -> int:
     """Number of homomorphisms from a genus-g surface with k boundary circles
     sending the i-th boundary class into the conjugacy class of boundary[i].
 
@@ -393,8 +316,7 @@ def boundary_hom_count(G: FiniteGroup, genus: int, boundary: tuple,
     k = len(boundary)
     if k < 1:
         raise InvariantError("at least one boundary circle is required")
-    if dec is None:
-        dec = wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G)), seed)
+    dec = wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G)), seed)
     classes = conjugacy_classes(G)
     n = G.order
     class_sizes = [classes.sizes[classes.class_of[g]] for g in boundary]

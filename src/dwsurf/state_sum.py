@@ -11,10 +11,6 @@ admissible labeling contributes a root of unity, accumulated as an exact
 int64 exponent histogram, which reduces modulo the cyclotomic polynomial to
 an exact integer; the value is that integer times #G^(triangles - edges), a
 Fraction.  This engine involves no floating point.
-
-A dense contraction over raw structure constants is also provided; it is used
-to validate the sparse engine against small matrix algebras, where the state
-sum has a closed form.
 """
 
 from __future__ import annotations
@@ -289,35 +285,3 @@ def star_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> Fraction:
     """State sum of a (possibly non-orientable) surface using the involution."""
     return run_state_sum(A, tri, star=True).value
 
-
-# ---------------------------------------------------------------------------
-# dense reference contraction for raw structure constants
-
-def dense_state_sum(structure: np.ndarray, tri: GluedTriangulation) -> complex:
-    """Literal tensor contraction of the state sum from structure constants.
-
-    Intended for small algebras (dimension <= ~10) on small oriented
-    triangulations; validates the sparse engine against closed-form values for
-    matrix algebras.
-    """
-    C = np.asarray(structure, dtype=complex)
-    d = C.shape[0]
-    result = orientability_and_orientation(tri)
-    if not result.orientable:
-        raise SurfaceError("dense contraction is implemented for orientable surfaces only")
-    tri = result.oriented
-    T = np.einsum("ijj->i", C)                  # trace functional
-    T2 = np.einsum("ijk,k->ij", C, T)           # T(ab)
-    T3 = np.einsum("ijm,mkl,l->ijk", C, C, T)   # T(abc)
-    v = np.linalg.inv(T2)                       # pairing vector, two legs
-    if tri.n_flags > 16:
-        raise SurfaceError("dense contraction is meant for tiny triangulations")
-    letters = "abcdefghijklmnop"
-    subs, ops = [], []
-    for t in range(tri.n_triangles):
-        subs.append("".join(letters[3 * t + s] for s in range(3)))
-        ops.append(T3)
-    for f, p in tri.edge_flags():
-        subs.append(letters[f] + letters[p])
-        ops.append(v)
-    return complex(np.einsum(",".join(subs) + "->", *ops))

@@ -79,6 +79,8 @@ class GluedTriangulation:
         nf = 3 * t
         if pairing.shape != (nf,) or reversal.shape != (nf,):
             raise SurfaceError("pairing and reversal must have one entry per flag")
+        if ((pairing < 0) | (pairing >= nf)).any():
+            raise SurfaceError(f"pairing entries must be flags 0..{nf - 1}")
         f = np.arange(nf)
         if (pairing == f).any() or not np.array_equal(pairing[pairing], f):
             raise SurfaceError("pairing must be a fixed-point-free involution on flags")
@@ -165,10 +167,26 @@ class GluedTriangulation:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "GluedTriangulation":
-        surface = SurfaceSpec.parse(data["surface"]) if data.get("surface") else None
-        return cls(int(data["triangles"]), np.asarray(data["pairing"]),
-                   np.asarray(data["reversal"], dtype=bool), surface, data.get("name", ""))
+    def from_json(cls, data) -> "GluedTriangulation":
+        """Inverse of to_json.  Any other shape raises SurfaceError."""
+        if not isinstance(data, dict):
+            raise SurfaceError(f"a triangulation must be a JSON object, not "
+                               f"{type(data).__name__}")
+        for key in ("triangles", "pairing", "reversal"):
+            if key not in data:
+                raise SurfaceError(f"triangulation has no {key!r} field")
+        if type(data["triangles"]) is not int:
+            raise SurfaceError("'triangles' must be an integer")
+        for key in ("pairing", "reversal"):
+            if not isinstance(data[key], list) or any(type(x) not in (int, bool)
+                                                      for x in data[key]):
+                raise SurfaceError(f"{key!r} must be a list of integers")
+        surface = data.get("surface")
+        if surface is not None and not isinstance(surface, str):
+            raise SurfaceError("'surface' must be a surface descriptor string")
+        return cls(data["triangles"], np.asarray(data["pairing"]),
+                   np.asarray(data["reversal"], dtype=bool),
+                   SurfaceSpec.parse(surface) if surface else None, data.get("name", ""))
 
 
 @dataclass(frozen=True)
@@ -232,33 +250,27 @@ def _apply_flips(tri: GluedTriangulation, flips: np.ndarray) -> GluedTriangulati
 def standard_triangulation(spec: SurfaceSpec) -> GluedTriangulation:
     """A small glued triangulation of the requested surface.
 
-    Sphere: double of a triangle (2 triangles).  Orientable genus g >= 1: fan
-    of the 4g-gon with boundary word prod [a_i, b_i] (4g-2 triangles, one
-    vertex).  Projective plane: square with word abab plus a diagonal.
-    Non-orientable genus k >= 2: fan of the 2k-gon with word a_1^2...a_k^2.
+    Sphere: double of a triangle (2 triangles).  Projective plane: square
+    with word abab plus a diagonal.  Otherwise the fan of the polygon whose
+    boundary word is the relator of relator_presentation(spec): the 4g-gon
+    with word prod [a_i, b_i] (4g-2 triangles, one vertex) for orientable
+    genus g >= 1, the 2k-gon with word a_1^2...a_k^2 for non-orientable
+    genus k >= 2.
     """
     if spec.orientable and spec.genus == 0:
         pairing = np.array([3, 5, 4, 0, 2, 1])
         reversal = np.ones(6, dtype=bool)
         return GluedTriangulation(2, pairing, reversal, spec, "sphere")
-    if spec.orientable:
-        word = []
-        for k in range(spec.genus):
-            a, b = 2 * k + 1, 2 * k + 2
-            word += [a, b, -a, -b]
-        return _fan_polygon(word, spec, f"genus{spec.genus}-fan")
-    if spec.genus == 1:
+    if not spec.orientable and spec.genus == 1:
         # square P0..P3 with word abab, cut along the diagonal P0-P2
         pairing = np.array([4, 5, 3, 2, 0, 1])
         reversal = np.array([False, False, True, True, False, False])
         return GluedTriangulation(2, pairing, reversal, spec, "projective-plane")
-    word = []
-    for k in range(spec.genus):
-        word += [k + 1, k + 1]
-    return _fan_polygon(word, spec, f"crosscap{spec.genus}-fan")
+    name = f"genus{spec.genus}-fan" if spec.orientable else f"crosscap{spec.genus}-fan"
+    return _fan_polygon(relator_presentation(spec).word, spec, name)
 
 
-def _fan_polygon(word: list, spec: SurfaceSpec, name: str) -> GluedTriangulation:
+def _fan_polygon(word: tuple, spec: SurfaceSpec, name: str) -> GluedTriangulation:
     """Triangulate a polygon with identified sides by the fan from vertex P0.
 
     Side p of the polygon carries letter word[p]; the two sides with the same

@@ -14,11 +14,16 @@ from dwsurf.cocycles import (RootOfUnity, TwoCocycle, c_regular_count, heisenber
 from dwsurf.groups import build_group, conjugacy_classes
 from dwsurf.invariants import catalog_pairs, cross_check, sign_catalog_pairs
 from dwsurf.surfaces import SurfaceSpec
+from oracles import left_matrix, multiply, pairing_matrix, right_matrix, structure_constants
 
 
 def algebra(gspec, cocycle=None):
     G = build_group(gspec)
     return TwistedGroupAlgebra(G, cocycle if cocycle is not None else trivial_cocycle(G))
+
+
+def basis(A):
+    return np.eye(A.dim, dtype=complex)
 
 
 def random_element(A, rng):
@@ -39,16 +44,17 @@ def test_unit_law():
     A = algebra("quaternion:8")
     rng = np.random.default_rng(0)
     a = random_element(A, rng)
-    assert np.allclose(A.multiply(A.unit(), a), a)
-    assert np.allclose(A.multiply(a, A.unit()), a)
+    unit = basis(A)[0]
+    assert np.allclose(multiply(A, unit, a), a)
+    assert np.allclose(multiply(A, a, unit), a)
 
 
 def test_heisenberg_generators_anticommute():
     c = heisenberg_cocycle(2)
     A = TwistedGroupAlgebra(c.group, c)
-    x, y = A.basis_vector(2), A.basis_vector(1)   # (1,0) and (0,1)
-    xy, yx = A.multiply(x, y), A.multiply(y, x)
-    expected = A.basis_vector(3)                  # (1,1)
+    x, y = basis(A)[2], basis(A)[1]               # (1,0) and (0,1)
+    xy, yx = multiply(A, x, y), multiply(A, y, x)
+    expected = basis(A)[3]                        # (1,1)
     assert np.allclose(xy, expected)
     assert np.allclose(yx, -expected)
 
@@ -60,20 +66,14 @@ def test_trivial_multiplication_is_group_convolution():
     conv = np.zeros(6, dtype=complex)
     for i, j in itertools.product(range(6), repeat=2):
         conv[A.group.mul(i, j)] += a[i] * b[j]
-    assert np.allclose(A.multiply(a, b), conv)
-
-
-def test_multiply_rejects_size_mismatch():
-    A = algebra("cyclic:2")
-    with pytest.raises(AlgebraError):
-        A.multiply(np.ones(3), np.ones(2))
+    assert np.allclose(multiply(A, a, b), conv)
 
 
 def test_trace_values_on_basis():
     A = algebra("quaternion:8")
-    assert A.trace(A.unit()) == 8
+    assert A.trace(basis(A)[0]) == 8
     for g in range(1, 8):
-        assert A.trace(A.basis_vector(g)) == 0
+        assert A.trace(basis(A)[g]) == 0
 
 
 def test_trace_fast_path_equals_matrix_trace():
@@ -82,7 +82,7 @@ def test_trace_fast_path_equals_matrix_trace():
     rng = np.random.default_rng(2)
     for _ in range(5):
         a = random_element(A, rng)
-        assert abs(A.trace(a) - np.trace(A.left_matrix(a))) < 1e-10
+        assert abs(A.trace(a) - np.trace(left_matrix(A, a))) < 1e-10
 
 
 def test_trace_is_symmetric():
@@ -90,18 +90,18 @@ def test_trace_is_symmetric():
     rng = np.random.default_rng(3)
     for _ in range(10):
         x, y = random_element(A, rng), random_element(A, rng)
-        assert abs(A.trace(A.multiply(x, y)) - A.trace(A.multiply(y, x))) < 1e-10
+        assert abs(A.trace(multiply(A, x, y)) - A.trace(multiply(A, y, x))) < 1e-10
 
 
 def test_bilinear_form_on_basis_pairs():
     A = algebra("symmetric:3")
     for g1, g2 in itertools.product(range(6), repeat=2):
-        t = A.trace(A.multiply(A.basis_vector(g1), A.basis_vector(g2)))
+        t = A.trace(multiply(A, basis(A)[g1], basis(A)[g2]))
         assert abs(t - (6 if g2 == A.group.inv(g1) else 0)) < 1e-12
     c = heisenberg_cocycle(2)
     A = TwistedGroupAlgebra(c.group, c)
     for g1, g2 in itertools.product(range(4), repeat=2):
-        t = A.trace(A.multiply(A.basis_vector(g1), A.basis_vector(g2)))
+        t = A.trace(multiply(A, basis(A)[g1], basis(A)[g2]))
         if g2 == A.group.inv(g1):
             assert abs(abs(t) - 4) < 1e-12   # #G times the cocycle twist factor
         else:
@@ -112,33 +112,35 @@ def test_bilinear_form_on_basis_pairs():
 # pairing vector
 
 def test_pairing_identity_on_random_pairs():
-    from dwsurf.invariants import catalog_pairs
     rng = np.random.default_rng(4)
     for G, c in catalog_pairs():
         A = TwistedGroupAlgebra(G, c)
-        v = A.pairing_vector()
-        basis = [A.basis_vector(g) for g in range(A.dim)]
+        v = pairing_matrix(structure_constants(A))
+        # the closed form: c(g, g^-1)^-1 / #G on g (x) g^-1, zero elsewhere
+        g, inv = np.arange(A.dim), G.inverse
+        sparse = np.zeros_like(v)
+        sparse[g, inv] = np.conj(A.omega[g, inv]) / A.dim
+        assert np.abs(v - sparse).max() < 1e-12
         for _ in range(100):
             a, b = random_element(A, rng), random_element(A, rng)
-            lhs = A.trace(A.multiply(a, b))
-            rhs = sum(w * A.trace(A.multiply(a, basis[g])) * A.trace(A.multiply(b, basis[gi]))
-                      for g, gi, w in v.terms(A.group))
-            assert abs(lhs - rhs) < 1e-9
+            lhs = A.trace(multiply(A, a, b))
+            ta = np.array([A.trace(x) for x in multiply(A, a, basis(A))])   # T(a e_x)
+            tb = np.array([A.trace(x) for x in multiply(A, b, basis(A))])
+            assert abs(lhs - ta @ v @ tb) < 1e-9
 
 
 def test_pairing_contracts_to_unit():
     for c in [trivial_cocycle(build_group("symmetric:3")), heisenberg_cocycle(2)]:
         A = TwistedGroupAlgebra(c.group, c)
-        v = A.pairing_vector()
-        total = np.zeros(A.dim, dtype=complex)
-        for g, gi, w in v.terms(A.group):
-            total += w * A.multiply(A.basis_vector(g), A.basis_vector(gi))
-        assert np.allclose(total, A.unit())
+        v = pairing_matrix(structure_constants(A))
+        total = np.einsum("xy,xyk->k", v, structure_constants(A))
+        assert np.allclose(total, basis(A)[0])
 
 
 def test_pairing_vector_trivial_case():
     A = algebra("cyclic:3")
-    assert np.allclose(A.pairing_vector().coeffs, np.full(3, 1 / 3))
+    v = pairing_matrix(structure_constants(A))
+    assert np.allclose(v, np.eye(3)[A.group.inverse] / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +163,8 @@ def test_center_basis_is_central_for_complex_tables():
     Z = A.center_basis()
     assert len(Z) == 3
     for z in Z:
-        for g in range(G.order):
-            e = A.basis_vector(g)
-            comm = A.multiply(z, e) - A.multiply(e, z)
+        for e in basis(A):
+            comm = multiply(A, z, e) - multiply(A, e, z)
             assert np.abs(comm).max() < 1e-10
 
 
@@ -171,8 +172,7 @@ def null_space_center(A):
     """Reference center: null space of the stacked commutation system
     [L(e_g) - R(e_g)]_g, by a thin SVD.  Cost grows like #G^4; keep #G <= 16."""
     assert A.dim <= 16
-    mat = np.vstack([A.left_matrix(A.basis_vector(g)) - A.right_matrix(A.basis_vector(g))
-                     for g in range(A.dim)])
+    mat = np.vstack([left_matrix(A, e) - right_matrix(A, e) for e in basis(A)])
     _, sigma, vh = np.linalg.svd(mat, full_matrices=False)
     return vh[sigma <= 1e-8].conj()   # the null space is spanned by rows of V, not V^H
 
@@ -232,9 +232,8 @@ def test_commutator_residual_matches_products(gspec):
     A = TwistedGroupAlgebra(G, twist(trivial_cocycle(G), b))
     Z = np.vstack([A.center_basis(), random_element(A, rng), np.eye(A.dim)[[1]]])
     Z[-2, rng.integers(A.dim, size=3)] = 0       # sparse rows must not hide a commutator
-    e = [A.basis_vector(x) for x in range(A.dim)]
     for z in Z:
-        want = max(np.abs(A.multiply(ex, z) - A.multiply(z, ex)).max() for ex in e)
+        want = max(np.abs(multiply(A, ex, z) - multiply(A, z, ex)).max() for ex in basis(A))
         assert abs(commutator_residual(A, z[None]) - want) < 1e-12
     assert commutator_residual(A, A.center_basis()) < 1e-12
 
@@ -293,13 +292,13 @@ def test_block_structure_invariants(gspec):
     assert sum(d * d for d in dec.dims) == G.order
     assert dec.block_count() == c_regular_count(G, trivial_cocycle(G))
     total = np.sum([b.idempotent for b in dec.blocks], axis=0)
-    assert np.allclose(total, A.unit())
+    assert np.allclose(total, basis(A)[0])
     for b in dec.blocks:
         assert abs(A.trace(b.idempotent) - b.dim ** 2) < 1e-8
         assert abs(b.character[0] - b.dim) < 1e-8
         assert G.order % b.dim == 0   # block dimensions divide the group order
     for b1, b2 in itertools.combinations(dec.blocks, 2):
-        assert np.abs(A.multiply(b1.idempotent, b2.idempotent)).max() < 1e-8
+        assert np.abs(multiply(A, b1.idempotent, b2.idempotent)).max() < 1e-8
 
 
 @pytest.mark.parametrize("gspec", ["cyclic:64", "product(cyclic:8,cyclic:8)"])
@@ -376,11 +375,11 @@ def ideal_basis_reference(A, block):
     sign-valued cocycles the fixed dimension of the restricted involution
     B* S B.  Cost #G^3 per block."""
     e, d, n = block.idempotent, block.dim, A.dim
-    u, sigma, _ = np.linalg.svd(A.right_matrix(e))
+    u, sigma, _ = np.linalg.svd(right_matrix(A, e))
     assert np.sum(sigma > 1e-8) == d * d
     B = u[:, :d * d]
     P = B @ B.conj().T
-    char = np.array([np.trace(P @ A.left_matrix(A.basis_vector(g))) for g in range(n)]) / d
+    char = np.array([np.trace(P @ left_matrix(A, x)) for x in basis(A)]) / d
     if not A.cocycle.is_sign_valued:
         return char, None
     M = B.conj().T @ A.star_matrix @ B
@@ -430,22 +429,22 @@ def test_projective_characters_are_orthonormal(G, c):
 def test_star_is_inversion_for_trivial_cocycle():
     A = algebra("symmetric:3")
     for g in range(6):
-        assert np.allclose(A.star(A.basis_vector(g)), A.basis_vector(A.group.inv(g)))
-    assert np.allclose(A.star(A.unit()), A.unit())
+        assert np.allclose(A.star_matrix @ basis(A)[g], basis(A)[A.group.inv(g)])
+    assert np.allclose(A.star_matrix @ basis(A)[0], basis(A)[0])
 
 
 def test_star_fixes_heisenberg_generator():
     c = heisenberg_cocycle(2)
     A = TwistedGroupAlgebra(c.group, c)
-    x = A.basis_vector(2)   # (1,0): self-inverse with c((1,0),(1,0)) = 1
-    assert np.allclose(A.star(x), x)
+    x = basis(A)[2]         # (1,0): self-inverse with c((1,0),(1,0)) = 1
+    assert np.allclose(A.star_matrix @ x, x)
 
 
 def test_star_rejects_non_sign_cocycles():
     c = heisenberg_cocycle(3)
     A = TwistedGroupAlgebra(c.group, c)
     with pytest.raises(AlgebraError):
-        A.star(A.unit())
+        A.star_matrix
 
 
 @pytest.mark.parametrize("gspec", ["product(cyclic:2,cyclic:2)", "dihedral:8", "quaternion:8"])
@@ -453,10 +452,10 @@ def test_star_antihomomorphism_on_basis(gspec):
     G = build_group(gspec)
     for c in sign_cocycles_catalog(G):
         A = TwistedGroupAlgebra(G, c)
-        for g1, g2 in itertools.product(range(G.order), repeat=2):
-            a, b = A.basis_vector(g1), A.basis_vector(g2)
-            lhs = A.star(A.multiply(a, b))
-            rhs = A.multiply(A.star(b), A.star(a))
+        S = A.star_matrix
+        for a, b in itertools.product(basis(A), repeat=2):
+            lhs = S @ multiply(A, a, b)
+            rhs = multiply(A, S @ b, S @ a)
             assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -466,8 +465,9 @@ def test_star_preserves_trace_and_is_involutive():
     A = TwistedGroupAlgebra(G, c)
     rng = np.random.default_rng(5)
     a = random_element(A, rng)
-    assert abs(A.trace(A.star(a)) - A.trace(a)) < 1e-10
-    assert np.allclose(A.star(A.star(a)), a)
+    S = A.star_matrix
+    assert abs(A.trace(S @ a) - A.trace(a)) < 1e-10
+    assert np.allclose(S @ (S @ a), a)
 
 
 def test_pairing_vector_star_symmetry():
@@ -476,15 +476,10 @@ def test_pairing_vector_star_symmetry():
         G = build_group(gspec)
         for c in sign_cocycles_catalog(G):
             A = TwistedGroupAlgebra(G, c)
-            v = A.pairing_vector()
+            v = pairing_matrix(structure_constants(A))
             S = A.star_matrix
-            n = A.dim
-            m1 = np.zeros((n, n), dtype=complex)
-            m2 = np.zeros((n, n), dtype=complex)
-            for g, gi, w in v.terms(G):
-                m1 += w * np.outer(np.eye(n)[g], S[:, gi])
-                m2 += w * np.outer(S[:, g], np.eye(n)[gi])
-            assert np.abs(m1 - m2).max() < 1e-12
+            # (1 (x) S) v = v S^T and (S (x) 1) v = S v
+            assert np.abs(v @ S.T - S @ v).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,22 @@ def test_statesum_from_triangulation_file(capsys, tmp_path):
     assert json.loads(out)["exact"] == "3"
 
 
+@pytest.mark.parametrize("data,message", [
+    ({"pairing": [3, 5, 4, 0, 2, 1], "reversal": [1] * 6}, "no 'triangles' field"),
+    ([3, 5, 4, 0, 2, 1], "must be a JSON object"),
+    ({"triangles": 2, "pairing": [3, 5, 4, 0, 2, 7], "reversal": [1] * 6},
+     "pairing entries must be flags 0..5"),
+])
+def test_malformed_triangulation_file_is_a_json_error(capsys, tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "statesum", "--group", "cyclic:2", "--surface", "orientable:0",
+                    "--tri", f"file:{path}")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error.startswith("SurfaceError") and message in error
+
+
 def test_workers_flag_is_accepted_and_has_no_effect(capsys):
     argv = ("compute", "--group", "quaternion:8", "--surface", "orientable:2")
     assert run(capsys, *argv, "--workers", "3") == run(capsys, *argv)

@@ -13,13 +13,13 @@ from dwsurf.cocycles import (RootOfUnity, TwoCocycle, heisenberg_cocycle,
                              sign_cocycles_catalog, trivial_cocycle, twist)
 from dwsurf.groups import build_group, conjugacy_classes, involution_set
 from dwsurf.invariants import (InvariantError, boundary_hom_count, boundary_hom_count_brute,
-                               cocycle_weight_nonorientable, cocycle_weight_orientable,
                                count_homs, cross_check, dw_direct, dw_labeling_oracle,
-                               enumerate_homs, mednykh_count, sign_catalog_pairs, verlinde)
+                               mednykh_count, sign_catalog_pairs, verlinde)
 from dwsurf.invariants import _direct_counts, _weighted_hom_counts
 from dwsurf.state_sum import fhk_state_sum, run_state_sum, star_state_sum
 from dwsurf.surfaces import (RelatorPresentation, SurfaceSpec, relator_presentation,
                              seven_vertex_torus, standard_triangulation, tetrahedron_sphere)
+from oracles import enumerate_homs, relator_weight, weight_sum
 
 TORUS = SurfaceSpec(True, 1)
 SPHERE = SurfaceSpec(True, 0)
@@ -72,34 +72,34 @@ def test_trivial_weight_is_one():
     c = trivial_cocycle(G)
     pres = relator_presentation(TORUS)
     for hom in enumerate_homs(G, pres):
-        assert cocycle_weight_orientable(c, pres, hom) == RootOfUnity.one()
+        assert relator_weight(c, pres, hom) == RootOfUnity.one()
 
 
 def test_heisenberg_torus_weight_is_the_commutator_pairing():
     c = heisenberg_cocycle(2)
     pres = relator_presentation(TORUS)
     # generators mapped to (1,0) and (0,1): indices 2 and 1
-    assert cocycle_weight_orientable(c, pres, (2, 1)) == RootOfUnity(1, 2)
+    assert relator_weight(c, pres, (2, 1)) == RootOfUnity(1, 2)
 
 
 def test_weight_with_one_generator_trivialized():
     c = heisenberg_cocycle(3)
     pres = relator_presentation(TORUS)
     for a in range(9):
-        assert cocycle_weight_orientable(c, pres, (a, 0)) == RootOfUnity.one()
+        assert relator_weight(c, pres, (a, 0)) == RootOfUnity.one()
 
 
 def test_orientation_convention_pin():
     # frozen: generators of the order-3 case mapped to ((1,0),(0,1)) weigh zeta_3^2
     c = heisenberg_cocycle(3)
-    assert cocycle_weight_orientable(c, relator_presentation(TORUS), (3, 1)) == RootOfUnity(2, 3)
+    assert relator_weight(c, relator_presentation(TORUS), (3, 1)) == RootOfUnity(2, 3)
 
 
 def test_weight_rejects_non_homomorphisms():
     G = build_group("symmetric:3")
     c = trivial_cocycle(G)
     with pytest.raises(InvariantError):
-        cocycle_weight_orientable(c, relator_presentation(TORUS), (1, 3))  # non-commuting
+        relator_weight(c, relator_presentation(TORUS), (1, 3))  # non-commuting
 
 
 def test_projective_plane_weight_is_diagonal_value():
@@ -107,32 +107,23 @@ def test_projective_plane_weight_is_diagonal_value():
     pres = relator_presentation(P2)
     for c in sign_cocycles_catalog(G):
         for g in involution_set(G):
-            w = cocycle_weight_nonorientable(c, pres, (int(g),))
-            assert w == int(round(c.complex_table[g, g].real))
+            w = relator_weight(c, pres, (int(g),))
+            assert np.isclose(w.value, c.complex_table[g, g])
 
 
 def test_klein_weight_example():
     c = heisenberg_cocycle(2)
     pres = relator_presentation(KLEIN)
-    assert cocycle_weight_nonorientable(c, pres, (1, 2)) == 1
-
-
-def test_nonorientable_weight_needs_sign_values():
-    c = heisenberg_cocycle(3)
-    with pytest.raises(InvariantError):
-        cocycle_weight_nonorientable(c, relator_presentation(P2), (0,))
+    assert relator_weight(c, pres, (1, 2)) == RootOfUnity.one()
 
 
 def test_weight_sum_is_rotation_invariant():
     # individual weights may move under cyclic rotation of the relator; the sum may not
     c = heisenberg_cocycle(2)
-    G = c.group
     word = relator_presentation(TORUS).word
     base = None
     for r in range(len(word)):
-        pres = RelatorPresentation(2, word[r:] + word[:r])
-        total = sum(cocycle_weight_orientable(c, pres, hom).value
-                    for hom in enumerate_homs(G, pres))
+        total = weight_sum(c, RelatorPresentation(2, word[r:] + word[:r]))
         if base is None:
             base = total
         assert abs(total - base) < 1e-10
@@ -153,9 +144,7 @@ def test_direct_matches_streaming_route():
              (heisenberg_cocycle(2), GENUS2)]
     for c, spec in cases:
         G = c.group
-        pres = relator_presentation(spec)
-        total = sum(cocycle_weight_orientable(c, pres, hom).value
-                    for hom in enumerate_homs(G, pres))
+        total = weight_sum(c, relator_presentation(spec))
         # the float sum of embedded weights pins the integer it must equal
         assert abs(total - round(total.real)) < 1e-9
         assert dw_direct(G, c, spec) == Fraction(round(total.real), G.order)
@@ -165,10 +154,9 @@ def test_direct_nonorientable_matches_streaming_route():
     G = build_group("product(cyclic:2,cyclic:2)")
     for c in sign_cocycles_catalog(G):
         for spec in [P2, KLEIN]:
-            pres = relator_presentation(spec)
-            total = sum(cocycle_weight_nonorientable(c, pres, hom)
-                        for hom in enumerate_homs(G, pres))
-            assert dw_direct(G, c, spec) == Fraction(total, G.order)
+            total = weight_sum(c, relator_presentation(spec))
+            assert abs(total - round(total.real)) < 1e-9
+            assert dw_direct(G, c, spec) == Fraction(round(total.real), G.order)
 
 
 def test_direct_spot_values():
@@ -232,7 +220,8 @@ def test_transfer_histogram_equals_weights_on_sign_catalog():
             pres = relator_presentation(spec)
             want = np.zeros(c.order, dtype=np.int64)
             for hom in enumerate_homs(G, pres):
-                want[0 if cocycle_weight_nonorientable(c, pres, hom) == 1 else c.order // 2] += 1
+                w = relator_weight(c, pres, hom)
+                want[w.numerator * c.order // w.order] += 1
             assert np.array_equal(_direct_counts(G, c, spec), want), (G.name, c.name, k)
 
 

@@ -152,6 +152,26 @@ def test_json_roundtrip():
     assert back.surface == tri.surface
 
 
+TORUS_JSON = standard_triangulation(SurfaceSpec(True, 1)).to_json()
+
+
+@pytest.mark.parametrize("data,message", [
+    ([1, 2], "must be a JSON object, not list"),
+    ({k: v for k, v in TORUS_JSON.items() if k != "triangles"}, "no 'triangles' field"),
+    ({k: v for k, v in TORUS_JSON.items() if k != "reversal"}, "no 'reversal' field"),
+    (dict(TORUS_JSON, triangles="2"), "'triangles' must be an integer"),
+    (dict(TORUS_JSON, pairing={"0": 1}), "'pairing' must be a list of integers"),
+    (dict(TORUS_JSON, reversal=[1.0] * 6), "'reversal' must be a list of integers"),
+    (dict(TORUS_JSON, surface=1), "'surface' must be a surface descriptor"),
+    # the range is checked before pairing[pairing] is read: 6 would overrun, -1 wrap
+    (dict(TORUS_JSON, pairing=[3, 4, 5, 0, 1, 6]), "pairing entries must be flags 0..5"),
+    (dict(TORUS_JSON, pairing=[3, 4, 5, 0, 1, -1]), "pairing entries must be flags 0..5"),
+])
+def test_from_json_rejects_malformed_data(data, message):
+    with pytest.raises(SurfaceError, match=message):
+        GluedTriangulation.from_json(data)
+
+
 # ---------------------------------------------------------------------------
 # simplicial surfaces
 
