@@ -5,14 +5,15 @@ weighted by an exact root-of-unity evaluation of the 2-cocycle on the
 fundamental cycle of the standard polygon.  It cuts the polygon along its
 handles (crosscaps), so the sum becomes a product of transfer operators on
 (relator prefix, exponent) counts: O(n^3) work per handle operator, built
-once, and genus is a loop count.  The brute-force enumeration of all
-n^generators tuples stays behind count_homs as the oracle of the dw check
-hom-count rows; the weight of a single homomorphism is a test oracle
-(tests/oracles.py).  The state-sum route contracts the twisted group algebra
-over a triangulation.  The Verlinde route reads the invariant off the
-Wedderburn block dimensions (and, for non-orientable surfaces, the
-symmetric/skew indicators).  A separate labeling sum over a simplicial
-triangulation serves as a fidelity oracle for small inputs.  Every route
+once, and genus is a loop count.  count_homs, the oracle of the dw check
+hom-count rows, enumerates all n^generators tuples and only counts those
+that satisfy the relator; the weighted brute force and the weight of a
+single homomorphism are test oracles (tests/oracles.py).  The state-sum
+route contracts the twisted group algebra over a triangulation.  The
+Verlinde route reads the invariant off the Wedderburn block dimensions (and,
+for non-orientable surfaces, the symmetric/skew indicators).  A separate
+labeling sum over a simplicial triangulation, enumerated labeling by
+labeling in blocks, serves as a fidelity oracle for small inputs.  Every route
 returns an exact Fraction: the direct, state-sum and labeling routes reduce
 their exponent histograms modulo the cyclotomic polynomial, and the Verlinde
 route sums powers of its integer block dimensions.  cross_check runs the
@@ -42,53 +43,40 @@ class InvariantError(ValueError):
 # ---------------------------------------------------------------------------
 # homomorphism enumeration
 
+# Entries of the largest temporary a blocked loop builds at once: (row, a, b)
+# entries of the handle operator, tuple labels of count_homs, edge labels of
+# the labeling enumeration.  No n^3-sized table exists for the largest groups,
+# and the oracles stay a few MB.
+_BLOCK_ENTRIES = 1 << 18
+
+
 def count_homs(G: FiniteGroup, pres: RelatorPresentation, cap: int = 10 ** 8) -> int:
-    """Brute-force |Hom(pi, G)| by vectorized enumeration, capped in tuples."""
+    """Brute-force |Hom(pi, G)| by vectorized enumeration, capped in tuples.
+
+    The n^generators tuples are taken in blocks of consecutive indices: the
+    last generators run through all n^inner values as arrays, computed once,
+    with at most _BLOCK_ENTRIES labels, and the leading ones are fixed per
+    block.  Each letter of the relator is one flat gather from the Cayley
+    table, and a block counts the tuples whose product is the identity.
+    """
     n, m = G.order, pres.generators
     if n ** m > cap:
         raise InvariantError(f"{n}^{m} tuples exceed the cap of {cap}")
-    counts = _weighted_hom_counts(G, trivial_cocycle(G), pres, orientable=True)
-    return int(counts.sum())
-
-
-def _weighted_hom_counts(G: FiniteGroup, c: TwoCocycle, pres: RelatorPresentation,
-                         orientable: bool) -> np.ndarray:
-    """Histogram over k of relator-satisfying assignments with weight zeta^k,
-    by enumerating all n^generators tuples; the brute force behind count_homs."""
-    n, m, N = G.order, pres.generators, c.order
-    counts = np.zeros(N, dtype=np.int64)
-    if m == 0:
-        counts[0] = 1
-        return counts
-    cay, inv, exps = G.cayley, G.inverse, c.exps
-    word = pres.word
-    rest = n ** (m - 1)
-    base = np.arange(rest)
-    vals = [None] * m
-    for j in range(1, m):
-        vals[j] = (base // n ** (m - 1 - j)) % n
-    for v0 in range(n):
-        vals[0] = np.full(rest, v0)
-        h = None
-        esum = np.zeros(rest, dtype=np.int64)
-        for pos, letter in enumerate(word):
+    inner = 0
+    while inner < m and n ** (inner + 1) * m <= _BLOCK_ENTRIES:
+        inner += 1
+    index = np.arange(n ** inner)
+    trailing = [index // n ** (inner - 1 - j) % n for j in range(inner)]
+    cay, inv = G.cayley.ravel(), G.inverse
+    count = 0
+    for lead in range(n ** (m - inner)):
+        vals = [lead // n ** (m - inner - 1 - j) % n for j in range(m - inner)] + trailing
+        h = 0
+        for letter in pres.word:
             g = vals[abs(letter) - 1]
-            e = g if letter > 0 else inv[g]
-            if pos == 0:
-                h = e.copy()
-            else:
-                esum += exps[h, e]
-                h = cay[h, e]
-        if orientable:
-            for j in range(m):
-                esum -= exps[vals[j], inv[vals[j]]]
-        counts += np.bincount(esum[h == 0] % N, minlength=N)
-    return counts
-
-
-# Rows of the general handle operator are built this many (row, a, b) entries
-# at a time, so that no n^3-sized temporary exists for the largest groups.
-_BLOCK_ENTRIES = 1 << 18
+            h = cay.take(h * n + (g if letter > 0 else inv[g]))
+        count += int(np.count_nonzero(h == 0))
+    return count
 
 
 def _operator_rows(G: FiniteGroup, c: TwoCocycle, rows: np.ndarray, orientable: bool,
@@ -100,7 +88,7 @@ def _operator_rows(G: FiniteGroup, c: TwoCocycle, rows: np.ndarray, orientable: 
     A handle reads the letters a, b, a^-1, b^-1 and pays c(x, x^-1) back for
     x = a, b; a crosscap reads x, x.  Each letter adds exps[prefix, letter],
     except the first letter of the whole relator (first=True, rows = [0]),
-    which carries no c(1, g) term, as in _weighted_hom_counts.
+    which carries no c(1, g) term.
     """
     n, N = G.order, c.order
     cay, inv, exps = G.cayley, G.inverse, c.exps
@@ -175,83 +163,97 @@ def dw_direct(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> Fraction:
 # labeling-sum oracle on simplicial surfaces
 
 def exact_contraction(group, modulus: int, n_vars: int, var_exp, terms, plan):
-    """Backtracking sum of root-of-unity exponents over admissible labelings.
+    """Block-wise enumeration of the admissible labelings, summing their
+    root-of-unity exponents.
 
     The labeling oracle's engine, kept apart from the state sum's frontier
-    table so that the two stay independent checks of each other.  The edges
-    are labeled in plan.order.  A term is checked and weighted at the
-    position of its last edge; a term that closes there and holds that edge
-    once forces its label, l_s = (l_{s+1} l_{s+2})^-1.  Returns (counts,
-    states_visited) with counts[k] the number of admissible labelings of
-    total exponent k mod modulus.
+    table so that the two stay independent checks of each other: a row is one
+    partial labeling, rows are never merged, every labeled edge is kept and
+    nothing is gauge-fixed.  The edges are labeled in plan.order, one level at
+    a time.  A term is checked and weighted at the level of its last edge; a
+    term that closes there and holds that edge once forces its label,
+    l_s = (l_{s+1} l_{s+2})^-1, by one gather, and otherwise the edge is free
+    and every row repeats #G times.  A block of rows goes through the levels
+    breadth-first; one that would outgrow _BLOCK_ENTRIES labels is split and
+    its parts are taken depth-first, so the live table stays bounded.
+    Returns (counts, states_visited) with counts[k] the number of admissible
+    labelings of total exponent k mod modulus and states_visited the rows
+    generated, the nodes of the equivalent backtracking search.
     """
-    cay = [list(map(int, row)) for row in group.cayley]
-    inv = list(map(int, group.inverse))
+    n = group.order
+    label = np.min_scalar_type(n - 1)
+    cay, inv = group.cayley.astype(label), group.inverse.astype(label)
     order = plan.order
     position = {var: pos for pos, var in enumerate(order)}
-    closing = [[] for _ in order]    # per position: the terms completed there
-    forcing = [None] * len(order)    # per position: (term slots, slot) fixing its label
+    closing = [[] for _ in order]    # per level: (slot columns, term) completed there
+    forcing = [None] * len(order)    # per level: (slot columns, slot) fixing its label
     for term in terms:
         last = max(position[v] for v in term.vars)
-        pi, pj = term.pair
-        closing[last].append((list(zip(term.vars, term.inverted)), pi, pj,
-                              term.exp2.tolist(), term.exp1_slot,
-                              None if term.exp1 is None else term.exp1.tolist()))
+        slots = [(position[v], flip) for v, flip in zip(term.vars, term.inverted)]
+        closing[last].append((slots, term))
         var = order[last]
         if forcing[last] is None and term.vars.count(var) == 1:
-            forcing[last] = (closing[last][-1][0], term.vars.index(var))
-    uexp = [None if e is None else list(map(int, e)) for e in var_exp]
-    val = [0] * n_vars
-    counts = [0] * modulus
+            forcing[last] = (slots, term.vars.index(var))
+
+    def slot_label(lab, slot):
+        col = lab[:, slot[0]]
+        return inv[col] if slot[1] else col
+
+    # rows a block may hold when a free edge repeats them; one row always may
+    step = max(1, _BLOCK_ENTRIES // (max(1, n_vars) * n))
+    counts = np.zeros(modulus, dtype=np.int64)
     visited = 0
-    domain = range(group.order)
-
-    def walk(pos, expo):
-        nonlocal visited
-        if pos == n_vars:
-            counts[expo % modulus] += 1
-            return
-        var = order[pos]
-        cand = domain
-        if forcing[pos] is not None:
-            slots, s = forcing[pos]
-            l = [inv[val[u]] if flip else val[u] for u, flip in slots]
-            x = cay[l[(s + 1) % 3]][l[(s + 2) % 3]]
-            cand = (x if slots[s][1] else inv[x],)
-        for v in cand:
-            visited += 1
-            val[var] = v
-            delta = 0 if uexp[var] is None else uexp[var][v]
-            for slots, pi, pj, exp2, k, exp1 in closing[pos]:
-                l = [inv[val[u]] if flip else val[u] for u, flip in slots]
-                if cay[cay[l[0]][l[1]]][l[2]] != 0:
+    stack = [(0, np.zeros((1, n_vars), dtype=label), np.zeros(1, dtype=np.int64))]
+    while stack:
+        pos, lab, expo = stack.pop()
+        while pos < n_vars and len(expo):
+            if forcing[pos] is None:
+                if len(expo) > step:
+                    stack.extend((pos, lab[i:i + step], expo[i:i + step])
+                                 for i in reversed(range(0, len(expo), step)))
                     break
-                delta += exp2[l[pi]][l[pj]] + (0 if exp1 is None else exp1[l[k]])
+                lab = np.repeat(lab, n, axis=0)
+                lab[:, pos] = np.tile(np.arange(n, dtype=label), len(expo))
+                expo = np.repeat(expo, n)
             else:
-                walk(pos + 1, expo + delta)
-
-    walk(0, 0)
+                slots, s = forcing[pos]
+                x = cay[slot_label(lab, slots[(s + 1) % 3]), slot_label(lab, slots[(s + 2) % 3])]
+                lab[:, pos] = x if slots[s][1] else inv[x]
+            visited += len(expo)
+            uexp = var_exp[order[pos]]
+            if uexp is not None:
+                expo = expo + uexp[lab[:, pos]]
+            keep = None
+            for slots, term in closing[pos]:
+                l = [slot_label(lab, slot) for slot in slots]
+                ok = cay[cay[l[0], l[1]], l[2]] == 0
+                keep = ok if keep is None else keep & ok
+                expo = expo + term.exp2[l[term.pair[0]], l[term.pair[1]]]
+                if term.exp1 is not None:
+                    expo = expo + term.exp1[l[term.exp1_slot]]
+            if keep is not None and not keep.all():
+                lab, expo = lab[keep], expo[keep]
+            pos += 1
+        if pos == n_vars:
+            counts += np.bincount(expo % modulus, minlength=modulus)
     return counts, visited
 
 
 def dw_labeling_oracle(G: FiniteGroup, c: TwoCocycle, surf: SimplicialSurface,
-                       node_limit: int = 10 ** 7) -> Fraction:
+                       node_limit: int = 10 ** 8) -> Fraction:
     """Sum over admissible edge labelings of a simplicial surface.
 
     A by-the-book reference evaluation: every oriented edge gets a group
     label with l(-e) = l(e)^-1, triangle boundaries multiply to the identity,
     and each triangle ABC (A<B<C in the vertex order) contributes
     c(l(AB), l(BC)) raised to +-1 according to whether its orientation runs
-    A->B or not.  Guarded by a node estimate, since the sum has #G^(V-1)
-    terms per homomorphism class.
+    A->B or not.  The sum has #G^(V-1) terms per homomorphism class, all of
+    them enumerated by exact_contraction, so a plan whose state count
+    (ContractionPlan.estimate_nodes) exceeds node_limit is refused before any
+    labeling is made.
     """
     n, N = G.order, c.order
     edges = surf.edges
-    n_tris = len(surf.triangles)
-    estimate = n ** (len(edges) - n_tris + 1)
-    if estimate > node_limit:
-        raise InvariantError(
-            f"labeling sum needs ~{estimate} states, beyond the limit {node_limit}")
     edge_index = {e: i for i, e in enumerate(edges)}
     inv = G.inverse
     neg_table = (-c.exps[np.ix_(inv, inv)]) % N
@@ -270,6 +272,10 @@ def dw_labeling_oracle(G: FiniteGroup, c: TwoCocycle, surf: SimplicialSurface,
             pair, table = (((pa + 2) % 3, (pa + 1) % 3), neg_table)
         terms.append(TriangleTerm(tuple(vars_), tuple(invs), pair, table))
     plan = plan_from_terms(len(edges), terms)
+    estimate = plan.estimate_nodes(n)
+    if estimate > node_limit:
+        raise InvariantError(
+            f"labeling sum needs {estimate} states, beyond the limit {node_limit}")
     counts, _ = exact_contraction(G, N, len(edges), [None] * len(edges), terms, plan)
     return Fraction(cyclotomic_integer(counts, "labeling oracle"), n ** surf.n_vertices)
 

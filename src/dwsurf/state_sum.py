@@ -51,7 +51,8 @@ class ContractionPlan:
 
     def estimate_nodes(self, domain_size: int) -> int:
         """Upper bound on the table rows a contraction generates for a given
-        group order (and on the states a backtracking search visits)."""
+        group order, and on the partial labelings the labeling oracle's
+        enumeration generates (its exact count on a simplicial surface)."""
         total, width = 0, 1
         for kind in self.kinds:
             width *= domain_size if kind == "free" else 1

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,13 +14,13 @@ from dwsurf.cocycles import (RootOfUnity, TwoCocycle, heisenberg_cocycle,
                              sign_cocycles_catalog, trivial_cocycle, twist)
 from dwsurf.groups import build_group, conjugacy_classes, involution_set
 from dwsurf.invariants import (InvariantError, boundary_hom_count, boundary_hom_count_brute,
-                               count_homs, cross_check, dw_direct, dw_labeling_oracle,
-                               mednykh_count, sign_catalog_pairs, verlinde)
-from dwsurf.invariants import _direct_counts, _weighted_hom_counts
+                               catalog_pairs, count_homs, cross_check, dw_direct,
+                               dw_labeling_oracle, mednykh_count, sign_catalog_pairs, verlinde)
+from dwsurf.invariants import _direct_counts
 from dwsurf.state_sum import fhk_state_sum, run_state_sum, star_state_sum
 from dwsurf.surfaces import (RelatorPresentation, SurfaceSpec, relator_presentation,
                              seven_vertex_torus, standard_triangulation, tetrahedron_sphere)
-from oracles import enumerate_homs, relator_weight, weight_sum
+from oracles import enumerate_homs, relator_weight, weight_sum, weighted_hom_counts
 
 TORUS = SurfaceSpec(True, 1)
 SPHERE = SurfaceSpec(True, 0)
@@ -209,8 +210,20 @@ def test_transfer_histogram_equals_brute_force_on_random_tables(data):
                               max_size=G.order ** 2))
     c = TwoCocycle(G, N, np.reshape(flat, (G.order, G.order)))
     spec = SurfaceSpec(orientable, genus)
-    want = _weighted_hom_counts(G, c, relator_presentation(spec), orientable)
+    want = weighted_hom_counts(G, c, relator_presentation(spec), orientable)
     assert np.array_equal(_direct_counts(G, c, spec), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gspec=st.sampled_from(SMALL_GROUPS), orientable=st.booleans(), genus=st.integers(0, 2),
+       block=st.one_of(st.none(), st.integers(1, 1 << 15)))
+def test_count_homs_equals_enumeration_for_any_block_size(gspec, orientable, genus, block):
+    """Blocks of every size, from one tuple to all of them, with a block
+    limit that is mostly not a power of the order."""
+    G = build_group(gspec)
+    pres = relator_presentation(SurfaceSpec(orientable, genus if orientable else genus + 1))
+    with mock.patch.object(invariants, "_BLOCK_ENTRIES", block or invariants._BLOCK_ENTRIES):
+        assert count_homs(G, pres) == len(list(enumerate_homs(G, pres)))
 
 
 def test_transfer_histogram_equals_weights_on_sign_catalog():
@@ -304,6 +317,63 @@ def test_oracle_guard_rejects_large_scans():
     c = heisenberg_cocycle(3)
     with pytest.raises(InvariantError):
         dw_labeling_oracle(c.group, c, seven_vertex_torus(), node_limit=10 ** 5)
+
+
+class EngineReached(Exception):
+    pass
+
+
+def _refuse_to_enumerate(*args, **kwargs):
+    raise EngineReached("the labeling engine ran")
+
+
+@pytest.mark.parametrize("gspec,error,match", [
+    ("cyclic:7", EngineReached, "the labeling engine ran"),    # 37451589 states
+    ("quaternion:8", InvariantError, "needs 107816072 states"),
+])
+def test_oracle_guard_counts_states_before_enumerating(monkeypatch, gspec, error, match):
+    """The default limit of 10^8 states runs every order up to 7 on the
+    seven-vertex torus and refuses order 8 without building a table."""
+    G = build_group(gspec)
+    monkeypatch.setattr(invariants, "exact_contraction", _refuse_to_enumerate)
+    with pytest.raises(error, match=match):
+        dw_labeling_oracle(G, trivial_cocycle(G), seven_vertex_torus())
+
+
+V4 = "product(cyclic:2,cyclic:2)"
+LABELING_PINS = [
+    ("cyclic:2", "trivial", tetrahedron_sphere, 34, [8]),
+    ("cyclic:3", "trivial", tetrahedron_sphere, 102, [27]),
+    (V4, "heisenberg:2", tetrahedron_sphere, 228, [64, 0]),
+    ("cyclic:2", "trivial", seven_vertex_torus, 2234, [256]),
+    ("cyclic:3", "trivial", seven_vertex_torus, 48837, [6561]),
+    (V4, "heisenberg:2", seven_vertex_torus, 457380, [40960, 24576]),
+]
+
+
+@pytest.mark.parametrize("block,gspec,cname,surface,visited,counts",
+                         [(block, *pin) for block in (None, 1 << 10, 1) for pin in LABELING_PINS
+                          if block != 1 or pin[3] < 10 ** 4])
+def test_labeling_engine_is_pinned(monkeypatch, block, gspec, cname, surface, visited, counts):
+    """States and exponent histograms of the labeling oracle's engine, as a
+    label-by-label backtracking search counts them, whatever the block size;
+    a one-entry block holds one row, and the engine is that search."""
+    (G, c), = catalog_pairs([(gspec, cname)])
+    runs = []
+    engine = invariants.exact_contraction
+
+    def record(group, modulus, n_vars, var_exp, terms, plan):
+        out = engine(group, modulus, n_vars, var_exp, terms, plan)
+        runs.append((out, plan))
+        return out
+
+    monkeypatch.setattr(invariants, "exact_contraction", record)
+    if block is not None:
+        monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", block)
+    dw_labeling_oracle(G, c, surface())
+    ((got_counts, got_visited), plan), = runs
+    assert got_counts.tolist() == counts
+    assert got_visited == visited == plan.estimate_nodes(G.order)
 
 
 # ---------------------------------------------------------------------------

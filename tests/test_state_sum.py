@@ -251,7 +251,7 @@ def test_symmetric5_genus2_state_sum():
 
 
 # ---------------------------------------------------------------------------
-# frontier table against the labeling oracle's backtracking engine
+# frontier table against the labeling oracle's block-wise enumeration engine
 
 def _property_pairs():
     pairs = []
