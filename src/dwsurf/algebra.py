@@ -21,6 +21,8 @@ Tolerances: 1e-8 for the commutator residual of the class sums and for matching
 an idempotent's involution image, 1e-7 for closure and idempotency in center
 coordinates, 1e-6 for eigenvalue separation and for integer rounding of block
 dimensions and of indicators (the indicator margin is fs_rounding_residual).
+Inside one `dw check` run (the run scope of memo.py) each (group, cocycle
+table, seed) is decomposed once; every other call decomposes afresh.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 
 from .cocycles import TwoCocycle
 from .groups import FiniteGroup, conjugacy_classes
+from .memo import cocycle_key, shared
 
 CLUSTER_TOL = 1e-8
 ROUND_TOL = 1e-6
@@ -168,8 +171,15 @@ def wedderburn_decompose(A: TwistedGroupAlgebra, seed: int = 0) -> WedderburnDec
     A random real combination of the class sums acts on the center by an r x r
     matrix read off the class-sum product table; its eigenvectors span the
     primitive central idempotents (Burnside's eigenvector method).  Eigenvalue
-    collisions trigger a retry with fresh randomness.
+    collisions trigger a retry with fresh randomness.  Inside a run scope
+    (dwsurf.memo) each (group, cocycle table, seed) is decomposed once.
     """
+    dec = shared(("wedderburn_decompose", *cocycle_key(A.cocycle), seed),
+                 lambda: _decompose(A, seed))
+    return dec if dec.algebra is A else replace(dec, algebra=A)
+
+
+def _decompose(A: TwistedGroupAlgebra, seed: int) -> WedderburnDecomposition:
     Z = A.center_basis()
     center_resid = commutator_residual(A, Z)
     if center_resid > CLUSTER_TOL:

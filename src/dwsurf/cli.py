@@ -1,6 +1,10 @@
 """Command-line front end: compute single invariants, contract state sums,
 export decompositions, and run the validation suites.
 
+`dw check` runs its rows in one run scope (memo.py), so each group,
+decomposition, class list, triangulation and plan is computed once per run;
+the other commands, like library calls, keep no state between calls.
+
 Exit codes: 0 pass, 1 computational failure or disagreement, 2 usage error.
 All randomness flows from --seed (default 0, overridable via DW_SEED).
 """
@@ -23,6 +27,7 @@ from .invariants import (catalog_pairs, cross_check, boundary_hom_count,
                          boundary_hom_count_brute, dw_direct, dw_labeling_oracle,
                          mednykh_count, count_homs, nonorientable_catalog_pairs,
                          sign_catalog_pairs)
+from .memo import run_scope
 from .state_sum import fhk_state_sum, run_state_sum, star_state_sum
 from .surfaces import (GluedTriangulation, SurfaceSpec, flip_triangle, pachner_13, pachner_22,
                        pachner_variants, relator_presentation, seven_vertex_torus,
@@ -239,7 +244,7 @@ def _config_entries(path) -> list:
     return entries
 
 
-def cmd_check(args) -> int:
+def _check_rows(args) -> list:
     if args.config:
         rows = []
         for entry in _config_entries(args.config):
@@ -248,11 +253,14 @@ def cmd_check(args) -> int:
             spec = SurfaceSpec.parse(entry["surface"])
             rep = cross_check(G, c, spec, seed=entry.get("seed", args.seed))
             rows.append((f"{G.name}/{c.name}/{spec.name}", rep.passed, _values_detail(rep)))
-    else:
-        names = list(SUITES) if args.suite == "all" else [args.suite]
-        rows = []
-        for name in names:
-            rows.extend(SUITES[name](args.seed))
+        return rows
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    return [row for name in names for row in SUITES[name](args.seed)]
+
+
+def cmd_check(args) -> int:
+    with run_scope():
+        rows = _check_rows(args)
     if args.json:
         _emit({"rows": [{"name": n, "passed": p, "detail": d} for n, p, d in rows],
                "passed": all(p for _, p, _ in rows)})

@@ -20,6 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .groups import FiniteGroup, build_group, conjugacy_classes
+from .memo import cocycle_key, shared
 
 
 class CocycleError(ValueError):
@@ -280,6 +281,10 @@ def c_regular_count(G: FiniteGroup, c: TwoCocycle) -> int:
     Regularity is a class function for any true cocycle; a table that breaks
     this is rejected, since it signals corrupted input.
     """
+    return shared(("c_regular_count", *cocycle_key(c)), lambda: _c_regular_count(G, c))
+
+
+def _c_regular_count(G: FiniteGroup, c: TwoCocycle) -> int:
     regular = c_regular_elements(G, c)
     classes = conjugacy_classes(G)
     count = 0

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .memo import group_key, shared
+
 # Everything downstream is cubic-to-exponential in the order, so the cap keeps
 # all validation suites at desk scale.  The cyclic and dihedral builders and
 # direct_product apply it before building a table; symmetric_group has its own
@@ -112,6 +114,10 @@ class ConjugacyClasses:
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
+    return shared(("conjugacy_classes", *group_key(G)), lambda: _conjugacy_classes(G))
+
+
+def _conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
     n = G.order
     cay, inv = G.cayley, G.inverse
     class_of = np.full(n, -1, dtype=np.int64)
@@ -219,6 +225,10 @@ def _inverses_of(cay: np.ndarray) -> np.ndarray:
 
 def build_group(spec: str) -> FiniteGroup:
     s = spec.replace(" ", "")
+    return shared(("build_group", s), lambda: _build_group(s, spec))
+
+
+def _build_group(s: str, spec: str) -> FiniteGroup:
     if not s:
         raise GroupError("empty group descriptor")
     if s.startswith("product(") and s.endswith(")"):

@@ -411,6 +411,9 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
     and for chi <= 0 the value must be an integer, >= 1 on orientable
     surfaces and >= 0 on non-orientable ones.
 
+    A labeling oracle that refuses its input leaves its refusal in
+    diagnostics["labeling_oracle"], and the requested routes decide.
+
     ``workers`` has no effect: every route runs in this process.  It is
     still accepted so that existing callers keep working.
     """
@@ -441,7 +444,10 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
         diagnostics.update(dec.diagnostics)
     if oracle and spec.orientable and spec.genus <= 1:
         surf = tetrahedron_sphere() if spec.genus == 0 else seven_vertex_torus()
-        values["labeling_oracle"] = dw_labeling_oracle(G, c, surf)
+        try:
+            values["labeling_oracle"] = dw_labeling_oracle(G, c, surf)
+        except InvariantError as exc:     # refused as too large; the routes still count
+            diagnostics["labeling_oracle"] = str(exc)
 
     vals = list(values.values())
     integrality = None

@@ -22,6 +22,7 @@ import numpy as np
 
 from .algebra import AlgebraError, TwistedGroupAlgebra
 from .cocycles import cyclotomic_integer
+from .memo import shared
 from .surfaces import GluedTriangulation, SurfaceError, orientability_and_orientation
 
 # Rows a free edge may expand the contraction table to.  A row is a few
@@ -92,7 +93,13 @@ class TriangleTerm:
 
 def plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
     """Greedy deterministic order: always take a forced edge when one exists,
-    otherwise the edge touching the most nearly-complete triangles."""
+    otherwise the edge touching the most nearly-complete triangles.  The plan
+    depends on the terms' edge variables only."""
+    key = ("plan_from_terms", n_vars, tuple(term.vars for term in terms))
+    return shared(key, lambda: _plan_from_terms(n_vars, terms))
+
+
+def _plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
     slots_of = [[] for _ in range(n_vars)]
     for ti, term in enumerate(terms):
         for s, v in enumerate(term.vars):

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .memo import shared
+
 
 class SurfaceError(ValueError):
     """Invalid surface data or rejected move."""
@@ -257,6 +259,10 @@ def standard_triangulation(spec: SurfaceSpec) -> GluedTriangulation:
     genus g >= 1, the 2k-gon with word a_1^2...a_k^2 for non-orientable
     genus k >= 2.
     """
+    return shared(("standard_triangulation", spec), lambda: _standard_triangulation(spec))
+
+
+def _standard_triangulation(spec: SurfaceSpec) -> GluedTriangulation:
     if spec.orientable and spec.genus == 0:
         pairing = np.array([3, 5, 4, 0, 2, 1])
         reversal = np.ones(6, dtype=bool)

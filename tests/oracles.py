@@ -4,10 +4,10 @@ The twisted multiplication is read off its definition, and the regular
 matrices, the dense structure constants and the pairing vector are built from
 it.  The dense Fukuma-Hosono-Kawai contraction checks the sparse state-sum
 engine.  Homomorphisms are enumerated one tuple at a time, and one relator
-weight serves orientable and non-orientable words alike; the weighted
-brute force histograms those weights over all tuples at once, for any table
-of exponents, and checks the direct route's transfer operators.  All of
-them are literal and slow, meant for groups of order 16 or less.
+weight serves orientable and non-orientable words alike, for any table of
+exponents; histogrammed over the homomorphisms, these weights check the
+direct route's transfer operators.  All of them are literal and slow, meant
+for groups of order 16 or less.
 """
 
 import itertools
@@ -113,40 +113,3 @@ def relator_weight(c, pres, hom) -> RootOfUnity:
 def weight_sum(c, pres) -> complex:
     """Sum of the embedded relator weights over every homomorphism."""
     return sum(relator_weight(c, pres, hom).value for hom in enumerate_homs(c.group, pres))
-
-
-def weighted_hom_counts(G, c, pres, orientable: bool) -> np.ndarray:
-    """Histogram over k of relator-satisfying assignments with weight zeta^k,
-    by enumerating all n^generators tuples, vectorized over all but the first
-    generator.  Any table of exponents serves as c.exps, cocycle or not; the
-    first letter carries no c(1, g) term and, when orientable, each generator
-    pays c(x, x^-1) back, as in relator_weight."""
-    n, m, N = G.order, pres.generators, c.order
-    counts = np.zeros(N, dtype=np.int64)
-    if m == 0:
-        counts[0] = 1
-        return counts
-    cay, inv, exps = G.cayley, G.inverse, c.exps
-    word = pres.word
-    rest = n ** (m - 1)
-    base = np.arange(rest)
-    vals = [None] * m
-    for j in range(1, m):
-        vals[j] = (base // n ** (m - 1 - j)) % n
-    for v0 in range(n):
-        vals[0] = np.full(rest, v0)
-        h = None
-        esum = np.zeros(rest, dtype=np.int64)
-        for pos, letter in enumerate(word):
-            g = vals[abs(letter) - 1]
-            e = g if letter > 0 else inv[g]
-            if pos == 0:
-                h = e.copy()
-            else:
-                esum += exps[h, e]
-                h = cay[h, e]
-        if orientable:
-            for j in range(m):
-                esum -= exps[vals[j], inv[vals[j]]]
-        counts += np.bincount(esum[h == 0] % N, minlength=N)
-    return counts

@@ -2,11 +2,17 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from dwsurf.cli import main, parse_cocycle
-from dwsurf.cocycles import heisenberg_cocycle, write_cocycle_file
+from dwsurf import algebra
+from dwsurf.algebra import TwistedGroupAlgebra, wedderburn_decompose
+from dwsurf.cli import build_parser, cmd_check, main, parse_cocycle
+from dwsurf.cocycles import (RootOfUnity, heisenberg_cocycle, trivial_cocycle, twist,
+                             write_cocycle_file)
 from dwsurf.groups import build_group
+from dwsurf.invariants import cross_check
+from dwsurf.memo import run_scope
 from dwsurf.surfaces import SurfaceSpec, standard_triangulation
 
 
@@ -90,6 +96,17 @@ def test_compute_with_oracle(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["exact"]["labeling_oracle"] == "2"
+
+
+def test_refused_labeling_oracle_keeps_the_route_values(capsys):
+    code, out = run(capsys, "compute", "--group", "quaternion:8", "--surface", "orientable:1",
+                    "--oracle", "--json")
+    data = json.loads(out)
+    assert code == 0
+    assert data["passed"]
+    assert data["exact"] == {"direct": "5", "statesum": "5", "verlinde": "5"}
+    assert data["diagnostics"]["labeling_oracle"] == (
+        "labeling sum needs 107816072 states, beyond the limit 100000000")
 
 
 def test_compute_single_method(capsys):
@@ -281,3 +298,68 @@ def test_seed_env_override(monkeypatch, capsys):
     code, out = run(capsys, "decompose", "--group", "cyclic:3")
     assert code == 0
     assert json.loads(out)["seed"] == 7
+
+
+# ---------------------------------------------------------------------------
+# the run scope of dw check: each algebra is decomposed once per run, and
+# nothing outlives the run
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """The (group, seed) of every decomposition computed, stored results excluded."""
+    calls = []
+    decompose = algebra._decompose
+
+    def counted(A, seed):
+        calls.append((A.group.name, seed))
+        return decompose(A, seed)
+
+    monkeypatch.setattr(algebra, "_decompose", counted)
+    return calls
+
+
+def test_check_decomposes_each_algebra_once_per_run(capsys, decompositions):
+    assert main(["check", "--suite", "all", "--json"]) == 0
+    assert len(decompositions) == 18
+    assert main(["check", "--suite", "all", "--json"]) == 0
+    assert len(decompositions) == 36
+    capsys.readouterr()
+
+
+def test_cross_check_outside_check_keeps_no_state(decompositions):
+    G = build_group("quaternion:8")
+    c = trivial_cocycle(G)
+    for _ in range(2):
+        assert cross_check(G, c, SurfaceSpec(True, 1)).passed
+    assert len(decompositions) == 2
+
+
+def test_run_scope_ends_when_check_returns_or_raises(capsys, tmp_path, decompositions):
+    A = TwistedGroupAlgebra(build_group("cyclic:2"), trivial_cocycle(build_group("cyclic:2")))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps([ENTRY, ENTRY]))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([ENTRY, {"group": "nonsense:2", "surface": "orientable:1"}]))
+    assert main(["check", "--config", str(good), "--json"]) == 0
+    assert len(decompositions) == 1
+    with pytest.raises(ValueError, match="unknown group family"):
+        cmd_check(build_parser().parse_args(["check", "--config", str(bad)]))
+    assert len(decompositions) == 2
+    for _ in range(2):
+        wedderburn_decompose(A)
+    assert len(decompositions) == 4
+    capsys.readouterr()
+
+
+def test_run_scope_keys_on_seed_and_cocycle_table(decompositions):
+    c = heisenberg_cocycle(2)
+    b = [RootOfUnity(0, 1), RootOfUnity(1, 2), RootOfUnity(0, 1), RootOfUnity(0, 1)]
+    twisted = twist(c, b)
+    assert twisted.order == c.order and not np.array_equal(twisted.exps, c.exps)
+    with run_scope():
+        decs = [wedderburn_decompose(TwistedGroupAlgebra(c.group, cocycle), seed)
+                for cocycle, seed in ((c, 0), (c, 0), (c, 1), (twisted, 0), (twisted, 0))]
+    assert decompositions == [(c.group.name, 0), (c.group.name, 1), (c.group.name, 0)]
+    assert decs[1].blocks is decs[0].blocks and decs[4].blocks is decs[3].blocks
+    assert decs[1].algebra is not decs[0].algebra    # each caller gets its own algebra
+    assert decs[3].dims == decs[0].dims
