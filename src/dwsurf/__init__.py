@@ -11,7 +11,7 @@ from .cocycles import (RootOfUnity, TwoCocycle, CocycleError, coboundary, c_regu
                        heisenberg_cocycle, read_cocycle_file, sign_cocycles_catalog,
                        trivial_cocycle, twist, verify_cocycle, write_cocycle_file)
 from .algebra import (AlgebraError, Block, TwistedGroupAlgebra, WedderburnDecomposition,
-                      decomposition_to_json, fs_indicators, wedderburn_decompose)
+                      decomposition_to_json, wedderburn_decompose)
 from .surfaces import (GluedTriangulation, RelatorPresentation, SimplicialSurface,
                        SurfaceError, SurfaceSpec, flip_triangle, orientability_and_orientation,
                        pachner_13, pachner_22, relator_presentation, seven_vertex_torus,

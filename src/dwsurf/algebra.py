@@ -2,9 +2,10 @@
 
 The algebra A = C[G] with multiplication g1.g2 = c(g1,g2) g1g2 is semisimple;
 this module computes its trace form, center, primitive central idempotents,
-block dimensions, projective characters, the matrix of the involution
-g* = c(g,g^-1) g^-1 for sign-valued cocycles, and the symmetric/skew/dual
-indicator of every block.  No general product of two elements is formed:
+block dimensions, projective characters and, for sign-valued cocycles, the
+involution g* = c(g,g^-1) g^-1 and the symmetric/skew/dual indicator of
+every block.  wedderburn_decompose is a pure function of the algebra that
+returns all of them.  No general product of two elements is formed:
 the only products are those of class sums, tabulated once in center
 coordinates.  The reference multiplication, the regular matrices and the
 dense structure constants are test oracles, in tests/oracles.py.
@@ -16,19 +17,21 @@ computations, with no rank cutoff.  Characters and indicators are closed forms
 in the primitive central idempotents, O(#G) each, with no basis of the ideals.
 The idempotents are eigenvectors of a generic central element in center
 coordinates, scaled by one linear solve so that they sum to the unit and
-checked for idempotency and orthogonality in the same coordinates.
+checked for idempotency and orthogonality in the same coordinates.  The
+generic elements come from one fixed random stream, so the same algebra always
+gets the same decomposition, residuals included.  The involution acts on
+coefficient vectors by one gather.
 Tolerances: 1e-8 for the commutator residual of the class sums and for matching
 an idempotent's involution image, 1e-7 for closure and idempotency in center
 coordinates, 1e-6 for eigenvalue separation and for integer rounding of block
 dimensions and of indicators (the indicator margin is fs_rounding_residual).
 Inside one `dw check` run (the run scope of memo.py) each (group, cocycle
-table, seed) is decomposed once; every other call decomposes afresh.
+table) is decomposed once; every other call decomposes afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -67,15 +70,14 @@ class TwistedGroupAlgebra:
         """Trace of left multiplication by a: #G times the identity coefficient."""
         return self.dim * a[0]
 
-    @cached_property
-    def star_matrix(self) -> np.ndarray:
-        """Matrix of the involution g -> c(g, g^-1) g^-1 (sign-valued cocycles only)."""
+    def star(self, a: np.ndarray) -> np.ndarray:
+        """The involution e_g -> c(g, g^-1) e_{g^-1} (sign-valued cocycles only),
+        applied to the coefficient vectors along the last axis of a: the
+        coefficient at g^-1 moves to g, times c(g^-1, g)."""
         if not self.cocycle.is_sign_valued:
             raise AlgebraError("the involution needs a cocycle with values in {+1,-1}")
-        n, inv = self.dim, self.group.inverse
-        S = np.zeros((n, n), dtype=complex)
-        S[inv, np.arange(n)] = self.omega[np.arange(n), inv]
-        return S
+        inv = self.group.inverse
+        return np.asarray(a)[..., inv] * self.omega[inv, np.arange(self.dim)]
 
     def center_basis(self) -> np.ndarray:
         """Orthonormal rows spanning the center: the twisted class sums.
@@ -141,7 +143,7 @@ class Block:
     idempotent: np.ndarray    # primitive central idempotent e in A
     dim: int                  # d with the block isomorphic to Mat_d(C)
     character: np.ndarray     # chi(g) = tr(g on the simple module), length #G
-    fs: int | None = None     # +1 symmetric, -1 skew, 0 dual pair, None unset
+    fs: int | None = None     # +1 symmetric, -1 skew, 0 dual pair, None: no involution
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +152,6 @@ class WedderburnDecomposition:
 
     algebra: TwistedGroupAlgebra
     blocks: tuple
-    seed: int
     diagnostics: dict
 
     @property
@@ -165,21 +166,22 @@ class WedderburnDecomposition:
         return len(self.blocks)
 
 
-def wedderburn_decompose(A: TwistedGroupAlgebra, seed: int = 0) -> WedderburnDecomposition:
-    """Split A into matrix blocks via eigenprojections of a generic central element.
+def wedderburn_decompose(A: TwistedGroupAlgebra) -> WedderburnDecomposition:
+    """Split A into matrix blocks via eigenprojections of a generic central element,
+    with the indicators of every block when the cocycle is sign-valued.
 
     A random real combination of the class sums acts on the center by an r x r
     matrix read off the class-sum product table; its eigenvectors span the
-    primitive central idempotents (Burnside's eigenvector method).  Eigenvalue
-    collisions trigger a retry with fresh randomness.  Inside a run scope
-    (dwsurf.memo) each (group, cocycle table, seed) is decomposed once.
+    primitive central idempotents (Burnside's eigenvector method).  The
+    combinations are drawn from one fixed stream, and an eigenvalue collision
+    moves on to the next one.  Inside a run scope (dwsurf.memo) each (group,
+    cocycle table) is decomposed once.
     """
-    dec = shared(("wedderburn_decompose", *cocycle_key(A.cocycle), seed),
-                 lambda: _decompose(A, seed))
+    dec = shared(("wedderburn_decompose", *cocycle_key(A.cocycle)), lambda: _decompose(A))
     return dec if dec.algebra is A else replace(dec, algebra=A)
 
 
-def _decompose(A: TwistedGroupAlgebra, seed: int) -> WedderburnDecomposition:
+def _decompose(A: TwistedGroupAlgebra) -> WedderburnDecomposition:
     Z = A.center_basis()
     center_resid = commutator_residual(A, Z)
     if center_resid > CLUSTER_TOL:
@@ -188,7 +190,7 @@ def _decompose(A: TwistedGroupAlgebra, seed: int) -> WedderburnDecomposition:
     r = len(Z)
     coords = _center_product_table(A, Z)
     one = Z[:, 0].conj()                         # the unit in center coordinates
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(MAX_RETRIES):
         # row b holds the coordinates of z.Z_b for z = t.Z
         act = np.tensordot(rng.standard_normal(r), coords, axes=1)
@@ -218,7 +220,8 @@ def _decompose(A: TwistedGroupAlgebra, seed: int) -> WedderburnDecomposition:
         "dim_rounding_residual": float(max(abs(np.sqrt(A.trace(b.idempotent).real) - b.dim)
                                            for b in blocks)),
     }
-    return WedderburnDecomposition(A, tuple(blocks), seed, diagnostics)
+    dec = WedderburnDecomposition(A, tuple(blocks), diagnostics)
+    return fs_indicators(dec) if A.cocycle.is_sign_valued else dec
 
 
 def _center_product_table(A: TwistedGroupAlgebra, Z: np.ndarray) -> np.ndarray:
@@ -263,45 +266,47 @@ def fs_indicators(dec: WedderburnDecomposition) -> WedderburnDecomposition:
     dimension (d^2 + tr)/2 = d(d+1)/2 or d(d-1)/2, i.e. tr = +d or -d.  In the
     group basis the diagonal of S o R_e at g comes from e[g^-2] alone:
     tr = sum_g c(g^-1, g) c(g, g^-2) e[g^-2].  Matching S.e against the
-    idempotents decides the pairing independently, and the two must agree.
+    idempotents decides the pairing independently, and the two must agree:
+    each image is paired with the nearest idempotent by one r x r matrix of
+    squared distances, and must equal it within CLUSTER_TOL in every
+    coefficient.  wedderburn_decompose calls this for every sign-valued cocycle.
     """
     A = dec.algebra
-    S = A.star_matrix
+    E = np.array([b.idempotent for b in dec.blocks])
+    SE = A.star(E)
+    k = np.arange(len(E))
+    dist2 = ((np.abs(SE) ** 2).sum(axis=1)[:, None] + (np.abs(E) ** 2).sum(axis=1)
+             - 2 * (SE @ E.conj().T).real)      # |S e_i - e_j|^2
+    mate = dist2.argmin(axis=1)
+    if np.abs(SE - E[mate]).max() > CLUSTER_TOL:
+        raise AlgebraError("involution image of an idempotent matches no block")
+    if (mate[mate] != k).any():
+        raise AlgebraError("involution does not pair blocks consistently")
     g, inv = np.arange(A.dim), A.group.inverse
     sq_inv = A.group.cayley[inv, inv]            # g^-2
     phase = A.omega[inv, g] * A.omega[g, sq_inv]
-    blocks = list(dec.blocks)
-    images = []
-    for b in blocks:
-        es = S @ b.idempotent
-        dists = [float(np.abs(es - other.idempotent).max()) for other in blocks]
-        mate = int(np.argmin(dists))
-        if dists[mate] > CLUSTER_TOL:
-            raise AlgebraError("involution image of an idempotent matches no block")
-        images.append(mate)
-    out, margin = [], 0.0
-    for k, b in enumerate(blocks):
-        if images[images[k]] != k:
-            raise AlgebraError("involution does not pair blocks consistently")
-        ratio = complex(np.sum(phase * b.idempotent[sq_inv])) / b.dim
-        fs = int(round(ratio.real))
-        margin = max(margin, abs(ratio - fs))
-        if abs(ratio - fs) > ROUND_TOL or abs(fs) > 1:
-            raise AlgebraError(f"indicator {ratio} is not -1, 0 or +1 within 1e-6; "
-                               "decomposition error")
-        if (fs == 0) != (images[k] != k):
-            raise AlgebraError(f"indicator {fs} disagrees with the involution's block "
-                               "pairing; decomposition error")
-        out.append(replace(b, fs=fs))
-    return WedderburnDecomposition(A, tuple(out), dec.seed,
-                                   dict(dec.diagnostics, fs_rounding_residual=margin))
+    # summed row by row and measured by hypot, these round exactly as a scalar
+    # np.sum and abs() do; an axis sum and np.abs of complex arrays differ in the last bit
+    ratios = np.array([np.sum(t) for t in phase * E[:, sq_inv]]) / np.array(dec.dims)
+    fs = np.rint(ratios.real).astype(np.int64)
+    margins = np.hypot(ratios.real - fs, ratios.imag)
+    bad = (margins > ROUND_TOL) | (np.abs(fs) > 1)
+    if bad.any():
+        raise AlgebraError(f"indicator {ratios[bad][0]} is not -1, 0 or +1 within 1e-6; "
+                           "decomposition error")
+    clash = (fs == 0) != (mate != k)
+    if clash.any():
+        raise AlgebraError(f"indicator {fs[clash][0]} disagrees with the involution's block "
+                           "pairing; decomposition error")
+    blocks = tuple(replace(b, fs=int(f)) for b, f in zip(dec.blocks, fs))
+    return WedderburnDecomposition(A, blocks, dict(dec.diagnostics,
+                                                   fs_rounding_residual=float(margins.max())))
 
 
 def decomposition_to_json(dec: WedderburnDecomposition) -> dict:
     return {
         "group": dec.algebra.group.name,
         "cocycle": dec.algebra.cocycle.name,
-        "seed": dec.seed,
         "blocks": [
             {
                 "dim": b.dim,

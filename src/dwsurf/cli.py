@@ -6,7 +6,9 @@ decomposition, class list, triangulation and plan is computed once per run;
 the other commands, like library calls, keep no state between calls.
 
 Exit codes: 0 pass, 1 computational failure or disagreement, 2 usage error.
-All randomness flows from --seed (default 0, overridable via DW_SEED).
+Every command is deterministic.  The one random input is `dw check --seed`
+(default 0, overridable via DW_SEED), which draws the invariance suite's
+coboundary twists and Pachner variants.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .algebra import TwistedGroupAlgebra, decomposition_to_json, fs_indicators, wedderburn_decompose
+from .algebra import TwistedGroupAlgebra, decomposition_to_json, wedderburn_decompose
 from .cocycles import (RootOfUnity, TwoCocycle, heisenberg_cocycle, read_cocycle_file,
                        trivial_cocycle, twist)
 from .groups import FiniteGroup, build_group, conjugacy_classes, involution_set
@@ -53,8 +55,10 @@ def parse_cocycle(spec: str, G: FiniteGroup) -> TwoCocycle:
     raise ValueError(f"cannot parse cocycle descriptor {spec!r}")
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("DW_SEED", "0"))
+def _default_seed() -> str:
+    """DW_SEED, or "0".  argparse converts a string default like a typed value,
+    so a malformed DW_SEED is a usage error of `dw check` and of nothing else."""
+    return os.environ.get("DW_SEED", "0")
 
 
 def _emit(data, as_json=True):
@@ -69,7 +73,7 @@ def cmd_compute(args) -> int:
     c = parse_cocycle(args.cocycle, G)
     spec = SurfaceSpec.parse(args.surface)
     methods = ("direct", "statesum", "verlinde") if args.method == "all" else (args.method,)
-    report = cross_check(G, c, spec, methods=methods, oracle=args.oracle, seed=args.seed)
+    report = cross_check(G, c, spec, methods=methods, oracle=args.oracle)
     if args.csv:
         out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(["group", "cocycle", "surface", "method", "re", "im", "exact"])
@@ -104,10 +108,7 @@ def cmd_statesum(args) -> int:
 def cmd_decompose(args) -> int:
     G = build_group(args.group)
     c = parse_cocycle(args.cocycle, G)
-    dec = wedderburn_decompose(TwistedGroupAlgebra(G, c), args.seed)
-    if c.is_sign_valued:
-        dec = fs_indicators(dec)
-    _emit(decomposition_to_json(dec))
+    _emit(decomposition_to_json(wedderburn_decompose(TwistedGroupAlgebra(G, c))))
     return 0
 
 
@@ -123,17 +124,17 @@ def _suite_theorems(seed: int) -> list:
     for G, c in catalog_pairs():
         for genus in range(0, 3):
             spec = SurfaceSpec(True, genus)
-            rep = cross_check(G, c, spec, seed=seed)
+            rep = cross_check(G, c, spec)
             rows.append((f"orientable routes {G.name}/{c.name}/{spec.name}", rep.passed,
                          _values_detail(rep)))
         spec = SurfaceSpec(True, 3)
-        rep = cross_check(G, c, spec, methods=("direct", "verlinde"), seed=seed)
+        rep = cross_check(G, c, spec, methods=("direct", "verlinde"))
         rows.append((f"orientable routes {G.name}/{c.name}/{spec.name}", rep.passed,
                      _values_detail(rep)))
     for G, c in nonorientable_catalog_pairs():
         for genus in (1, 2, 3):
             spec = SurfaceSpec(False, genus)
-            rep = cross_check(G, c, spec, seed=seed)
+            rep = cross_check(G, c, spec)
             rows.append((f"nonorientable routes {G.name}/{c.name}/{spec.name}", rep.passed,
                          _values_detail(rep)))
     return rows
@@ -156,22 +157,22 @@ def _suite_oracles(seed: int) -> list:
             pres = relator_presentation(spec)
             if G.order ** pres.generators > 10 ** 8:
                 continue
-            formula = mednykh_count(G, spec, seed=seed)
+            formula = mednykh_count(G, spec)
             brute = count_homs(G, pres)
             rows.append((f"hom-count formula {G.name}/genus {genus}", formula == brute,
                          f"{formula} vs {brute}"))
     S3 = build_group("symmetric:3")
     for rep in conjugacy_classes(S3).representatives:
-        formula = boundary_hom_count(S3, 1, (rep,), seed=seed)
+        formula = boundary_hom_count(S3, 1, (rep,))
         brute = boundary_hom_count_brute(S3, 1, (rep,))
         rows.append((f"boundary formula symmetric:3 g=1 class of {rep}", formula == brute,
                      f"{formula} vs {brute}"))
     Z2 = build_group("cyclic:2")
-    formula = boundary_hom_count(Z2, 0, (1, 1), seed=seed)
+    formula = boundary_hom_count(Z2, 0, (1, 1))
     brute = boundary_hom_count_brute(Z2, 0, (1, 1))
     rows.append(("boundary formula cyclic:2 g=0 k=2", formula == brute, f"{formula} vs {brute}"))
     for G, c in sign_catalog_pairs():
-        dec = fs_indicators(wedderburn_decompose(TwistedGroupAlgebra(G, c), seed))
+        dec = wedderburn_decompose(TwistedGroupAlgebra(G, c))
         lhs = sum(b.fs * b.dim for b in dec.blocks)
         inv_sum = sum(1 if c.exps[g, g] == 0 else -1 for g in involution_set(G))
         rows.append((f"indicator sum {G.name}/{c.name}", lhs == inv_sum, f"{lhs} vs {inv_sum}"))
@@ -217,13 +218,14 @@ def _suite_invariance(seed: int) -> list:
     return rows
 
 
+# Each suite takes the run's seed; only the invariance suite draws from it.
 SUITES = {"theorems": _suite_theorems, "oracles": _suite_oracles, "invariance": _suite_invariance}
 
 
 def _config_entries(path) -> list:
     """The entries of a --config file, each an object with string "group" and
-    "surface", an optional string "cocycle" and an optional integer "seed";
-    any other shape or key is rejected by entry index."""
+    "surface" and an optional string "cocycle"; any other shape or key is
+    rejected by entry index."""
     with open(path, encoding="utf-8") as fh:
         entries = json.load(fh)
     if not isinstance(entries, list):
@@ -232,15 +234,13 @@ def _config_entries(path) -> list:
         if not isinstance(entry, dict):
             raise ValueError(f"config entry {i} must be an object, got {entry!r}")
         for key in entry:
-            if key not in ("group", "surface", "cocycle", "seed"):
+            if key not in ("group", "surface", "cocycle"):
                 raise ValueError(f"config entry {i} has an unknown key {key!r}")
         for key in ("group", "surface"):
             if not isinstance(entry.get(key), str):
                 raise ValueError(f"config entry {i} needs a string {key!r}")
         if not isinstance(entry.get("cocycle", ""), str):
             raise ValueError(f"config entry {i}: 'cocycle' must be a string")
-        if type(entry.get("seed", 0)) is not int:
-            raise ValueError(f"config entry {i}: 'seed' must be an integer")
     return entries
 
 
@@ -251,7 +251,7 @@ def _check_rows(args) -> list:
             G = build_group(entry["group"])
             c = parse_cocycle(entry.get("cocycle", "trivial"), G)
             spec = SurfaceSpec.parse(entry["surface"])
-            rep = cross_check(G, c, spec, seed=entry.get("seed", args.seed))
+            rep = cross_check(G, c, spec)
             rows.append((f"{G.name}/{c.name}/{spec.name}", rep.passed, _values_detail(rep)))
         return rows
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -276,13 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=_default_seed())
-
-    def worker_flag(p):
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
-
     p = sub.add_parser("compute", help="evaluate one surface invariant")
     p.add_argument("--group", required=True)
     p.add_argument("--cocycle", default="trivial")
@@ -292,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", default=True)
     group.add_argument("--csv", action="store_true")
-    common(p)
-    worker_flag(p)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("statesum", help="contract a state sum over a triangulation")
@@ -301,13 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cocycle", default="trivial")
     p.add_argument("--surface", required=True)
     p.add_argument("--tri", default="standard")
-    common(p)
     p.set_defaults(func=cmd_statesum)
 
     p = sub.add_parser("decompose", help="export the block decomposition as JSON")
     p.add_argument("--group", required=True)
     p.add_argument("--cocycle", default="trivial")
-    common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("check", help="run validation suites")
@@ -315,8 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--config", help="JSON file with explicit (group, cocycle, surface) entries")
     p.add_argument("--json", action="store_true")
-    common(p)
-    worker_flag(p)
+    p.add_argument("--seed", type=int, default=_default_seed(),
+                   help="draws the invariance suite's twists and Pachner variants")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_check)
     return parser
 

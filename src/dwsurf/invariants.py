@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import TwistedGroupAlgebra, WedderburnDecomposition, fs_indicators, wedderburn_decompose
+from .algebra import TwistedGroupAlgebra, WedderburnDecomposition, wedderburn_decompose
 from .cocycles import TwoCocycle, c_regular_count, cyclotomic_integer, trivial_cocycle
 from .groups import FiniteGroup, conjugacy_classes
 from .state_sum import TriangleTerm, plan_from_terms, run_state_sum
@@ -297,20 +297,20 @@ def verlinde(dec: WedderburnDecomposition, spec: SurfaceSpec) -> Fraction:
     return Fraction(dec.algebra.dim) ** (-chi) * total
 
 
-def mednykh_count(G: FiniteGroup, spec: SurfaceSpec, seed: int = 0) -> int:
+def mednykh_count(G: FiniteGroup, spec: SurfaceSpec) -> int:
     """|Hom(pi_1(orientable surface), G)| from ordinary irreducible dimensions:
     #G * sum over irreducibles of (#G/dim)^(2g-2), i.e. #G times the Verlinde
     value of the trivial cocycle."""
     if not spec.orientable:
         raise InvariantError("the homomorphism-count formula is for orientable surfaces")
-    dec = wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G)), seed)
+    dec = wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G)))
     val = G.order * verlinde(dec, spec)
     if val.denominator != 1:
         raise InvariantError(f"homomorphism count {val} is not an integer")
     return int(val)
 
 
-def boundary_hom_count(G: FiniteGroup, genus: int, boundary: tuple, seed: int = 0) -> int:
+def boundary_hom_count(G: FiniteGroup, genus: int, boundary: tuple) -> int:
     """Number of homomorphisms from a genus-g surface with k boundary circles
     sending the i-th boundary class into the conjugacy class of boundary[i].
 
@@ -322,7 +322,7 @@ def boundary_hom_count(G: FiniteGroup, genus: int, boundary: tuple, seed: int = 
     k = len(boundary)
     if k < 1:
         raise InvariantError("at least one boundary circle is required")
-    dec = wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G)), seed)
+    dec = wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G)))
     classes = conjugacy_classes(G)
     n = G.order
     class_sizes = [classes.sizes[classes.class_of[g]] for g in boundary]
@@ -414,7 +414,8 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
     A labeling oracle that refuses its input leaves its refusal in
     diagnostics["labeling_oracle"], and the requested routes decide.
 
-    ``workers`` has no effect: every route runs in this process.  It is
+    ``seed`` and ``workers`` have no effect: the decomposition is a pure
+    function of the algebra, and every route runs in this process.  Both are
     still accepted so that existing callers keep working.
     """
     values: dict = {}
@@ -432,9 +433,7 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
         states = res.states_visited
         diagnostics["statesum_plan_free_edges"] = res.plan.free_count
     if "verlinde" in methods:
-        dec = wedderburn_decompose(A, seed)
-        if not spec.orientable:
-            dec = fs_indicators(dec)
+        dec = wedderburn_decompose(A)
         values["verlinde"] = verlinde(dec, spec)
         r = c_regular_count(G, c)
         diagnostics["block_dims"] = list(dec.dims)

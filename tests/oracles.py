@@ -2,7 +2,7 @@
 
 The twisted multiplication is read off its definition, and the regular
 matrices, the dense structure constants and the pairing vector are built from
-it.  The dense Fukuma-Hosono-Kawai contraction checks the sparse state-sum
+it; the involution of a sign-valued cocycle is a dense matrix.  The dense Fukuma-Hosono-Kawai contraction checks the sparse state-sum
 engine.  Homomorphisms are enumerated one tuple at a time, and one relator
 weight serves orientable and non-orientable words alike, for any table of
 exponents; histogrammed over the homomorphisms, these weights check the
@@ -14,6 +14,7 @@ import itertools
 
 import numpy as np
 
+from dwsurf.algebra import AlgebraError
 from dwsurf.cocycles import RootOfUnity
 from dwsurf.invariants import InvariantError
 from dwsurf.surfaces import orientability_and_orientation
@@ -27,6 +28,17 @@ def multiply(A, a, b):
     a[x] b[y] c(x, y) lands at position xy.  Broadcasts over leading axes."""
     terms = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :] * A.omega
     return terms.reshape(terms.shape[:-2] + (-1,)) @ np.eye(A.dim)[A.group.cayley.ravel()]
+
+
+def star_matrix(A):
+    """Matrix of the involution e_g -> c(g, g^-1) e_{g^-1} in the group basis,
+    for sign-valued cocycles only: column g holds c(g, g^-1) at row g^-1."""
+    if not A.cocycle.is_sign_valued:
+        raise AlgebraError("the involution needs a cocycle with values in {+1,-1}")
+    n, inv = A.dim, A.group.inverse
+    S = np.zeros((n, n), dtype=complex)
+    S[inv, np.arange(n)] = A.omega[np.arange(n), inv]
+    return S
 
 
 def left_matrix(A, a):

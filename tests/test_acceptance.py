@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from dwsurf.algebra import TwistedGroupAlgebra, fs_indicators, wedderburn_decompose
+from dwsurf.algebra import TwistedGroupAlgebra, wedderburn_decompose
 from dwsurf.cli import SUITES
 from dwsurf.cocycles import RootOfUnity, c_regular_count, trivial_cocycle, twist
 from dwsurf.groups import build_group
@@ -50,7 +50,7 @@ def test_sign_catalog_block_dimensions():
 
 def test_quaternion_indicator_sum():
     Q8 = build_group("quaternion:8")
-    dec = fs_indicators(wedderburn_decompose(TwistedGroupAlgebra(Q8, trivial_cocycle(Q8))))
+    dec = wedderburn_decompose(TwistedGroupAlgebra(Q8, trivial_cocycle(Q8)))
     assert sum(b.fs * b.dim for b in dec.blocks) == 2
 
 

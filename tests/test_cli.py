@@ -118,8 +118,7 @@ def test_compute_single_method(capsys):
 
 
 def test_repeated_runs_are_byte_identical(capsys):
-    args = ("compute", "--group", "quaternion:8", "--surface", "orientable:2",
-            "--seed", "0")
+    args = ("compute", "--group", "quaternion:8", "--surface", "orientable:2")
     _, first = run(capsys, *args)
     _, second = run(capsys, *args)
     assert first == second
@@ -162,8 +161,19 @@ def test_malformed_triangulation_file_is_a_json_error(capsys, tmp_path, data, me
 
 
 def test_workers_flag_is_accepted_and_has_no_effect(capsys):
-    argv = ("compute", "--group", "quaternion:8", "--surface", "orientable:2")
+    argv = ("check", "--suite", "oracles", "--json")
     assert run(capsys, *argv, "--workers", "3") == run(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--group", "quaternion:8", "--surface", "orientable:1", "--workers", "1"),
+    ("compute", "--group", "quaternion:8", "--surface", "orientable:1", "--seed", "0"),
+    ("statesum", "--group", "quaternion:8", "--surface", "orientable:1", "--seed", "0"),
+    ("decompose", "--group", "quaternion:8", "--seed", "0"),
+])
+def test_only_check_takes_seed_and_workers(capsys, argv):
+    assert main(list(argv)) == 2
+    capsys.readouterr()
 
 
 def test_statesum_takes_no_workers(capsys):
@@ -185,6 +195,15 @@ def test_decompose_output(capsys):
     assert code == 0
     assert [b["dim"] for b in data["blocks"]] == [1, 1, 2]
     assert all(b["fs"] == fs for b, fs in zip(data["blocks"], (1, 1, 1)))
+    assert "seed" not in data
+
+
+def test_compute_reports_indicators_on_orientable_surfaces(capsys):
+    code, out = run(capsys, "compute", "--group", "quaternion:8", "--surface", "orientable:1")
+    diagnostics = json.loads(out)["diagnostics"]
+    assert code == 0
+    assert diagnostics["fs"] == [1, 1, 1, 1, -1]
+    assert diagnostics["fs_rounding_residual"] < 1e-9
 
 
 def test_cocycle_file_descriptor(tmp_path, capsys):
@@ -248,7 +267,7 @@ def test_usage_errors_exit_two(capsys):
 
 def test_check_config_file(capsys, tmp_path):
     config = [{"group": "cyclic:2", "cocycle": "trivial", "surface": "orientable:1"},
-              {"group": "symmetric:3", "surface": "orientable:2", "seed": 3}]
+              {"group": "symmetric:3", "surface": "orientable:2"}]
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(config))
     code, out = run(capsys, "check", "--config", str(path), "--json")
@@ -269,8 +288,7 @@ ENTRY = {"group": "cyclic:2", "surface": "orientable:1"}
     (json.dumps(ENTRY), "JSON list"),
     (json.dumps([dict(ENTRY, tol=1e-3)]), "entry 0 has an unknown key 'tol'"),
     (json.dumps([dict(ENTRY, cocycle=2)]), "entry 0: 'cocycle' must be a string"),
-    (json.dumps([dict(ENTRY, seed="0")]), "entry 0: 'seed' must be an integer"),
-    (json.dumps([dict(ENTRY, seed=True)]), "entry 0: 'seed' must be an integer"),
+    (json.dumps([dict(ENTRY, seed=0)]), "entry 0 has an unknown key 'seed'"),
     ("[{", "JSONDecodeError"),
 ])
 def test_malformed_config_is_a_json_error(capsys, tmp_path, text, message):
@@ -293,11 +311,17 @@ def test_parse_cocycle_validates_group():
         parse_cocycle("heisenberg:q", G)
 
 
-def test_seed_env_override(monkeypatch, capsys):
+def test_seed_env_sets_the_check_seed(monkeypatch):
     monkeypatch.setenv("DW_SEED", "7")
-    code, out = run(capsys, "decompose", "--group", "cyclic:3")
-    assert code == 0
-    assert json.loads(out)["seed"] == 7
+    assert build_parser().parse_args(["check"]).seed == 7
+    assert build_parser().parse_args(["check", "--seed", "3"]).seed == 3
+
+
+def test_malformed_seed_env_is_a_usage_error_of_check_only(monkeypatch, capsys):
+    monkeypatch.setenv("DW_SEED", "x")
+    assert main(["check", "--suite", "oracles"]) == 2
+    code, out = run(capsys, "compute", "--group", "cyclic:2", "--surface", "orientable:1")
+    assert code == 0 and json.loads(out)["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +330,13 @@ def test_seed_env_override(monkeypatch, capsys):
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """The (group, seed) of every decomposition computed, stored results excluded."""
+    """The group of every decomposition computed, stored results excluded."""
     calls = []
     decompose = algebra._decompose
 
-    def counted(A, seed):
-        calls.append((A.group.name, seed))
-        return decompose(A, seed)
+    def counted(A):
+        calls.append(A.group.name)
+        return decompose(A)
 
     monkeypatch.setattr(algebra, "_decompose", counted)
     return calls
@@ -323,6 +347,22 @@ def test_check_decomposes_each_algebra_once_per_run(capsys, decompositions):
     assert len(decompositions) == 18
     assert main(["check", "--suite", "all", "--json"]) == 0
     assert len(decompositions) == 36
+    capsys.readouterr()
+
+
+def test_check_computes_indicators_once_per_decomposition(capsys, monkeypatch, decompositions):
+    calls = []
+    fs_indicators = algebra.fs_indicators
+
+    def counted(dec):
+        calls.append(dec.algebra.cocycle.name)
+        return fs_indicators(dec)
+
+    monkeypatch.setattr(algebra, "fs_indicators", counted)
+    assert main(["check", "--suite", "all", "--json"]) == 0
+    # every decomposition but heisenberg:3's, whose cocycle is not sign-valued
+    assert len(decompositions) == 18 and len(calls) == 17
+    assert "heisenberg:3" not in calls and "heisenberg:2" in calls
     capsys.readouterr()
 
 
@@ -351,15 +391,15 @@ def test_run_scope_ends_when_check_returns_or_raises(capsys, tmp_path, decomposi
     capsys.readouterr()
 
 
-def test_run_scope_keys_on_seed_and_cocycle_table(decompositions):
+def test_run_scope_keys_on_cocycle_table(decompositions):
     c = heisenberg_cocycle(2)
     b = [RootOfUnity(0, 1), RootOfUnity(1, 2), RootOfUnity(0, 1), RootOfUnity(0, 1)]
     twisted = twist(c, b)
     assert twisted.order == c.order and not np.array_equal(twisted.exps, c.exps)
     with run_scope():
-        decs = [wedderburn_decompose(TwistedGroupAlgebra(c.group, cocycle), seed)
-                for cocycle, seed in ((c, 0), (c, 0), (c, 1), (twisted, 0), (twisted, 0))]
-    assert decompositions == [(c.group.name, 0), (c.group.name, 1), (c.group.name, 0)]
-    assert decs[1].blocks is decs[0].blocks and decs[4].blocks is decs[3].blocks
+        decs = [wedderburn_decompose(TwistedGroupAlgebra(c.group, cocycle))
+                for cocycle in (c, c, twisted, twisted)]
+    assert decompositions == [c.group.name, c.group.name]
+    assert decs[1].blocks is decs[0].blocks and decs[3].blocks is decs[2].blocks
     assert decs[1].algebra is not decs[0].algebra    # each caller gets its own algebra
-    assert decs[3].dims == decs[0].dims
+    assert decs[2].dims == decs[0].dims

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwsurf import invariants
-from dwsurf.algebra import TwistedGroupAlgebra, fs_indicators, wedderburn_decompose
+from dwsurf.algebra import TwistedGroupAlgebra, wedderburn_decompose
 from dwsurf.cli import main
 from dwsurf.cocycles import (RootOfUnity, TwoCocycle, heisenberg_cocycle,
                              sign_cocycles_catalog, trivial_cocycle, twist)
@@ -273,7 +273,7 @@ def test_symmetric_five_routes_agree_exactly(genus, value):
 def test_every_route_returns_a_fraction():
     c = heisenberg_cocycle(2)
     G, A = c.group, TwistedGroupAlgebra(c.group, c)
-    dec = fs_indicators(wedderburn_decompose(A))
+    dec = wedderburn_decompose(A)
     values = [dw_direct(G, c, KLEIN), verlinde(dec, KLEIN), verlinde(dec, SPHERE),
               dw_labeling_oracle(G, c, tetrahedron_sphere()),
               fhk_state_sum(A, standard_triangulation(GENUS2)),
@@ -404,13 +404,13 @@ def test_verlinde_torus_counts_blocks():
 
 def test_verlinde_klein_bottle_z3():
     G = build_group("cyclic:3")
-    dec = fs_indicators(wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G))))
+    dec = wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G)))
     assert verlinde(dec, KLEIN) == 1
 
 
 def test_verlinde_needs_indicators_for_nonorientable():
-    G = build_group("cyclic:3")
-    dec = wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G)))
+    c = heisenberg_cocycle(3)       # not sign-valued: no involution, so no indicators
+    dec = wedderburn_decompose(TwistedGroupAlgebra(c.group, c))
     with pytest.raises(InvariantError):
         verlinde(dec, KLEIN)
 
