@@ -267,18 +267,17 @@ def fs_indicators(dec: WedderburnDecomposition) -> WedderburnDecomposition:
     group basis the diagonal of S o R_e at g comes from e[g^-2] alone:
     tr = sum_g c(g^-1, g) c(g, g^-2) e[g^-2].  Matching S.e against the
     idempotents decides the pairing independently, and the two must agree:
-    each image is paired with the nearest idempotent by one r x r matrix of
-    squared distances, and must equal it within CLUSTER_TOL in every
-    coefficient.  wedderburn_decompose calls this for every sign-valued cocycle.
+    one r x r matrix of max-coefficient distances pairs each image with the
+    nearest idempotent, which it must equal within CLUSTER_TOL.
+    wedderburn_decompose calls this for every sign-valued cocycle.
     """
     A = dec.algebra
     E = np.array([b.idempotent for b in dec.blocks])
     SE = A.star(E)
     k = np.arange(len(E))
-    dist2 = ((np.abs(SE) ** 2).sum(axis=1)[:, None] + (np.abs(E) ** 2).sum(axis=1)
-             - 2 * (SE @ E.conj().T).real)      # |S e_i - e_j|^2
-    mate = dist2.argmin(axis=1)
-    if np.abs(SE - E[mate]).max() > CLUSTER_TOL:
+    dist = np.abs(SE[:, None, :] - E[None, :, :]).max(axis=2)    # max |S e_i - e_j|
+    mate = dist.argmin(axis=1)
+    if dist[k, mate].max() > CLUSTER_TOL:
         raise AlgebraError("involution image of an idempotent matches no block")
     if (mate[mate] != k).any():
         raise AlgebraError("involution does not pair blocks consistently")
