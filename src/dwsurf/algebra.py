@@ -284,9 +284,9 @@ def fs_indicators(dec: WedderburnDecomposition) -> WedderburnDecomposition:
     g, inv = np.arange(A.dim), A.group.inverse
     sq_inv = A.group.cayley[inv, inv]            # g^-2
     phase = A.omega[inv, g] * A.omega[g, sq_inv]
-    # summed row by row and measured by hypot, these round exactly as a scalar
-    # np.sum and abs() do; an axis sum and np.abs of complex arrays differ in the last bit
-    ratios = np.array([np.sum(t) for t in phase * E[:, sq_inv]]) / np.array(dec.dims)
+    # reduced row by row and measured by hypot, these round exactly as np.sum of one
+    # block and abs() do; an axis sum and np.abs of complex arrays differ in the last bit
+    ratios = np.array([np.add.reduce(t) for t in phase * E[:, sq_inv]]) / np.array(dec.dims)
     fs = np.rint(ratios.real).astype(np.int64)
     margins = np.hypot(ratios.real - fs, ratios.imag)
     bad = (margins > ROUND_TOL) | (np.abs(fs) > 1)
@@ -297,7 +297,8 @@ def fs_indicators(dec: WedderburnDecomposition) -> WedderburnDecomposition:
     if clash.any():
         raise AlgebraError(f"indicator {fs[clash][0]} disagrees with the involution's block "
                            "pairing; decomposition error")
-    blocks = tuple(replace(b, fs=int(f)) for b, f in zip(dec.blocks, fs))
+    blocks = tuple(Block(b.idempotent, b.dim, b.character, f)
+                   for b, f in zip(dec.blocks, fs.tolist()))
     return WedderburnDecomposition(A, blocks, dict(dec.diagnostics,
                                                    fs_rounding_residual=float(margins.max())))
 
