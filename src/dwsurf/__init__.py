@@ -7,7 +7,7 @@ Wedderburn block data) plus the cross-validation harness tying them together.
 
 from .groups import (FiniteGroup, ConjugacyClasses, GroupError, build_group,
                      conjugacy_classes, involution_set)
-from .cocycles import (RootOfUnity, TwoCocycle, CocycleError, coboundary, c_regular_count,
+from .cocycles import (TwoCocycle, CocycleError, coboundary, c_regular_count,
                        heisenberg_cocycle, read_cocycle_file, sign_cocycles_catalog,
                        trivial_cocycle, twist, verify_cocycle, write_cocycle_file)
 from .algebra import (AlgebraError, Block, TwistedGroupAlgebra, WedderburnDecomposition,

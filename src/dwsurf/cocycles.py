@@ -2,7 +2,9 @@
 
 All cocycle arithmetic is exact: a value exp(2*pi*i*k/N) is stored as the
 integer exponent k modulo a common order N, and the cocycle identity, all
-coboundary manipulation and regularity scans are integer computations.
+coboundary manipulation and regularity scans are integer computations.  A
+function b: G -> U(1) that twists a cocycle is given the same way, as an
+exponent per element and one order.
 A histogram of exponents, sum_k counts[k] zeta_N^k, reduces to an exact
 integer modulo the cyclotomic polynomial Phi_N (cyclotomic_integer); the
 direct, state-sum and labeling routes end there.  Complex embeddings happen
@@ -25,43 +27,6 @@ from .memo import cocycle_key, shared
 
 class CocycleError(ValueError):
     """Invalid cocycle data or unsupported operation."""
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """exp(2*pi*i*numerator/order), kept in lowest terms with 0 <= numerator < order."""
-
-    numerator: int
-    order: int
-
-    def __post_init__(self):
-        if self.order <= 0:
-            raise CocycleError(f"root order must be positive, got {self.order}")
-        k = self.numerator % self.order
-        g = math.gcd(k, self.order)
-        object.__setattr__(self, "numerator", k // g)
-        object.__setattr__(self, "order", self.order // g)
-
-    @classmethod
-    def one(cls) -> "RootOfUnity":
-        return cls(0, 1)
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        n = math.lcm(self.order, other.order)
-        return RootOfUnity(self.numerator * (n // self.order) + other.numerator * (n // other.order), n)
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(-self.numerator, self.order)
-
-    def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.numerator * k, self.order)
-
-    @property
-    def value(self) -> complex:
-        return np.exp(2j * np.pi * self.numerator / self.order)
-
-    def __repr__(self):
-        return f"RootOfUnity({self.numerator}/{self.order})"
 
 
 def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list, list]:
@@ -140,12 +105,9 @@ class TwoCocycle:
         tab.setflags(write=False)
         return tab
 
-    def value(self, g1: int, g2: int) -> RootOfUnity:
-        return RootOfUnity(int(self.exps[g1, g2]), self.order)
-
-    @property
+    @cached_property
     def is_sign_valued(self) -> bool:
-        """True when every value is +1 or -1."""
+        """True when every value is +1 or -1; read once per cocycle."""
         return bool(np.all((2 * self.exps) % self.order == 0))
 
 
@@ -175,49 +137,47 @@ def trivial_cocycle(G: FiniteGroup) -> TwoCocycle:
     return TwoCocycle(G, 1, np.zeros((G.order, G.order), dtype=np.int64), "trivial")
 
 
-def _b_exponents(G: FiniteGroup, b: Sequence[RootOfUnity]) -> tuple[np.ndarray, int]:
-    if len(b) != G.order:
-        raise CocycleError("b must assign a root of unity to every group element")
-    if b[0].numerator % b[0].order:
-        raise CocycleError("b(1) must equal 1")
-    order = math.lcm(*(r.order for r in b))
-    exps = np.array([r.numerator * (order // r.order) for r in b], dtype=np.int64)
-    return exps, order
-
-
-def coboundary(G: FiniteGroup, b: Sequence[RootOfUnity], name: str = "coboundary") -> TwoCocycle:
-    """The coboundary (db)(g1,g2) = b(g1) b(g2) b(g1 g2)^-1.
+def coboundary(G: FiniteGroup, b: Sequence[int], order: int,
+               name: str = "coboundary") -> TwoCocycle:
+    """The coboundary (db)(g1,g2) = b(g1) b(g2) b(g1 g2)^-1 of the function
+    b(g) = exp(2*pi*i*b[g]/order), given by its exponents.
 
     A normalized cocycle by construction once b(1) = 1, so the table is not
     verified again.
     """
-    bexp, order = _b_exponents(G, b)
-    exps = (bexp[:, None] + bexp[None, :] - bexp[G.cayley]) % order
+    b = np.asarray(b, dtype=np.int64)
+    if b.shape != (G.order,):
+        raise CocycleError("b must assign an exponent to every group element")
+    if order <= 0:
+        raise CocycleError(f"root order must be positive, got {order}")
+    if b[0] % order:
+        raise CocycleError("b(1) must equal 1")
+    exps = (b[:, None] + b[None, :] - b[G.cayley]) % order
     return TwoCocycle(G, order, exps, name)
 
 
-def twist(c: TwoCocycle, b: Sequence[RootOfUnity]) -> TwoCocycle:
-    """Pointwise product c * (db); represents the same cohomology class as c."""
-    db = coboundary(c.group, b)
-    order = math.lcm(c.order, db.order)
-    exps = (c.exps * (order // c.order) + db.exps * (order // db.order)) % order
-    return TwoCocycle(c.group, order, exps, f"{c.name}*db" if c.name else "twisted")
+def twist(c: TwoCocycle, b: Sequence[int], order: int) -> TwoCocycle:
+    """Pointwise product c * (db), b(g) = exp(2*pi*i*b[g]/order); represents
+    the same cohomology class as c, with values of order lcm(c.order, order)."""
+    db = coboundary(c.group, b, order)
+    n = math.lcm(c.order, order)
+    exps = (c.exps * (n // c.order) + db.exps * (n // order)) % n
+    return TwoCocycle(c.group, n, exps, f"{c.name}*db" if c.name else "twisted")
 
 
 def heisenberg_cocycle(n: int) -> TwoCocycle:
     """The bilinear cocycle c((a1,a2),(b1,b2)) = zeta_n^(a2*b1) on (Z/n)^2.
 
     Cohomologically nontrivial for n >= 2: its only c-regular element is the
-    identity, so the twisted algebra is a single n x n matrix block.
+    identity, so the twisted algebra is a single n x n matrix block.  A
+    bilinear form is a cocycle by construction, so the table is not verified.
     """
     if n < 2:
         raise CocycleError(f"heisenberg cocycle needs n >= 2, got {n}")
     G = build_group(f"product(cyclic:{n},cyclic:{n})")
     i = np.arange(n * n)
     exps = ((i % n)[:, None] * (i // n)[None, :]) % n
-    c = TwoCocycle(G, n, exps, f"heisenberg:{n}")
-    assert verify_cocycle(c).ok
-    return c
+    return TwoCocycle(G, n, exps, f"heisenberg:{n}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
-"""Finite groups as dense multiplication tables over element indices."""
+"""Finite groups as dense multiplication tables over element indices.
+
+A group is its Cayley table alone: ``FiniteGroup(name, cayley)`` derives the
+order and the inverse table and verifies the group axioms.  The builders are
+table formulas (addition mod n, the r^i s^j rule, the quaternion axes and
+signs, composition of permutations), and descriptor strings such as
+``product(dihedral:8,cyclic:3)`` name them.
+"""
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,24 +32,25 @@ class GroupError(ValueError):
 class FiniteGroup:
     """A finite group on the index set 0..order-1, with 0 the identity.
 
-    ``cayley[i, j]`` is the index of the product, ``inverse[i]`` the index of
-    the inverse.  The tables are fully verified on construction (identity,
-    inverses, associativity), then frozen, so hot loops can index without
-    checks.  All other modules speak in these element indices.
+    ``cayley[i, j]`` is the index of the product; ``order`` and the inverse
+    table ``inverse[i]`` are derived from it.  The table is fully verified on
+    construction (identity, inverses, associativity), then frozen, so hot
+    loops can index without checks.  All other modules speak in these element
+    indices.
     """
 
     name: str
-    order: int
     cayley: np.ndarray
-    inverse: np.ndarray
+    order: int = field(init=False)
+    inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        n = self.order
         cay = np.ascontiguousarray(np.asarray(self.cayley, dtype=np.int64))
-        if n <= 0:
-            raise GroupError(f"order must be positive, got {n}")
-        if cay.shape != (n, n):
-            raise GroupError(f"cayley table must be {n}x{n}, got {cay.shape}")
+        if cay.ndim != 2 or cay.shape[0] != cay.shape[1]:
+            raise GroupError(f"cayley table must be square, got shape {cay.shape}")
+        n = cay.shape[0]
+        if n == 0:
+            raise GroupError("cayley table is empty; a group has at least the identity")
         if cay.min() < 0 or cay.max() >= n:
             raise GroupError("cayley table entries out of range")
         idx = np.arange(n)
@@ -62,6 +70,7 @@ class FiniteGroup:
         cay.setflags(write=False)
         inv.setflags(write=False)
         object.__setattr__(self, "cayley", cay)
+        object.__setattr__(self, "order", n)
         object.__setattr__(self, "inverse", inv)
 
     def __eq__(self, other):
@@ -74,23 +83,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.cayley[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
-    def conjugate(self, h: int, g: int) -> int:
-        """h g h^-1."""
-        return int(self.cayley[self.cayley[h, g], self.inverse[h]])
-
-    def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != 0:
-            x = int(self.cayley[x, g])
-            k += 1
-        return k
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,54 +139,48 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise GroupError(f"cyclic order must be positive, got {n}")
     _check_cap(n)
     idx = np.arange(n)
-    cay = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(f"cyclic:{n}", n, cay, _inverses_of(cay))
+    return FiniteGroup(f"cyclic:{n}", (idx[:, None] + idx[None, :]) % n)
 
 
 def dihedral_group(order: int) -> FiniteGroup:
-    """Dihedral group of the given (even) order; element i + m*j is r^i s^j."""
+    """Dihedral group of the given (even) order; element i + m*j is r^i s^j,
+    and r^i1 s^j1 r^i2 s^j2 = r^(i1 + (-1)^j1 i2) s^(j1 xor j2)."""
     if order <= 0 or order % 2:
         raise GroupError(f"dihedral order must be a positive even integer, got {order}")
     _check_cap(order)
     m = order // 2
-    cay = np.empty((order, order), dtype=np.int64)
-    for i1, j1, i2, j2 in itertools.product(range(m), (0, 1), range(m), (0, 1)):
-        i = (i1 + i2) % m if j1 == 0 else (i1 - i2) % m
-        cay[i1 + m * j1, i2 + m * j2] = i + m * (j1 ^ j2)
-    return FiniteGroup(f"dihedral:{order}", order, cay, _inverses_of(cay))
+    i, j = np.arange(order) % m, np.arange(order) // m
+    cay = (i[:, None] + (1 - 2 * j[:, None]) * i[None, :]) % m + m * (j[:, None] ^ j[None, :])
+    return FiniteGroup(f"dihedral:{order}", cay)
+
+
+# sign of the product of the unit quaternions (1, i, j, k)[a1] (1, i, j, k)[a2],
+# whose axis is a1 xor a2: i j = k, j i = -k, i i = -1, ...
+_QUATERNION_SIGN = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
 
 
 def quaternion_group() -> FiniteGroup:
-    """The quaternion group of order 8; indices 0..7 are 1,-1,i,-i,j,-j,k,-k."""
-    # unit table over axes (e,i,j,k): entry (axis, sign)
-    unit = {
-        (0, 0): (0, 0), (0, 1): (1, 0), (0, 2): (2, 0), (0, 3): (3, 0),
-        (1, 0): (1, 0), (2, 0): (2, 0), (3, 0): (3, 0),
-        (1, 1): (0, 1), (2, 2): (0, 1), (3, 3): (0, 1),
-        (1, 2): (3, 0), (2, 1): (3, 1),
-        (2, 3): (1, 0), (3, 2): (1, 1),
-        (3, 1): (2, 0), (1, 3): (2, 1),
-    }
-    cay = np.empty((8, 8), dtype=np.int64)
-    for a1, s1, a2, s2 in itertools.product(range(4), (0, 1), range(4), (0, 1)):
-        a, s = unit[(a1, a2)]
-        cay[2 * a1 + s1, 2 * a2 + s2] = 2 * a + (s ^ s1 ^ s2)
-    return FiniteGroup("quaternion:8", 8, cay, _inverses_of(cay))
+    """The quaternion group of order 8; indices 0..7 are 1,-1,i,-i,j,-j,k,-k,
+    so element 2*a + s is (-1)^s times the unit on axis a."""
+    a, s = np.arange(8) // 2, np.arange(8) % 2
+    sign = _QUATERNION_SIGN[a[:, None], a[None, :]] ^ s[:, None] ^ s[None, :]
+    return FiniteGroup("quaternion:8", 2 * (a[:, None] ^ a[None, :]) + sign)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
+    """Permutations of 0..n-1 in lexicographic order (the identity first);
+    the product p q is the composition x -> p[q[x]]."""
     if n <= 0:
         raise GroupError(f"symmetric degree must be positive, got {n}")
     if n > 5:
         raise GroupError(f"symmetric:{n} is beyond desk scale (order {math.factorial(n)})")
-    perms = sorted(itertools.permutations(range(n)))  # identity comes first
-    index = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    cay = np.empty((order, order), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            cay[i, j] = index[tuple(p[q[x]] for x in range(n))]
-    return FiniteGroup(f"symmetric:{n}", order, cay, _inverses_of(cay))
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    # base-n codes increase with the lexicographic order, so a lookup table
+    # turns each composed permutation back into its index
+    weights = n ** np.arange(n - 1, -1, -1)
+    index = np.zeros(n ** n, dtype=np.int64)
+    index[perms @ weights] = np.arange(len(perms))
+    return FiniteGroup(f"symmetric:{n}", index[perms[:, perms] @ weights])
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
@@ -202,21 +188,13 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     order = na * nb
     _check_cap(order)
     cay = (A.cayley[:, None, :, None] * nb + B.cayley[None, :, None, :]).reshape(order, order)
-    name = f"product({A.name},{B.name})"
-    return FiniteGroup(name, order, cay, _inverses_of(cay))
+    return FiniteGroup(f"product({A.name},{B.name})", cay)
 
 
 def _check_cap(order: int) -> None:
     """Refuse an order above MAX_ORDER before its O(order^3) table check."""
     if order > MAX_ORDER:
         raise GroupError(f"group order {order} exceeds the cap of {MAX_ORDER}")
-
-
-def _inverses_of(cay: np.ndarray) -> np.ndarray:
-    rows, cols = np.nonzero(np.asarray(cay) == 0)
-    inv = np.empty(cay.shape[0], dtype=np.int64)
-    inv[rows] = cols
-    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +211,7 @@ def _build_group(s: str, spec: str) -> FiniteGroup:
         raise GroupError("empty group descriptor")
     if s.startswith("product(") and s.endswith(")"):
         left, right = _split_product(s[len("product("):-1])
-        G = direct_product(build_group(left), build_group(right))
-        return G
+        return direct_product(build_group(left), build_group(right))
     head, sep, arg = s.partition(":")
     if not sep:
         raise GroupError(f"cannot parse group descriptor {spec!r}")

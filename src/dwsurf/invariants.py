@@ -49,9 +49,16 @@ class InvariantError(ValueError):
 # and the oracles stay a few MB.
 _BLOCK_ENTRIES = 1 << 18
 
+# Work bounds of the enumerating oracles, refused before any work: count_homs
+# tuples (dw check skips rows past it), labeling states, brute boundary tuples.
+MAX_HOM_TUPLES = 10 ** 8
+MAX_ORACLE_STATES = 10 ** 8
+MAX_BOUNDARY_TUPLES = 10 ** 7
 
-def count_homs(G: FiniteGroup, pres: RelatorPresentation, cap: int = 10 ** 8) -> int:
-    """Brute-force |Hom(pi, G)| by vectorized enumeration, capped in tuples.
+
+def count_homs(G: FiniteGroup, pres: RelatorPresentation) -> int:
+    """Brute-force |Hom(pi, G)| by vectorized enumeration, at most
+    MAX_HOM_TUPLES tuples.
 
     The n^generators tuples are taken in blocks of consecutive indices: the
     last generators run through all n^inner values as arrays, computed once,
@@ -60,8 +67,8 @@ def count_homs(G: FiniteGroup, pres: RelatorPresentation, cap: int = 10 ** 8) ->
     table, and a block counts the tuples whose product is the identity.
     """
     n, m = G.order, pres.generators
-    if n ** m > cap:
-        raise InvariantError(f"{n}^{m} tuples exceed the cap of {cap}")
+    if n ** m > MAX_HOM_TUPLES:
+        raise InvariantError(f"{n}^{m} tuples exceed the cap of {MAX_HOM_TUPLES}")
     inner = 0
     while inner < m and n ** (inner + 1) * m <= _BLOCK_ENTRIES:
         inner += 1
@@ -239,8 +246,7 @@ def exact_contraction(group, modulus: int, n_vars: int, var_exp, terms, plan):
     return counts, visited
 
 
-def dw_labeling_oracle(G: FiniteGroup, c: TwoCocycle, surf: SimplicialSurface,
-                       node_limit: int = 10 ** 8) -> Fraction:
+def dw_labeling_oracle(G: FiniteGroup, c: TwoCocycle, surf: SimplicialSurface) -> Fraction:
     """Sum over admissible edge labelings of a simplicial surface.
 
     A by-the-book reference evaluation: every oriented edge gets a group
@@ -249,8 +255,8 @@ def dw_labeling_oracle(G: FiniteGroup, c: TwoCocycle, surf: SimplicialSurface,
     c(l(AB), l(BC)) raised to +-1 according to whether its orientation runs
     A->B or not.  The sum has #G^(V-1) terms per homomorphism class, all of
     them enumerated by exact_contraction, so a plan whose state count
-    (ContractionPlan.estimate_nodes) exceeds node_limit is refused before any
-    labeling is made.
+    (ContractionPlan.estimate_nodes) exceeds MAX_ORACLE_STATES is refused
+    before any labeling is made.
     """
     n, N = G.order, c.order
     edges = surf.edges
@@ -273,9 +279,9 @@ def dw_labeling_oracle(G: FiniteGroup, c: TwoCocycle, surf: SimplicialSurface,
         terms.append(TriangleTerm(tuple(vars_), tuple(invs), pair, table))
     plan = plan_from_terms(len(edges), terms)
     estimate = plan.estimate_nodes(n)
-    if estimate > node_limit:
+    if estimate > MAX_ORACLE_STATES:
         raise InvariantError(
-            f"labeling sum needs {estimate} states, beyond the limit {node_limit}")
+            f"labeling sum needs {estimate} states, beyond the limit {MAX_ORACLE_STATES}")
     counts, _ = exact_contraction(G, N, len(edges), [None] * len(edges), terms, plan)
     return Fraction(cyclotomic_integer(counts, "labeling oracle"), n ** surf.n_vertices)
 
@@ -342,16 +348,16 @@ def boundary_hom_count(G: FiniteGroup, genus: int, boundary: tuple) -> int:
     return int(nearest)
 
 
-def boundary_hom_count_brute(G: FiniteGroup, genus: int, boundary: tuple,
-                             cap: int = 10 ** 7) -> int:
+def boundary_hom_count_brute(G: FiniteGroup, genus: int, boundary: tuple) -> int:
     """Direct count of tuples (a_1,b_1,..,a_g,b_g,c_1,..,c_k) with
     prod [a_i,b_i] prod c_j = 1 and c_j conjugate to boundary[j]."""
     classes = conjugacy_classes(G)
     members = [classes.members(classes.class_of[g]).tolist() for g in boundary]
     n = G.order
     work = n ** (2 * genus) * int(np.prod([len(mem) for mem in members]))
-    if work > cap:
-        raise InvariantError(f"brute force needs {work} tuples, beyond the cap {cap}")
+    if work > MAX_BOUNDARY_TUPLES:
+        raise InvariantError(
+            f"brute force needs {work} tuples, beyond the cap {MAX_BOUNDARY_TUPLES}")
     cay = [list(map(int, row)) for row in G.cayley]
     inv = list(map(int, G.inverse))
     count = 0

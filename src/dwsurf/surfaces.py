@@ -379,18 +379,17 @@ def pachner_13(tri: GluedTriangulation, triangle: int) -> GluedTriangulation:
     return GluedTriangulation(t + 2, pairing, reversal, tri.surface, tri.name)
 
 
-def pachner_variants(tri: GluedTriangulation, n_variants: int, seed: int = 0,
-                     max_moves: int = 2) -> list:
+def pachner_variants(tri: GluedTriangulation, n_variants: int, seed: int = 0) -> list:
     """Deterministic small perturbations of a triangulation by Pachner moves.
 
-    Variant k applies 1 + (k mod max_moves) moves, alternating subdivisions
+    Variant k applies 1 + (k mod 2) moves, alternating subdivisions
     and diagonal flips, with all choices drawn from a seeded generator.
     """
     rng = np.random.default_rng(seed)
     out = []
     for k in range(n_variants):
         cur = tri
-        for step in range(1 + k % max_moves):
+        for step in range(1 + k % 2):
             if step % 2 == 0:
                 cur = pachner_13(cur, int(rng.integers(cur.n_triangles)))
             else:

@@ -6,8 +6,10 @@ it; the involution of a sign-valued cocycle is a dense matrix.  The dense Fukuma
 engine.  Homomorphisms are enumerated one tuple at a time, and one relator
 weight serves orientable and non-orientable words alike, for any table of
 exponents; histogrammed over the homomorphisms, these weights check the
-direct route's transfer operators.  All of them are literal and slow, meant
-for groups of order 16 or less.
+direct route's transfer operators.  The group tables of the dihedral,
+quaternion, symmetric and product builders are rebuilt pair by pair from the
+defining rules.  All of them are literal and slow, meant for groups of order
+16 or less (the group tables for order 120 or less).
 """
 
 import itertools
@@ -15,7 +17,6 @@ import itertools
 import numpy as np
 
 from dwsurf.algebra import AlgebraError
-from dwsurf.cocycles import RootOfUnity
 from dwsurf.invariants import InvariantError
 from dwsurf.surfaces import orientability_and_orientation
 
@@ -98,8 +99,9 @@ def enumerate_homs(G, pres):
             yield assign
 
 
-def relator_weight(c, pres, hom) -> RootOfUnity:
-    """The cocycle on the fundamental cycle of the surface polygon.
+def relator_weight(c, pres, hom) -> int:
+    """The cocycle on the fundamental cycle of the surface polygon, as its
+    exponent k mod c.order: the weight is exp(2*pi*i*k/c.order).
 
     With letters g_1..g_m of the relator under hom and prefixes
     h_i = g_1..g_i, the weight is prod_{i<m} c(h_i, g_{i+1}), divided by
@@ -119,9 +121,66 @@ def relator_weight(c, pres, hom) -> RootOfUnity:
         h = cay[h, e]
     if h != 0:
         raise InvariantError("assignment does not satisfy the relator")
-    return RootOfUnity(int(k), c.order)
+    return int(k) % c.order
 
 
 def weight_sum(c, pres) -> complex:
     """Sum of the embedded relator weights over every homomorphism."""
-    return sum(relator_weight(c, pres, hom).value for hom in enumerate_homs(c.group, pres))
+    return sum(np.exp(2j * np.pi * relator_weight(c, pres, hom) / c.order)
+               for hom in enumerate_homs(c.group, pres))
+
+
+# ---------------------------------------------------------------------------
+# group tables, one product at a time
+
+def dihedral_table(order):
+    """Element i + m*j is r^i s^j; s r = r^-1 s."""
+    m = order // 2
+    cay = np.empty((order, order), dtype=np.int64)
+    for i1, j1, i2, j2 in itertools.product(range(m), (0, 1), range(m), (0, 1)):
+        i = (i1 + i2) % m if j1 == 0 else (i1 - i2) % m
+        cay[i1 + m * j1, i2 + m * j2] = i + m * (j1 ^ j2)
+    return cay
+
+
+def quaternion_table():
+    """Indices 0..7 are 1,-1,i,-i,j,-j,k,-k."""
+    # unit table over axes (e,i,j,k): entry (axis, sign)
+    unit = {
+        (0, 0): (0, 0), (0, 1): (1, 0), (0, 2): (2, 0), (0, 3): (3, 0),
+        (1, 0): (1, 0), (2, 0): (2, 0), (3, 0): (3, 0),
+        (1, 1): (0, 1), (2, 2): (0, 1), (3, 3): (0, 1),
+        (1, 2): (3, 0), (2, 1): (3, 1),
+        (2, 3): (1, 0), (3, 2): (1, 1),
+        (3, 1): (2, 0), (1, 3): (2, 1),
+    }
+    cay = np.empty((8, 8), dtype=np.int64)
+    for a1, s1, a2, s2 in itertools.product(range(4), (0, 1), range(4), (0, 1)):
+        a, s = unit[(a1, a2)]
+        cay[2 * a1 + s1, 2 * a2 + s2] = 2 * a + (s ^ s1 ^ s2)
+    return cay
+
+
+def symmetric_table(n):
+    """Permutations of 0..n-1 in lexicographic order, p q = p after q."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    cay = np.empty((len(perms), len(perms)), dtype=np.int64)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            cay[i, j] = index[tuple(p[q[x]] for x in range(n))]
+    return cay
+
+
+def product_table(A, B):
+    """Pair (a, b) at index a * #B + b, multiplied componentwise."""
+    na, nb = len(A), len(B)
+    cay = np.empty((na * nb, na * nb), dtype=np.int64)
+    for a1, b1, a2, b2 in itertools.product(range(na), range(nb), range(na), range(nb)):
+        cay[a1 * nb + b1, a2 * nb + b2] = A[a1, a2] * nb + B[b1, b2]
+    return cay
+
+
+def inverse_table(cay):
+    """For each row the column whose product is the identity 0."""
+    return np.array([list(row).index(0) for row in cay], dtype=np.int64)

@@ -8,8 +8,7 @@ import pytest
 from dwsurf import algebra
 from dwsurf.algebra import TwistedGroupAlgebra, wedderburn_decompose
 from dwsurf.cli import build_parser, cmd_check, main, parse_cocycle
-from dwsurf.cocycles import (RootOfUnity, heisenberg_cocycle, trivial_cocycle, twist,
-                             write_cocycle_file)
+from dwsurf.cocycles import heisenberg_cocycle, trivial_cocycle, twist, write_cocycle_file
 from dwsurf.groups import build_group
 from dwsurf.invariants import cross_check
 from dwsurf.memo import run_scope
@@ -393,8 +392,7 @@ def test_run_scope_ends_when_check_returns_or_raises(capsys, tmp_path, decomposi
 
 def test_run_scope_keys_on_cocycle_table(decompositions):
     c = heisenberg_cocycle(2)
-    b = [RootOfUnity(0, 1), RootOfUnity(1, 2), RootOfUnity(0, 1), RootOfUnity(0, 1)]
-    twisted = twist(c, b)
+    twisted = twist(c, [0, 1, 0, 0], 2)
     assert twisted.order == c.order and not np.array_equal(twisted.exps, c.exps)
     with run_scope():
         decs = [wedderburn_decompose(TwistedGroupAlgebra(c.group, cocycle))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwsurf.cocycles import (CocycleError, RootOfUnity, TwoCocycle, c_regular_count,
+from dwsurf.cocycles import (CocycleError, TwoCocycle, c_regular_count,
                              coboundary, cyclotomic_integer, cyclotomic_polynomial,
                              heisenberg_cocycle, read_cocycle_file,
                              sign_cocycles_catalog, trivial_cocycle, twist, verify_cocycle,
@@ -17,29 +17,8 @@ from dwsurf.invariants import catalog_pairs, sign_catalog_pairs
 
 
 def random_b(G, order, rng):
-    """Random mapping G -> order-th roots of unity with b(1) = 1."""
-    return [RootOfUnity(0, 1)] + [RootOfUnity(int(rng.integers(order)), order)
-                                  for _ in range(G.order - 1)]
-
-
-# ---------------------------------------------------------------------------
-# roots of unity
-
-def test_root_reduction_and_range():
-    assert RootOfUnity(2, 4) == RootOfUnity(1, 2)
-    assert RootOfUnity(-1, 4) == RootOfUnity(3, 4)
-    assert RootOfUnity(6, 3) == RootOfUnity.one()
-
-
-def test_root_multiplication_lifts_orders():
-    z = RootOfUnity(1, 2) * RootOfUnity(1, 3)
-    assert z == RootOfUnity(5, 6)
-    assert z * z.inverse() == RootOfUnity.one()
-    assert abs(RootOfUnity(1, 8).value - np.exp(2j * np.pi / 8)) < 1e-15
-
-
-def test_root_power():
-    assert RootOfUnity(1, 6) ** 4 == RootOfUnity(2, 3)
+    """Exponents of a random mapping G -> order-th roots of unity with b(1) = 1."""
+    return [0] + [int(rng.integers(order)) for _ in range(G.order - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +84,10 @@ def test_trivial_cocycle_verifies_everywhere():
         assert verify_cocycle(trivial_cocycle(build_group(spec))).ok
 
 
-def test_heisenberg_two_verifies():
-    assert verify_cocycle(heisenberg_cocycle(2)).ok
+@pytest.mark.parametrize("n", range(2, 9))
+def test_heisenberg_cocycles_verify(n):
+    # heisenberg_cocycle does not verify its table; a bilinear form is a cocycle
+    assert verify_cocycle(heisenberg_cocycle(n)).ok
 
 
 def test_normalization_violation_is_located():
@@ -140,13 +121,13 @@ def test_exponent_range_is_enforced():
 
 def test_constant_b_gives_trivial_coboundary():
     G = build_group("symmetric:3")
-    db = coboundary(G, [RootOfUnity.one()] * 6)
-    assert np.all(db.exps == 0)
+    db = coboundary(G, [0] * 6, 5)
+    assert db.order == 5 and np.all(db.exps == 0)
 
 
 def test_sign_b_on_z2_has_trivial_coboundary():
     G = build_group("cyclic:2")
-    db = coboundary(G, [RootOfUnity.one(), RootOfUnity(1, 2)])
+    db = coboundary(G, [0, 1], 2)
     # (db)(x,x) = b(x)^2 / b(1) = 1
     assert np.all(db.exps == 0)
 
@@ -160,18 +141,31 @@ def test_random_coboundaries_verify(gspec):
     G = build_group(gspec)
     rng = np.random.default_rng(7)
     for _ in range(100):
-        assert verify_cocycle(coboundary(G, random_b(G, 6, rng))).ok
+        assert verify_cocycle(coboundary(G, random_b(G, 6, rng), 6)).ok
 
 
 def test_coboundary_rejects_bad_basepoint():
     G = build_group("cyclic:2")
-    with pytest.raises(CocycleError):
-        coboundary(G, [RootOfUnity(1, 2), RootOfUnity.one()])
+    with pytest.raises(CocycleError, match="b\\(1\\)"):
+        coboundary(G, [1, 0], 2)
+    assert np.all(coboundary(G, [2, 0], 2).exps == 0)   # b(1) = exp(2 pi i) = 1
+
+
+@pytest.mark.parametrize("b", [[0], [0, 1, 1], [[0, 1]]])
+def test_coboundary_rejects_a_wrong_length(b):
+    with pytest.raises(CocycleError, match="every group element"):
+        coboundary(build_group("cyclic:2"), b, 2)
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_coboundary_rejects_a_nonpositive_order(order):
+    with pytest.raises(CocycleError, match="positive"):
+        coboundary(build_group("cyclic:2"), [0, 1], order)
 
 
 def test_twist_by_one_is_identity():
     c = heisenberg_cocycle(2)
-    t = twist(c, [RootOfUnity.one()] * 4)
+    t = twist(c, [0] * 4, 1)
     assert t.order == c.order and np.array_equal(t.exps, c.exps)
 
 
@@ -179,13 +173,13 @@ def test_twist_of_trivial_is_the_coboundary():
     G = build_group("cyclic:4")
     rng = np.random.default_rng(1)
     b = random_b(G, 4, rng)
-    assert np.array_equal(twist(trivial_cocycle(G), b).exps, coboundary(G, b).exps)
+    assert np.array_equal(twist(trivial_cocycle(G), b, 4).exps, coboundary(G, b, 4).exps)
 
 
 def test_twist_lifts_to_lcm_order():
     c = heisenberg_cocycle(2)
     rng = np.random.default_rng(2)
-    t = twist(c, random_b(c.group, 3, rng))
+    t = twist(c, random_b(c.group, 3, rng), 3)
     assert t.order == 6
     assert verify_cocycle(t).ok
 
@@ -196,8 +190,9 @@ def test_twist_lifts_to_lcm_order():
 def test_heisenberg_two_values():
     c = heisenberg_cocycle(2)
     # elements (a1,a2) at index 2*a1+a2
-    assert c.value(1, 2) == RootOfUnity(1, 2)   # c((0,1),(1,0)) = -1
-    assert c.value(2, 1) == RootOfUnity.one()   # c((1,0),(0,1)) = +1
+    assert c.order == 2
+    assert c.exps[1, 2] == 1   # c((0,1),(1,0)) = -1
+    assert c.exps[2, 1] == 0   # c((1,0),(0,1)) = +1
 
 
 def test_heisenberg_rejects_small_n():
@@ -226,6 +221,28 @@ def test_catalog_members_verify_and_include_trivial():
             assert c.is_sign_valued
 
 
+SIGN_VALUED = {"trivial": True, "z2:sign": True, "z4:carry": True, "heisenberg:2": True,
+               "klein4:diag": True, "d8:lift": True, "q8:cup": True, "heisenberg:3": False}
+
+
+def test_sign_valued_flags_of_the_catalogs():
+    pairs = catalog_pairs() + sign_catalog_pairs()
+    assert {c.name for _, c in pairs} == set(SIGN_VALUED)
+    for _, c in pairs:
+        assert c.is_sign_valued is SIGN_VALUED[c.name]
+    assert not twist(heisenberg_cocycle(2), [0, 1, 0, 0], 4).is_sign_valued
+    assert twist(heisenberg_cocycle(2), [0, 2, 0, 0], 4).is_sign_valued
+
+
+def test_sign_valued_is_read_once_per_cocycle():
+    c = heisenberg_cocycle(2)
+    assert c.is_sign_valued
+    # a second read returns the stored flag and does not scan the table again
+    object.__setattr__(c, "exps", np.ones((4, 4), dtype=np.int64))
+    assert c.is_sign_valued
+    assert not TwoCocycle(c.group, 4, c.exps).is_sign_valued
+
+
 def test_catalog_on_klein_four_contains_heisenberg():
     G = build_group("product(cyclic:2,cyclic:2)")
     h = heisenberg_cocycle(2)
@@ -236,7 +253,7 @@ def test_catalog_on_klein_four_contains_heisenberg():
 def test_catalog_on_z2_lists_both_classes():
     cat = sign_cocycles_catalog(build_group("cyclic:2"))
     assert [c.name for c in cat] == ["trivial", "z2:sign"]
-    assert cat[1].value(1, 1) == RootOfUnity(1, 2)
+    assert cat[1].order == 2 and cat[1].exps[1, 1] == 1
 
 
 def test_catalog_warns_on_unsupported_group():
@@ -248,20 +265,21 @@ def test_inverse_symmetry_on_catalog():
     for spec in ["cyclic:4", "dihedral:8", "quaternion:8"]:
         G = build_group(spec)
         for c in sign_cocycles_catalog(G):
-            for g in range(G.order):
-                assert c.value(g, G.inv(g)) == c.value(G.inv(g), g)
+            inv = G.inverse
+            assert np.array_equal(c.exps[np.arange(G.order), inv],
+                                  c.exps[inv, np.arange(G.order)])
 
 
 def test_five_term_identity_on_catalog():
     for spec in ["cyclic:4", "product(cyclic:2,cyclic:2)", "dihedral:8", "quaternion:8"]:
         G = build_group(spec)
         for c in sign_cocycles_catalog(G):
+            e, inv = c.exps, G.inverse
             for a, b in itertools.product(range(G.order), repeat=2):
-                ab = G.mul(a, b)
-                lhs = c.value(ab, G.inv(ab))
-                rhs = (c.value(a, G.inv(a)) * c.value(b, G.inv(b))
-                       * c.value(a, b) * c.value(G.inv(b), G.inv(a)))
-                assert lhs == rhs
+                ab = G.cayley[a, b]
+                lhs = e[ab, inv[ab]]
+                rhs = e[a, inv[a]] + e[b, inv[b]] + e[a, b] + e[inv[b], inv[a]]
+                assert (lhs - rhs) % c.order == 0
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +295,7 @@ def test_regular_count_is_twist_invariant():
     c = heisenberg_cocycle(2)
     rng = np.random.default_rng(3)
     for _ in range(20):
-        assert c_regular_count(c.group, twist(c, random_b(c.group, 4, rng))) == 1
+        assert c_regular_count(c.group, twist(c, random_b(c.group, 4, rng), 4)) == 1
 
 
 def test_d8_lift_has_two_regular_classes():

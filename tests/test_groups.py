@@ -6,6 +6,8 @@ import pytest
 from dwsurf import groups
 from dwsurf.groups import (MAX_ORDER, FiniteGroup, GroupError, build_group, conjugacy_classes,
                            cyclic_group, dihedral_group, involution_set)
+from oracles import (dihedral_table, inverse_table, product_table, quaternion_table,
+                     symmetric_table)
 
 
 def brute_classes(G):
@@ -15,7 +17,7 @@ def brute_classes(G):
     for g in range(n):
         if g in seen:
             continue
-        orbit = {G.conjugate(h, g) for h in range(n)}
+        orbit = {int(G.cayley[G.cayley[h, g], G.inverse[h]]) for h in range(n)}
         seen |= orbit
         classes.append(orbit)
     return classes
@@ -24,19 +26,27 @@ def brute_classes(G):
 def test_trivial_group():
     G = build_group("cyclic:1")
     assert G.order == 1
-    assert G.mul(0, 0) == 0
+    assert G.cayley[0, 0] == 0 and G.inverse[0] == 0
 
 
 def test_klein_four_all_self_inverse():
     G = build_group("product(cyclic:2,cyclic:2)")
     assert G.order == 4
-    assert all(G.inv(g) == g for g in range(4))
+    assert np.array_equal(G.inverse, np.arange(4))
     assert len(involution_set(G)) == 4
+
+
+def element_order(G, g):
+    k, x = 1, g
+    while x != 0:
+        x = G.cayley[x, g]
+        k += 1
+    return k
 
 
 def test_quaternion_has_unique_order_two_element():
     G = build_group("quaternion:8")
-    orders = [G.element_order(g) for g in range(8)]
+    orders = [element_order(G, g) for g in range(8)]
     assert orders.count(2) == 1
     assert sorted(set(orders)) == [1, 2, 4]
     assert list(involution_set(G)) == [0, orders.index(2)]
@@ -102,7 +112,54 @@ def test_construction_rejects_broken_tables():
     bad.setflags(write=True)
     bad[3, 4], bad[3, 5] = bad[3, 5], bad[3, 4]
     with pytest.raises(GroupError):
-        FiniteGroup("broken", 6, bad, G.inverse)
+        FiniteGroup("broken", bad)
+
+
+@pytest.mark.parametrize("table,message", [
+    (np.zeros((0, 0), dtype=np.int64), "empty"),
+    ([], "square"),
+    (np.zeros((2, 3), dtype=np.int64), "square"),
+    (np.arange(4), "square"),
+    ([[0, 1], [1, 2]], "out of range"),
+    ([[0, 1], [0, 1]], "identity"),
+    # a Latin square with identity 0 and inverses, but (1*1)*2 = 2 != 1*(1*2) = 4
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+     "not associative"),
+])
+def test_construction_rejects_malformed_tables(table, message):
+    with pytest.raises(GroupError, match=message):
+        FiniteGroup("malformed", table)
+
+
+def test_order_and_inverse_are_derived_from_the_table():
+    G = FiniteGroup("klein", [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+    assert G.order == 4 and G.inverse.tolist() == [0, 1, 2, 3]
+    with pytest.raises(TypeError):
+        FiniteGroup("klein", G.cayley, 4, G.inverse)
+
+
+def _cyclic_table(n):
+    return np.add.outer(np.arange(n), np.arange(n)) % n
+
+
+REFERENCE_TABLES = {
+    **{f"symmetric:{n}": (lambda n=n: symmetric_table(n)) for n in range(1, 6)},
+    **{f"dihedral:{k}": (lambda k=k: dihedral_table(k)) for k in range(2, MAX_ORDER + 1, 2)},
+    "quaternion:8": quaternion_table,
+    "product(quaternion:8,cyclic:8)": lambda: product_table(quaternion_table(), _cyclic_table(8)),
+    "product(dihedral:8,symmetric:3)": lambda: product_table(dihedral_table(8),
+                                                             symmetric_table(3)),
+}
+
+
+@pytest.mark.parametrize("spec", REFERENCE_TABLES)
+def test_builders_match_the_pairwise_reference_tables(spec):
+    cay = REFERENCE_TABLES[spec]()
+    G = build_group(spec)
+    assert G.order == len(cay)
+    assert G.cayley.dtype == G.inverse.dtype == np.int64
+    assert np.array_equal(G.cayley, cay)
+    assert np.array_equal(G.inverse, inverse_table(cay))
 
 
 def test_cyclic_four_classes_are_singletons():
@@ -133,7 +190,7 @@ def test_involutions_of_odd_cyclic():
 def test_inverse_antihomomorphism(spec):
     G = build_group(spec)
     for a, b in itertools.product(range(G.order), repeat=2):
-        assert G.inv(G.mul(a, b)) == G.mul(G.inv(b), G.inv(a))
+        assert G.inverse[G.cayley[a, b]] == G.cayley[G.inverse[b], G.inverse[a]]
 
 
 def test_product_class_count_multiplies():
