@@ -1,7 +1,7 @@
 """Finite groups as dense multiplication tables over element indices.
 
 A group is its Cayley table alone: ``FiniteGroup(name, cayley)`` derives the
-order and the inverse table and verifies the group axioms.  The builders are
+order, the inverse table and a generating set and verifies the group axioms.  The builders are
 table formulas (addition mod n, the r^i s^j rule, the quaternion axes and
 signs, composition of permutations), and descriptor strings such as
 ``product(dihedral:8,cyclic:3)`` name them.
@@ -32,10 +32,12 @@ class GroupError(ValueError):
 class FiniteGroup:
     """A finite group on the index set 0..order-1, with 0 the identity.
 
-    ``cayley[i, j]`` is the index of the product; ``order`` and the inverse
-    table ``inverse[i]`` are derived from it.  The table is fully verified on
-    construction (identity, inverses, associativity), then frozen, so hot
-    loops can index without checks.  All other modules speak in these element
+    ``cayley[i, j]`` is the index of the product; ``order``, the inverse
+    table ``inverse[i]`` and a generating set ``generators`` are derived from
+    it.  The table is fully verified on construction (identity, inverses,
+    associativity), then frozen, so hot loops can index without checks.
+    Associativity is checked on the generators only, in O(order^2) work per
+    generator (Light's test).  All other modules speak in these element
     indices.
     """
 
@@ -43,6 +45,7 @@ class FiniteGroup:
     cayley: np.ndarray
     order: int = field(init=False)
     inverse: np.ndarray = field(init=False)
+    generators: tuple = field(init=False)
 
     def __post_init__(self):
         cay = np.ascontiguousarray(np.asarray(self.cayley, dtype=np.int64))
@@ -64,14 +67,18 @@ class FiniteGroup:
         inv[rows] = cols
         if not np.array_equal(cay[inv, idx], np.zeros(n, dtype=np.int64)):
             raise GroupError("left and right inverses disagree")
-        # full associativity check, O(n^3) but vectorized
-        if not np.array_equal(cay[cay, :], cay[:, cay]):
-            raise GroupError("multiplication table is not associative")
+        # Light's test: x(sy) = (xs)y for every generator s makes the table
+        # associative, since the s that pass it form a submagma
+        gens = _generating_set(cay)
+        for s in gens:
+            if not np.array_equal(cay[:, cay[s]], cay[cay[:, s], :]):
+                raise GroupError("multiplication table is not associative")
         cay.setflags(write=False)
         inv.setflags(write=False)
         object.__setattr__(self, "cayley", cay)
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "inverse", inv)
+        object.__setattr__(self, "generators", gens)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
@@ -83,6 +90,24 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"
+
+
+def _generating_set(cay: np.ndarray) -> tuple:
+    """Greedy generators of a table with identity 0: take the least element
+    not yet reached, then close the reached set under right multiplication by
+    the generators so far.  Every reached element is a product of
+    generators, so they generate the whole table."""
+    reached = np.zeros(len(cay), dtype=bool)
+    reached[0] = True
+    gens = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while len(frontier):
+            prods = np.unique(cay[frontier[:, None], gens])
+            frontier = prods[~reached[prods]]
+            reached[frontier] = True
+    return tuple(gens)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +217,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
 
 
 def _check_cap(order: int) -> None:
-    """Refuse an order above MAX_ORDER before its O(order^3) table check."""
+    """Refuse an order above MAX_ORDER before its table is built and checked."""
     if order > MAX_ORDER:
         raise GroupError(f"group order {order} exceeds the cap of {MAX_ORDER}")
 

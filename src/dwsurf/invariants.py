@@ -43,11 +43,15 @@ class InvariantError(ValueError):
 # ---------------------------------------------------------------------------
 # homomorphism enumeration
 
-# Entries of the largest temporary a blocked loop builds at once: (row, a, b)
-# entries of the handle operator, tuple labels of count_homs, edge labels of
-# the labeling enumeration.  No n^3-sized table exists for the largest groups,
-# and the oracles stay a few MB.
+# Entries of the largest temporary a blocked oracle loop builds at once: tuple
+# labels of count_homs, edge labels of the labeling enumeration.  The oracles
+# stay a few MB.
 _BLOCK_ENTRIES = 1 << 18
+
+# (row, a, b) entries of one block of the handle operator: each int64
+# temporary is at most 128 KiB, so it stays in cache and no n^3-sized table
+# exists for the largest groups.
+_OPERATOR_BLOCK = 1 << 14
 
 # Work bounds of the enumerating oracles, refused before any work: count_homs
 # tuples (dw check skips rows past it), labeling states, brute boundary tuples.
@@ -98,13 +102,13 @@ def _operator_rows(G: FiniteGroup, c: TwoCocycle, rows: np.ndarray, orientable: 
     which carries no c(1, g) term.
     """
     n, N = G.order, c.order
-    cay, inv, exps = G.cayley, G.inverse, c.exps
+    cay, inv, exps = G.cayley.ravel(), G.inverse, c.exps.ravel()
     idx = np.arange(n)
     if orientable:
         shape = (len(rows), n, n)
         a, b = idx[None, :, None], idx[None, None, :]
         letters = (a, b, inv[a], inv[b])
-        pay_back = exps[idx, inv]
+        pay_back = exps.take(idx * n + inv)
         k = -(pay_back[a] + pay_back[b])
     else:
         shape = (len(rows), n)
@@ -113,9 +117,10 @@ def _operator_rows(G: FiniteGroup, c: TwoCocycle, rows: np.ndarray, orientable: 
     h = np.asarray(rows).reshape((-1,) + (1,) * (len(shape) - 1))
     row = np.arange(len(rows)).reshape(h.shape)
     for pos, e in enumerate(letters):
+        at = h * n + e    # flat (prefix, letter) index into both tables
         if pos or not first:
-            k = k + exps[h, e]
-        h = cay[h, e]
+            k = k + exps.take(at)
+        h = cay.take(at)
     slot = (row * n + h) * N + np.mod(k, N)
     hist = np.bincount(np.broadcast_to(slot, shape).ravel(), minlength=len(rows) * n * N)
     return hist.reshape(len(rows), n, N)
@@ -128,7 +133,11 @@ def _direct_counts(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> np.ndarr
     exponent k.  The first handle or crosscap starts at the identity prefix
     (one operator row, O(n^2) work); every further one applies the general
     operator, built once in O(n^3) (handle) or O(n^2) (crosscap) work, as N
-    int64 matmuls with a cyclic shift in k.  Genus is a loop count.
+    int64 matmuls with a cyclic shift in k.  Genus is a loop count.  The
+    operator is built in blocks of whole rows, at most _OPERATOR_BLOCK
+    (row, a, b) entries each (2^14, one row when n^2 is larger), so its
+    temporaries stay under 128 KiB for every order up to 128; the operator
+    itself holds N n^2 counts.
     """
     n, N = G.order, c.order
     steps = spec.genus
@@ -139,7 +148,7 @@ def _direct_counts(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> np.ndarr
         raise InvariantError(f"{n}^{generators} homomorphism candidates overflow int64 counts")
     v = _operator_rows(G, c, np.zeros(1, dtype=np.int64), spec.orientable, first=True)[0]
     if steps > 1:
-        block = max(1, _BLOCK_ENTRIES // (n * n if spec.orientable else n))
+        block = max(1, _OPERATOR_BLOCK // (n * n if spec.orientable else n))
         T = np.empty((N, n, n), dtype=np.int64)   # T[d, h', h], transposed for the matmuls
         for start in range(0, n, block):
             stop = min(n, start + block)
@@ -169,7 +178,7 @@ def dw_direct(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> Fraction:
 # ---------------------------------------------------------------------------
 # labeling-sum oracle on simplicial surfaces
 
-def exact_contraction(group, modulus: int, n_vars: int, var_exp, terms, plan):
+def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     """Block-wise enumeration of the admissible labelings, summing their
     root-of-unity exponents.
 
@@ -177,8 +186,9 @@ def exact_contraction(group, modulus: int, n_vars: int, var_exp, terms, plan):
     table so that the two stay independent checks of each other: a row is one
     partial labeling, rows are never merged, every labeled edge is kept and
     nothing is gauge-fixed.  The edges are labeled in plan.order, one level at
-    a time.  A term is checked and weighted at the level of its last edge; a
-    term that closes there and holds that edge once forces its label,
+    a time.  A term is checked at the level of its last edge and adds exp2 of
+    its two pair slots there (edges carry no weight of their own); a term that
+    closes there and holds that edge once forces its label,
     l_s = (l_{s+1} l_{s+2})^-1, by one gather, and otherwise the edge is free
     and every row repeats #G times.  A block of rows goes through the levels
     breadth-first; one that would outgrow _BLOCK_ENTRIES labels is split and
@@ -227,17 +237,12 @@ def exact_contraction(group, modulus: int, n_vars: int, var_exp, terms, plan):
                 x = cay[slot_label(lab, slots[(s + 1) % 3]), slot_label(lab, slots[(s + 2) % 3])]
                 lab[:, pos] = x if slots[s][1] else inv[x]
             visited += len(expo)
-            uexp = var_exp[order[pos]]
-            if uexp is not None:
-                expo = expo + uexp[lab[:, pos]]
             keep = None
             for slots, term in closing[pos]:
                 l = [slot_label(lab, slot) for slot in slots]
                 ok = cay[cay[l[0], l[1]], l[2]] == 0
                 keep = ok if keep is None else keep & ok
                 expo = expo + term.exp2[l[term.pair[0]], l[term.pair[1]]]
-                if term.exp1 is not None:
-                    expo = expo + term.exp1[l[term.exp1_slot]]
             if keep is not None and not keep.all():
                 lab, expo = lab[keep], expo[keep]
             pos += 1
@@ -282,7 +287,7 @@ def dw_labeling_oracle(G: FiniteGroup, c: TwoCocycle, surf: SimplicialSurface) -
     if estimate > MAX_ORACLE_STATES:
         raise InvariantError(
             f"labeling sum needs {estimate} states, beyond the limit {MAX_ORACLE_STATES}")
-    counts, _ = exact_contraction(G, N, len(edges), [None] * len(edges), terms, plan)
+    counts, _ = exact_contraction(G, N, len(edges), terms, plan)
     return Fraction(cyclotomic_integer(counts, "labeling oracle"), n ** surf.n_vertices)
 
 

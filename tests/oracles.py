@@ -8,8 +8,9 @@ weight serves orientable and non-orientable words alike, for any table of
 exponents; histogrammed over the homomorphisms, these weights check the
 direct route's transfer operators.  The group tables of the dihedral,
 quaternion, symmetric and product builders are rebuilt pair by pair from the
-defining rules.  All of them are literal and slow, meant for groups of order
-16 or less (the group tables for order 120 or less).
+defining rules.  The group axioms and the cocycle identity are checked on
+every triple.  All of them are literal and slow, meant for groups of order
+16 or less (the group tables and the axiom checks for order 120 or less).
 """
 
 import itertools
@@ -184,3 +185,22 @@ def product_table(A, B):
 def inverse_table(cay):
     """For each row the column whose product is the identity 0."""
     return np.array([list(row).index(0) for row in cay], dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# axioms on every triple
+
+def is_associative(cay):
+    """(xy)z = x(yz) for every triple, as two n^3 gathers."""
+    cay = np.asarray(cay)
+    return bool(np.array_equal(cay[cay, :], cay[:, cay]))
+
+
+def first_cocycle_violation(c):
+    """The lexicographically first (g1, g2, g3) with
+    c(g1, g2) c(g1 g2, g3) != c(g1, g2 g3) c(g2, g3), or None."""
+    cay, e = c.group.cayley, c.exps
+    lhs = e[:, :, None] + e[cay, :]
+    rhs = e[:, cay] + e[None, :, :]
+    bad = np.argwhere((lhs - rhs) % c.order)
+    return tuple(map(int, bad[0])) if len(bad) else None

@@ -14,6 +14,7 @@ from dwsurf.cocycles import (CocycleError, TwoCocycle, c_regular_count,
                              write_cocycle_file)
 from dwsurf.groups import build_group, conjugacy_classes
 from dwsurf.invariants import catalog_pairs, sign_catalog_pairs
+from oracles import first_cocycle_violation
 
 
 def random_b(G, order, rng):
@@ -100,14 +101,61 @@ def test_normalization_violation_is_located():
     assert check.witness == (1,)
 
 
-def test_cocycle_violation_reports_first_triple():
-    G = build_group("cyclic:3")
-    exps = np.zeros((3, 3), dtype=np.int64)
-    exps[1, 1] = 1  # breaks the identity but not normalization
-    check = verify_cocycle(TwoCocycle(G, 2, exps))
-    assert not check.ok
-    assert check.kind == "cocycle"
-    assert len(check.witness) == 3
+@pytest.mark.parametrize("gspec,entry,witness", [
+    ("cyclic:3", (1, 1), (1, 1, 2)),
+    ("symmetric:3", (3, 1), (1, 3, 1)),    # 3 is not a generator: the row scan finds it
+])
+def test_cocycle_violation_reports_first_triple(gspec, entry, witness):
+    G = build_group(gspec)
+    exps = np.zeros((G.order, G.order), dtype=np.int64)
+    exps[entry] = 1  # breaks the identity but not normalization
+    c = TwoCocycle(G, 2, exps)
+    check = verify_cocycle(c)
+    assert check == (False, "cocycle", witness)
+    assert check.witness == first_cocycle_violation(c)
+
+
+def _verified_bases():
+    """(group, order, exps) of true cocycles: the catalogs, a larger Heisenberg
+    cocycle, a twist of order 6 and trivial tables read modulo 3."""
+    bases = [(c.group, c.order, c.exps) for _, c in catalog_pairs() + sign_catalog_pairs()
+             if c.order > 1]
+    c = heisenberg_cocycle(4)
+    bases.append((c.group, c.order, c.exps))
+    t = twist(heisenberg_cocycle(2), [0, 1, 2, 1], 3)
+    bases.append((t.group, t.order, t.exps))
+    for gspec in ("symmetric:4", "dihedral:12", "product(cyclic:2,quaternion:8)"):
+        G = build_group(gspec)
+        bases.append((G, 3, np.zeros((G.order, G.order), dtype=np.int64)))
+    return bases
+
+
+VERIFIED_BASES = _verified_bases()
+
+
+@st.composite
+def corrupted_cocycles(draw):
+    """A true cocycle with one to three corruptions outside row and column 0,
+    so normalization holds: two entries swapped, or one entry replaced."""
+    G, N, exps = draw(st.sampled_from(VERIFIED_BASES))
+    e = exps.copy()
+    spot = st.tuples(st.integers(1, G.order - 1), st.integers(1, G.order - 1))
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(spot)
+        if draw(st.booleans()):
+            e[p] = draw(st.integers(0, N - 1))
+        else:
+            q = draw(spot)
+            e[p], e[q] = e[q], e[p]
+    return TwoCocycle(G, N, e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=corrupted_cocycles())
+def test_cocycle_verdict_and_witness_match_the_full_scan(c):
+    first = first_cocycle_violation(c)
+    check = verify_cocycle(c)
+    assert check == ((True, None, None) if first is None else (False, "cocycle", first))
 
 
 def test_exponent_range_is_enforced():

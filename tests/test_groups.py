@@ -1,13 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwsurf import groups
 from dwsurf.groups import (MAX_ORDER, FiniteGroup, GroupError, build_group, conjugacy_classes,
-                           cyclic_group, dihedral_group, involution_set)
-from oracles import (dihedral_table, inverse_table, product_table, quaternion_table,
-                     symmetric_table)
+                           cyclic_group, dihedral_group, involution_set, symmetric_group)
+from oracles import (dihedral_table, inverse_table, is_associative, product_table,
+                     quaternion_table, symmetric_table)
 
 
 def brute_classes(G):
@@ -131,9 +134,78 @@ def test_construction_rejects_malformed_tables(table, message):
         FiniteGroup("malformed", table)
 
 
+# ---------------------------------------------------------------------------
+# associativity on the generators (Light's test) against every triple
+
+AXIOM_GROUPS = ("cyclic:6", "cyclic:9", "dihedral:8", "dihedral:12", "quaternion:8",
+                "symmetric:3", "symmetric:4", "symmetric:5", "product(cyclic:2,cyclic:4)",
+                "product(cyclic:2,symmetric:3)", "product(cyclic:3,cyclic:3)")
+
+
+@pytest.mark.parametrize("spec,gens", [
+    ("cyclic:1", ()), ("cyclic:64", (1,)), ("dihedral:64", (1, 32)),
+    ("quaternion:8", (1, 2, 4)), ("product(cyclic:8,cyclic:8)", (1, 8)),
+    ("symmetric:5", (1, 2, 6, 24)),
+])
+def test_generators_are_greedy_and_generate(spec, gens):
+    G = build_group(spec)
+    assert G.generators == gens
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        frontier = [int(G.cayley[x, s]) for x in frontier for s in gens
+                    if int(G.cayley[x, s]) not in reached]
+        reached.update(frontier)
+    assert reached == set(range(G.order))
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A catalog table with one to three corruptions outside row and column 0:
+    two entries of a row or of a column swapped, or one entry replaced.  No
+    zero moves, so identity and inverses still hold and associativity alone
+    decides."""
+    cay = build_group(draw(st.sampled_from(AXIOM_GROUPS))).cayley.copy()
+    n = len(cay)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["row swap", "column swap", "change"]))
+        i = draw(st.integers(1, n - 1))
+        line = cay[i] if kind != "column swap" else cay[:, i]
+        spots = [j for j in range(1, n) if line[j]]
+        j = draw(st.sampled_from(spots))
+        if kind == "change":
+            line[j] = draw(st.integers(1, n - 1))
+        else:
+            j2 = draw(st.sampled_from(spots))
+            line[j], line[j2] = line[j2], line[j]
+    return cay
+
+
+@settings(max_examples=300, deadline=None)
+@given(cay=corrupted_tables())
+def test_associativity_verdict_matches_the_full_check(cay):
+    if is_associative(cay):
+        assert np.array_equal(FiniteGroup("corrupted", cay).cayley, cay)
+    else:
+        with pytest.raises(GroupError, match="not associative"):
+            FiniteGroup("corrupted", cay)
+
+
+def test_symmetric_five_builds_in_under_two_megabytes():
+    """No #G^3 gather: the largest temporaries are the n^2 x degree
+    composition and the n^2 tables of Light's test."""
+    tracemalloc.start()
+    try:
+        symmetric_group(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 def test_order_and_inverse_are_derived_from_the_table():
     G = FiniteGroup("klein", [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-    assert G.order == 4 and G.inverse.tolist() == [0, 1, 2, 3]
+    assert G.order == 4 and G.inverse.tolist() == [0, 1, 2, 3] and G.generators == (1, 2)
     with pytest.raises(TypeError):
         FiniteGroup("klein", G.cayley, 4, G.inverse)
 

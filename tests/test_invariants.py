@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -234,6 +235,33 @@ def test_count_homs_equals_enumeration_for_any_block_size(gspec, orientable, gen
         assert count_homs(G, pres) == len(list(enumerate_homs(G, pres)))
 
 
+@pytest.mark.parametrize("block", [1, 24, 192, 1 << 14])
+@pytest.mark.parametrize("orientable,genus", [(True, 2), (True, 3), (False, 3)])
+def test_operator_blocks_do_not_change_the_counts(monkeypatch, block, orientable, genus):
+    """One operator row per block, ragged blocks and a single block all give
+    the same histogram on a table that is no cocycle."""
+    G = build_group("dihedral:8")
+    rng = np.random.default_rng(3)
+    c = TwoCocycle(G, 5, rng.integers(0, 5, (8, 8)))
+    spec = SurfaceSpec(orientable, genus)
+    want = _direct_counts(G, c, spec)
+    monkeypatch.setattr(invariants, "_OPERATOR_BLOCK", block)
+    assert np.array_equal(_direct_counts(G, c, spec), want)
+
+
+def test_direct_route_peaks_below_two_megabytes():
+    """The order-64 handle operator is built block by block, so no temporary
+    grows with n^3."""
+    c = heisenberg_cocycle(8)
+    tracemalloc.start()
+    try:
+        _direct_counts(c.group, c, SurfaceSpec(True, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 def test_transfer_histogram_equals_weights_on_sign_catalog():
     for G, c in sign_catalog_pairs():
         for k in (1, 2, 3):
@@ -367,8 +395,8 @@ def test_labeling_engine_is_pinned(monkeypatch, block, gspec, cname, surface, vi
     runs = []
     engine = invariants.exact_contraction
 
-    def record(group, modulus, n_vars, var_exp, terms, plan):
-        out = engine(group, modulus, n_vars, var_exp, terms, plan)
+    def record(group, modulus, n_vars, terms, plan):
+        out = engine(group, modulus, n_vars, terms, plan)
         runs.append((out, plan))
         return out
 
