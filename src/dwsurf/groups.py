@@ -104,9 +104,10 @@ def _generating_set(cay: np.ndarray) -> tuple:
         gens.append(int(np.argmin(reached)))
         frontier = np.flatnonzero(reached)
         while len(frontier):
-            prods = np.unique(cay[frontier[:, None], gens])
-            frontier = prods[~reached[prods]]
-            reached[frontier] = True
+            hit = np.zeros_like(reached)
+            hit[cay[frontier[:, None], gens]] = True
+            frontier = np.flatnonzero(hit & ~reached)
+            reached |= hit
     return tuple(gens)
 
 
