@@ -1,37 +1,20 @@
-"""Twisted group algebras over C and their Wedderburn block structure.
+"""Twisted group algebras and their Wedderburn block structure, split exactly.
 
-The algebra A = C[G] with multiplication g1.g2 = c(g1,g2) g1g2 is semisimple;
-this module computes its trace form, center, primitive central idempotents,
-block dimensions, projective characters and, for sign-valued cocycles, the
-involution g* = c(g,g^-1) g^-1 and the symmetric/skew/dual indicator of
-every block.  wedderburn_decompose is a pure function of the algebra that
-returns all of them.  No general product of two elements is formed:
-the only products are those of class sums, tabulated once in center
-coordinates.  The reference multiplication, the regular matrices and the
-dense structure constants are test oracles, in tests/oracles.py.
-
-Cocycle scalars enter exactly (roots of unity) and are embedded into complex
-doubles late.  The center is built exactly, as twisted class sums: which
-classes are c-regular and the phase of every coefficient are integer
-computations, with no rank cutoff.  Characters and indicators are closed forms
-in the primitive central idempotents, O(#G) each, with no basis of the ideals.
-The idempotents are eigenvectors of a generic central element in center
-coordinates, scaled by one linear solve so that they sum to the unit and
-checked for idempotency and orthogonality in the same coordinates.  The
-generic elements come from one fixed random stream, so the same algebra always
-gets the same decomposition, residuals included.  The involution acts on
-coefficient vectors by one gather.
-Tolerances: 1e-8 for the commutator residual of the class sums and for matching
-an idempotent's involution image, 1e-7 for closure and idempotency in center
-coordinates, 1e-6 for eigenvalue separation and for integer rounding of block
-dimensions and of indicators (the indicator margin is fs_rounding_residual).
-Inside one `dw check` run (the run scope of memo.py) each (group, cocycle
-table) is decomposed once; every other call decomposes afresh.
+A = C[G] with g1.g2 = c(g1,g2) g1g2 is semisimple.  Its center, blocks,
+dimensions, projective characters and, for sign-valued cocycles, the
+indicators of the involution g* = c(g,g^-1) g^-1 are a pure function of the
+algebra, found over F_p, p the least prime = 1 (mod N #G) above 2 #G for a
+cocycle of order N (Dixon, Numer. Math. 1967; Haggarty-Humphreys, Proc. LMS
+1978), by equalities of integers mod p; characters are lifted to C on demand.
+Only class sums are multiplied (the reference product is in tests/oracles.py).
+Inside one `dw check` run (memo.py) each algebra is decomposed once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -39,13 +22,32 @@ from .cocycles import TwoCocycle
 from .groups import FiniteGroup, conjugacy_classes
 from .memo import cocycle_key, shared
 
-CLUSTER_TOL = 1e-8
-ROUND_TOL = 1e-6
-MAX_RETRIES = 5
+
+MAX_PRIME = 1 << 20     # the root search evaluates at every point of F_p: 8 MB arrays
 
 
 class AlgebraError(ValueError):
-    """Numerical failure or unsupported algebra operation."""
+    """Failed decomposition or unsupported algebra operation."""
+
+
+@cache
+def _prime(modulus: int, above: int) -> int:
+    """The least prime p = 1 (mod modulus) with p > above."""
+    p = above // modulus * modulus + 1
+    while p <= above or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += modulus
+    return p
+
+
+@cache
+def _root_powers(p: int, order: int) -> np.ndarray:
+    """The images in F_p of zeta_order^k, k < order: powers of the least
+    generator of the multiplicative group, so they agree for every order."""
+    primes = [q for q in range(2, p) if (p - 1) % q == 0 and all(q % f for f in range(2, q))]
+    root = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
+    powers = np.array([pow(root, (p - 1) // order * k, p) for k in range(order)])
+    powers.setflags(write=False)
+    return powers
 
 
 class TwistedGroupAlgebra:
@@ -61,10 +63,42 @@ class TwistedGroupAlgebra:
         self.group = group
         self.cocycle = cocycle
         self.dim = group.order
-        self.omega = cocycle.complex_table  # read-only complex embedding
 
     def __repr__(self):
         return f"TwistedGroupAlgebra({self.group.name}, {self.cocycle.name or 'cocycle'})"
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """The cocycle's values as a complex table."""
+        return np.exp(2j * np.pi * self.cocycle.exps / self.cocycle.order)
+
+    @cached_property
+    def prime(self) -> int:
+        """The prime of the decomposition: the least p = 1 (mod N #G) above 2 #G."""
+        p = _prime(self.cocycle.order * self.dim, 2 * self.dim)
+        if p > MAX_PRIME:
+            raise AlgebraError(f"{self} splits over F_{p}, beyond the cap of {MAX_PRIME}: "
+                               f"the cocycle order {self.cocycle.order} is too large")
+        return p
+
+    @cached_property
+    def power_map(self) -> tuple:
+        """(g^j, w_j, shift, F) for j < e = exp(G): rho(g)^o = zeta_N^c I for
+        o = ord(g), so rho(g) is zeta_{N e}^shift (shift = c e / o) times an
+        operator of order o whose j-th power has trace zeta_{N e}^w_j chi(g^j);
+        F is the inverse Fourier transform of length e mod the prime."""
+        cay, c, p, idx = self.group.cayley, self.cocycle, self.prime, np.arange(self.dim)
+        powers = [0 * idx, idx]                          # g^0, g^1, ..., g^e = 1
+        while powers[-1].any():
+            powers.append(cay[powers[-1], idx])
+        gp, e, N = np.array(powers).T, len(powers) - 1, c.order
+        terms = c.exps[idx[:, None], gp]                 # c(g, g^j)
+        s = (np.cumsum(terms, axis=1) - terms) % N       # rho(g)^j = zeta_N^s_j rho(g^j)
+        order = (gp[:, 1:] == 0).argmax(axis=1) + 1
+        shift = s[idx, order] * (e // order)
+        w = (e * s[:, :e] - shift[:, None] * np.arange(e)) % (N * e)
+        F = _root_powers(p, e)[-np.outer(np.arange(e), np.arange(e)) % e] * pow(e, -1, p) % p
+        return gp[:, :e], w, shift, F
 
     def trace(self, a: np.ndarray) -> complex:
         """Trace of left multiplication by a: #G times the identity coefficient."""
@@ -79,71 +113,79 @@ class TwistedGroupAlgebra:
         inv = self.group.inverse
         return np.asarray(a)[..., inv] * self.omega[inv, np.arange(self.dim)]
 
-    def center_basis(self) -> np.ndarray:
-        """Orthonormal rows spanning the center: the twisted class sums.
+    def center_basis(self, p: int | None = None) -> np.ndarray:
+        """The twisted class sums, one row per c-regular class.
 
         For a class representative g, e_h e_g e_h^-1 = zeta^phi(h) e_{hgh^-1}
         with phi(h) = c(h,g) + c(hg,h^-1) - c(h,h^-1) in exact exponents.  g is
         c-regular iff phi vanishes on its centralizer C(g); then phi is
         constant on every coset h.C(g), and sum_h e_h e_g e_h^-1 is |C(g)|
         times sum_k zeta^phi(k) e_k over the class.  Other classes contribute
-        nothing.  Rows have disjoint supports, so they are orthonormal once
-        divided by sqrt(|class|).
-        """
-        G, exps, N = self.group, self.cocycle.exps, self.cocycle.order
-        cay, inv = G.cayley, G.inverse
-        h = np.arange(self.dim)
-        rows = []
+        nothing.  Over C (p None) the rows are divided by sqrt(|class|), so
+        they are orthonormal; given a prime p = 1 mod N, they are over F_p."""
+        G, exps, N, h = self.group, self.cocycle.exps, self.cocycle.order, np.arange(self.dim)
+        cay, inv, rows = G.cayley, G.inverse, []
         for g in conjugacy_classes(G).representatives:
             hg = cay[h, g]
             conj = cay[hg, inv]                       # h g h^-1
             phase = (exps[h, g] + exps[hg, inv] - exps[h, inv]) % N
             if phase[conj == g].any():
                 continue                              # not c-regular
-            phi = np.empty(self.dim, dtype=np.int64)
+            phi = np.full(self.dim, -1, dtype=np.int64)
             phi[conj] = phase
             if (phi[conj] != phase).any():
                 raise AlgebraError(
                     f"conjugation phase of class {g} is not constant on the cosets of "
                     "its centralizer; the cocycle table is inconsistent")
-            members = np.unique(conj)
-            row = np.zeros(self.dim, dtype=complex)
-            row[members] = np.exp(2j * np.pi * phi[members] / N) / np.sqrt(len(members))
-            rows.append(row)
+            rows.append(phi)
         if not rows:
             raise AlgebraError("empty center: the identity is not c-regular, so the table "
                                "is not normalized")
-        return np.array(rows)
-
-
-def commutator_residual(A: TwistedGroupAlgebra, Z: np.ndarray) -> float:
-    """max |e_x z - z e_x| over the rows z of Z and every basis element e_x.
-
-    Both products permute coefficients: at position xj, e_x z holds
-    c(x,j) z[j] and z e_x holds c(j',x) z[j'] with j' = x j x^-1.  Comparing
-    the two for every x and every j in the support of z covers every nonzero
-    position of either side, because conjugation maps a support it does not
-    preserve partly outside itself.  Cost: #G times the number of nonzeros.
-    """
-    cay, inv, omega = A.group.cayley, A.group.inverse, A.omega
-    i, j = np.nonzero(Z)
-    x = np.arange(A.dim)[:, None]
-    jc = cay[cay[x, j], inv[x]]                  # x j x^-1, shape (#G, nonzeros)
-    return float(np.abs(Z[i, j] * omega[x, j] - Z[i, jc] * omega[jc, x]).max(initial=0.0))
+        phi = np.array(rows)
+        if p is None:
+            size = np.count_nonzero(phi >= 0, axis=1)[:, None]
+            return np.where(phi >= 0, np.exp(2j * np.pi * phi / N) / np.sqrt(size), 0)
+        return np.where(phi >= 0, _root_powers(p, N)[phi], 0)
 
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One matrix block of the Wedderburn decomposition.
+    """One matrix block: its primitive central idempotent e, exactly, as
+    residues mod algebra.prime; the rest is computed on first use."""
 
-    The character and the indicator are closed forms in the idempotent e (see
-    _block_from_idempotent and fs_indicators); no basis of A.e is built.
-    """
-
-    idempotent: np.ndarray    # primitive central idempotent e in A
+    algebra: TwistedGroupAlgebra
+    residues: np.ndarray      # e[g] mod algebra.prime
     dim: int                  # d with the block isomorphic to Mat_d(C)
-    character: np.ndarray     # chi(g) = tr(g on the simple module), length #G
     fs: int | None = None     # +1 symmetric, -1 skew, 0 dual pair, None: no involution
+
+    @cached_property
+    def multiplicities(self) -> np.ndarray:
+        """counts[g, u], the multiplicity of exp(2 pi i (shift[g] + N u) / (N e))
+        as an eigenvalue of g (shift from A.power_map, 0 for trivial cocycles),
+        exact in [0, d] < p: the inverse transform of the traces of the powers,
+        with chi(g) = #G c(g,g^-1) e[g^-1] / d (Dixon's power map)."""
+        A, p, d, N = self.algebra, self.algebra.prime, self.dim, self.algebra.cocycle.order
+        inv, zeta = A.group.inverse, _root_powers(p, N)
+        chi = A.dim * pow(d, -1, p) * zeta[A.cocycle.exps[np.arange(A.dim), inv]] % p
+        gp, w, _, F = A.power_map
+        counts = _root_powers(p, N * len(F))[w] * (chi * self.residues[inv] % p)[gp] % p @ F % p
+        if (counts > d).any():
+            raise AlgebraError(f"eigenvalue multiplicity residue {counts.max()} exceeds the "
+                               f"block dimension {d} mod {p}; decomposition error")
+        return counts
+
+    @cached_property
+    def character(self) -> np.ndarray:
+        """chi(g) = tr(g on the simple module), length #G, complex."""
+        e, N = self.multiplicities.shape[1], self.algebra.cocycle.order
+        k = self.algebra.power_map[2][:, None] + N * np.arange(e)   # exponents of zeta_{N e}
+        return (self.multiplicities * np.exp(2j * np.pi * k / (N * e))).sum(axis=1)
+
+    @cached_property
+    def idempotent(self) -> np.ndarray:
+        """e over C: e[x] = d chi(x^-1) / (#G c(x^-1, x))."""
+        A, inv = self.algebra, self.algebra.group.inverse
+        return self.dim / A.dim * self.character[inv] * A.omega[inv, np.arange(A.dim)].conj()
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,153 +209,126 @@ class WedderburnDecomposition:
 
 
 def wedderburn_decompose(A: TwistedGroupAlgebra) -> WedderburnDecomposition:
-    """Split A into matrix blocks via eigenprojections of a generic central element,
-    with the indicators of every block when the cocycle is sign-valued.
-
-    A random real combination of the class sums acts on the center by an r x r
-    matrix read off the class-sum product table; its eigenvectors span the
-    primitive central idempotents (Burnside's eigenvector method).  The
-    combinations are drawn from one fixed stream, and an eigenvalue collision
-    moves on to the next one.  Inside a run scope (dwsurf.memo) each (group,
-    cocycle table) is decomposed once.
-    """
+    """Split A into blocks, sorted by dimension and residues, with indicators for
+    sign-valued cocycles; the diagnostics are the prime and the splits made."""
     dec = shared(("wedderburn_decompose", *cocycle_key(A.cocycle)), lambda: _decompose(A))
     return dec if dec.algebra is A else replace(dec, algebra=A)
 
 
 def _decompose(A: TwistedGroupAlgebra) -> WedderburnDecomposition:
-    Z = A.center_basis()
-    center_resid = commutator_residual(A, Z)
-    if center_resid > CLUSTER_TOL:
-        raise AlgebraError(
-            f"class sums do not commute with the basis (residual {center_resid:.2e})")
-    r = len(Z)
-    coords = _center_product_table(A, Z)
-    one = Z[:, 0].conj()                         # the unit in center coordinates
-    rng = np.random.default_rng(0)
-    for _ in range(MAX_RETRIES):
-        # row b holds the coordinates of z.Z_b for z = t.Z
-        act = np.tensordot(rng.standard_normal(r), coords, axes=1)
-        evals, evecs = np.linalg.eig(act.T)
-        gaps = np.abs(evals[:, None] - evals[None, :])[~np.eye(r, dtype=bool)]
-        if gaps.min(initial=np.inf) >= 1e-6 * max(1.0, np.abs(evals).max()):
+    G, c, n, p = A.group, A.cocycle, A.dim, A.prime
+    Z = A.center_basis(p)
+    r, support = len(Z), Z != 0
+    cls = np.where(support.any(axis=0), support.argmax(axis=0), -1)   # row of g, or -1
+    val, reps = Z.sum(axis=0), (Z == 1).argmax(axis=1)   # coordinates: coefficients at reps
+    # M[a, b, t]: the coefficient of z_a z_b at reps[t], the sum of z_a[x] z_b[y] c(x, y)
+    # over the c-regular x with y = x^-1 reps[t] c-regular, one gather of #G r pairs
+    y = G.cayley[G.inverse[:, None], reps]                  # x^-1 reps[t] for every x
+    x, t = np.nonzero((cls[:, None] >= 0) & (cls[y] >= 0))
+    y = y[x, t]
+    M = np.zeros((r, r, r), dtype=np.int64)
+    np.add.at(M, (cls[x], cls[y], t), val[x] * val[y] % p * _root_powers(p, c.order)[c.exps[x, y]])
+    M, where = M % p, f"{G.name} with cocycle {c.name or 'cocycle'} over F_{p}"
+    ranks = np.trace(M, axis1=0, axis2=2) % p             # rank(f) = f . ranks mod p
+    E, steps = _primitive_idempotents(np.eye(1, r, dtype=np.int64)[0], M, ranks, p, where)
+    E = np.where(cls >= 0, np.array(E)[:, cls] * val % p, 0)      # to the group basis
+    squares = n * E[:, 0] % p                              # d^2 = tr(L_e) = #G e[1]
+    dims = np.array([math.isqrt(v) for v in squares.tolist()])
+    if (dims < 1).any() or (dims * dims != squares).any() or (dims * dims).sum() != n:
+        raise AlgebraError(f"{where}: #G e[1] = {squares.tolist()} are not the squares of "
+                           "block dimensions with sum #G")
+    blocks = tuple(Block(A, E[i], int(dims[i])) for i in np.lexsort([*E.T[::-1], dims]))
+    dec = WedderburnDecomposition(A, blocks, {"prime": p, "split_steps": steps})
+    return fs_indicators(dec) if c.is_sign_valued else dec
+
+
+def _primitive_idempotents(f: np.ndarray, M: np.ndarray, ranks: np.ndarray, p: int,
+                           where: str) -> tuple:
+    """The primitive idempotents under f (rows of coordinates mod p) and the
+    number of splits made (Dixon-Schneider).  rank(f) = f . ranks mod p is
+    exact as r < p; f splits along the first z_b with f z_b not a multiple of
+    f: a row reduction of the Krylov vectors f z_b^j gives the minimal
+    polynomial, whose roots l_k give the pieces V^-1 (f z_b^j)_j, V[j, k] = l_k^j."""
+    m = int(f @ ranks % p)
+    if m == 1:
+        return [f], 0
+    F, i = (f @ M.reshape(len(M), -1) % p).reshape(len(M), -1), int(np.flatnonzero(f)[0])
+    scalar = (F * f[i] % p == F[:, i, None] * f % p).all(axis=1)
+    if scalar.all():
+        raise AlgebraError(f"{where}: an idempotent of rank {m} is left after every class sum")
+    b = int(scalar.argmin())
+    U = [f, F[b]]
+    for _ in range(m - 1):
+        U.append(U[-1] @ M[:, b] % p)
+    red, pivots = _row_reduce(np.array(U).T, p)
+    k = len(pivots)                       # f z_b^k = sum_{j<k} red[j, k] f z_b^j
+    roots = _roots(np.append(-red[:k, k] % p, 1), p)
+    if len(roots) < k:
+        raise AlgebraError(f"{where}: a minimal polynomial of degree {k} has {len(roots)} "
+                           "distinct roots; the prime does not split the center")
+    V = np.array([[pow(int(root), j, p) for root in roots] for j in range(k)])
+    split = [_primitive_idempotents(e, M, ranks, p, where)
+             for e in _row_reduce(np.hstack([V, U[:k]]), p)[0][:, k:]]
+    return [e for done, _ in split for e in done], 1 + sum(steps for _, steps in split)
+
+
+def _row_reduce(a: np.ndarray, p: int) -> tuple:
+    """Row reduction over F_p up to the first column without a pivot: the
+    reduced matrix and the pivot columns before it."""
+    a, pivots = a % p, []
+    for col in range(a.shape[1]):
+        top = len(pivots)
+        i = top + int((a[top:, col] != 0).argmax()) if top < len(a) else top
+        if i == len(a) or not a[i, col]:
             break
-    else:
-        raise AlgebraError(f"eigenvalue collision in {MAX_RETRIES} generic central elements")
-    C = evecs * np.linalg.solve(evecs, one)      # e_k (column k) scaled to sum to the unit
-    # e_i e_j in center coordinates, contracted one index at a time: (i, c, j)
-    prods = np.tensordot(np.tensordot(C, coords, axes=(0, 0)), C, axes=(1, 0))
-    prods[np.arange(r), :, np.arange(r)] -= C.T
-    idem_resid = max(float(np.abs(prods).max()), float(np.abs(C.sum(axis=1) - one).max()))
-    if idem_resid > 1e-7:
-        raise AlgebraError("eigenprojections are not orthogonal idempotents summing to the "
-                           f"unit (residual {idem_resid:.2e})")
-    blocks = [_block_from_idempotent(A, e) for e in C.T @ Z]
-    if sum(b.dim * b.dim for b in blocks) != A.dim:
-        raise AlgebraError("block dimensions do not satisfy sum d^2 = #G")
-    blocks.sort(key=lambda b: (b.dim,
-                               tuple(np.round(b.character.real, 6)),
-                               tuple(np.round(b.character.imag, 6))))
-    diagnostics = {
-        "center_commutator_residual": center_resid,
-        "idempotency_residual": idem_resid,
-        "dim_rounding_residual": float(max(abs(np.sqrt(A.trace(b.idempotent).real) - b.dim)
-                                           for b in blocks)),
-    }
-    dec = WedderburnDecomposition(A, tuple(blocks), diagnostics)
-    return fs_indicators(dec) if A.cocycle.is_sign_valued else dec
+        row = a[i] * pow(int(a[i, col]), -1, p) % p
+        a = (a - a[:, col, None] * row) % p
+        a[i], a[top] = a[top], row              # the pivot row moves up to top
+        pivots.append(col)
+    return a, pivots
 
 
-def _center_product_table(A: TwistedGroupAlgebra, Z: np.ndarray) -> np.ndarray:
-    """coords[a, b] = center coordinates of Z_a Z_b, checked for closure.  The rows
-    of Z have disjoint supports, so all r^2 products are one gather over at most
-    #G^2 pairs (x, y): Z[a,x] Z[b,y] c(x,y) lands at position xy of product (a, b)."""
-    a, x = np.nonzero(Z)
-    w, xx = Z[a, x], x[:, None]
-    images = np.zeros((len(Z), len(Z), A.dim), dtype=complex)
-    np.add.at(images, (a[:, None], a, A.group.cayley[xx, x]), np.outer(w, w) * A.omega[xx, x])
-    coords = images @ Z.conj().T
-    resid = np.abs(images - coords @ Z).max()
-    if resid > 1e-7:
-        raise AlgebraError(f"center is not closed under multiplication (residual {resid:.2e})")
-    return coords
-
-
-def _block_from_idempotent(A: TwistedGroupAlgebra, e: np.ndarray) -> Block:
-    t = A.trace(e)
-    if abs(t.imag) > ROUND_TOL:
-        raise AlgebraError(f"non-real trace {t} on an idempotent")
-    d = np.sqrt(max(t.real, 0.0))
-    if abs(d - round(d)) > ROUND_TOL or round(d) < 1:
-        raise AlgebraError(f"block dimension {d} is not a positive integer within 1e-6")
-    d = int(round(d))
-    # tr(L_{g.e}) = d chi(g) since A.e holds d copies of the simple module, and
-    # tr(L_x) = #G x[1] with (g.e)[1] = c(g, g^-1) e[g^-1]
-    inv = A.group.inverse
-    char = A.dim * A.omega[np.arange(A.dim), inv] * e[inv] / d
-    if abs(char[0] - d) > 1e-6:
-        raise AlgebraError("character does not evaluate to the dimension at the identity")
-    return Block(e, d, char)
+def _roots(poly: np.ndarray, p: int) -> np.ndarray:
+    """The roots in F_p of a polynomial, lowest degree first, by evaluation at
+    every point (Horner's rule)."""
+    x = np.arange(p, dtype=np.int64)
+    return np.flatnonzero(reduce(lambda v, coef: (v * x + coef) % p, poly[::-1], 0 * x) == 0)
 
 
 def fs_indicators(dec: WedderburnDecomposition) -> WedderburnDecomposition:
-    """Fill the symmetric/skew/dual indicator of every block.
+    """Fill the symmetric/skew/dual indicator of every block, exactly.
 
     fs = tr(S o R_e) / d for the involution S and right multiplication R_e by
-    the block idempotent.  S maps A.e onto the ideal of the involution image of
-    e, so the trace is 0 for blocks in a dual pair; on a self-dual block Mat_d
-    it is a transpose for a symmetric or a skew form, whose fixed subspace has
-    dimension (d^2 + tr)/2 = d(d+1)/2 or d(d-1)/2, i.e. tr = +d or -d.  In the
-    group basis the diagonal of S o R_e at g comes from e[g^-2] alone:
-    tr = sum_g c(g^-1, g) c(g, g^-2) e[g^-2].  Matching S.e against the
-    idempotents decides the pairing independently, and the two must agree:
-    one r x r matrix of max-coefficient distances pairs each image with the
-    nearest idempotent, which it must equal within CLUSTER_TOL.
-    wedderburn_decompose calls this for every sign-valued cocycle.
-    """
+    the block idempotent: 0 for a block that S maps to another, +1 or -1 on a
+    self-dual block Mat_d (a transpose for a symmetric or a skew form), and
+    tr = sum_g c(g^-1, g) c(g, g^-2) e[g^-2] mod p.  Independently S.e must
+    equal an idempotent, and exactly the self-dual blocks have fs != 0."""
     A = dec.algebra
-    E = np.array([b.idempotent for b in dec.blocks])
-    SE = A.star(E)
-    k = np.arange(len(E))
-    dist = np.abs(SE[:, None, :] - E[None, :, :]).max(axis=2)    # max |S e_i - e_j|
-    mate = dist.argmin(axis=1)
-    if dist[k, mate].max() > CLUSTER_TOL:
-        raise AlgebraError("involution image of an idempotent matches no block")
-    if (mate[mate] != k).any():
-        raise AlgebraError("involution does not pair blocks consistently")
-    g, inv = np.arange(A.dim), A.group.inverse
-    sq_inv = A.group.cayley[inv, inv]            # g^-2
-    phase = A.omega[inv, g] * A.omega[g, sq_inv]
-    # reduced row by row and measured by hypot, these round exactly as np.sum of one
-    # block and abs() do; an axis sum and np.abs of complex arrays differ in the last bit
-    ratios = np.array([np.add.reduce(t) for t in phase * E[:, sq_inv]]) / np.array(dec.dims)
-    fs = np.rint(ratios.real).astype(np.int64)
-    margins = np.hypot(ratios.real - fs, ratios.imag)
-    bad = (margins > ROUND_TOL) | (np.abs(fs) > 1)
-    if bad.any():
-        raise AlgebraError(f"indicator {ratios[bad][0]} is not -1, 0 or +1 within 1e-6; "
-                           "decomposition error")
+    if not A.cocycle.is_sign_valued:
+        raise AlgebraError("the involution needs a cocycle with values in {+1,-1}")
+    p, exps, g, inv = A.prime, A.cocycle.exps, np.arange(A.dim), A.group.inverse
+    zeta = _root_powers(p, A.cocycle.order)
+    E, d = np.array([b.residues for b in dec.blocks]), np.array(dec.dims)
+    sq, k = A.group.cayley[inv, inv], np.arange(len(E))     # g^-2, block index
+    trace = E[:, sq] @ zeta[(exps[inv, g] + exps[g, sq]) % A.cocycle.order] % p
+    fs = np.select([trace == d, trace == p - d, trace == 0], [1, -1, 0], 2)
+    if (fs == 2).any():
+        raise AlgebraError(f"indicator residue {trace[fs == 2][0]} is not -1, 0 or +1 mod p "
+                           f"(p = {p}); decomposition error")
+    index = {row.tobytes(): i for i, row in enumerate(E)}     # S.e at g: c(g^-1, g) e[g^-1]
+    mate = np.array([index.get(r.tobytes(), -1) for r in E[:, inv] * zeta[exps[inv, g]] % p])
+    if (mate < 0).any() or (mate[mate] != k).any():
+        raise AlgebraError("involution image of an idempotent matches no block, or not in pairs")
     clash = (fs == 0) != (mate != k)
     if clash.any():
         raise AlgebraError(f"indicator {fs[clash][0]} disagrees with the involution's block "
                            "pairing; decomposition error")
-    blocks = tuple(Block(b.idempotent, b.dim, b.character, f)
-                   for b, f in zip(dec.blocks, fs.tolist()))
-    return WedderburnDecomposition(A, blocks, dict(dec.diagnostics,
-                                                   fs_rounding_residual=float(margins.max())))
+    blocks = tuple(Block(A, b.residues, b.dim, f) for b, f in zip(dec.blocks, fs.tolist()))
+    return WedderburnDecomposition(A, blocks, dec.diagnostics)
 
 
 def decomposition_to_json(dec: WedderburnDecomposition) -> dict:
-    return {
-        "group": dec.algebra.group.name,
-        "cocycle": dec.algebra.cocycle.name,
-        "blocks": [
-            {
-                "dim": b.dim,
-                "fs": b.fs,
-                "character": [[float(z.real), float(z.imag)] for z in b.character],
-            }
-            for b in dec.blocks
-        ],
-        "residuals": dec.diagnostics,
-    }
+    blocks = [{"dim": b.dim, "fs": b.fs, "character": [[float(z.real), float(z.imag)]
+                                                      for z in b.character]} for b in dec.blocks]
+    return {"group": dec.algebra.group.name, "cocycle": dec.algebra.cocycle.name,
+            "blocks": blocks, **dec.diagnostics}

@@ -7,8 +7,8 @@ the other commands, like library calls, keep no state between calls.
 
 Exit codes: 0 pass, 1 computational failure or disagreement, 2 usage error.
 Every command is deterministic.  The one random input is `dw check --seed`
-(default 0, overridable via DW_SEED), which draws the invariance suite's
-coboundary twists and Pachner variants.
+(default 0, overridable via DW_SEED), which seeds the random.Random that
+draws the invariance suite's coboundary twists and Pachner variants.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import argparse
 import csv
 import json
 import os
+import random
 import sys
-
-import numpy as np
 
 from .algebra import TwistedGroupAlgebra, decomposition_to_json, wedderburn_decompose
 from .cocycles import (TwoCocycle, heisenberg_cocycle, read_cocycle_file, trivial_cocycle,
@@ -177,7 +176,7 @@ def _suite_oracles(seed: int) -> list:
 
 
 def _suite_invariance(seed: int) -> list:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     rows = []
     sphere = standard_triangulation(SurfaceSpec(True, 0))
     variants = pachner_variants(sphere, 5, seed=seed)
@@ -200,7 +199,7 @@ def _suite_invariance(seed: int) -> list:
         base = dw_direct(G, c, SurfaceSpec(True, 1))
         ok = True
         for _ in range(20):
-            b = [0] + [int(rng.integers(12)) for _ in range(G.order - 1)]
+            b = [0] + [rng.randrange(12) for _ in range(G.order - 1)]
             ok = ok and dw_direct(G, twist(c, b, 12), SurfaceSpec(True, 1)) == base
         rows.append((f"coboundary direct {G.name}/{c.name}", ok, "torus, 20 random twists"))
     for G, c in nonorientable_catalog_pairs():

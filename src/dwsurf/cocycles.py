@@ -100,12 +100,6 @@ class TwoCocycle:
         object.__setattr__(self, "exps", e)
 
     @cached_property
-    def complex_table(self) -> np.ndarray:
-        tab = np.exp(2j * np.pi * self.exps / self.order)
-        tab.setflags(write=False)
-        return tab
-
-    @cached_property
     def is_sign_valued(self) -> bool:
         """True when every value is +1 or -1; read once per cocycle."""
         return bool(np.all((2 * self.exps) % self.order == 0))

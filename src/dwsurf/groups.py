@@ -136,18 +136,14 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
 
 
 def _conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
-    n = G.order
-    cay, inv = G.cayley, G.inverse
-    class_of = np.full(n, -1, dtype=np.int64)
-    reps, sizes = [], []
-    h = np.arange(n)
+    n, cay, inv, h = G.order, G.cayley, G.inverse, np.arange(G.order)
+    class_of, reps, sizes = np.full(n, -1, dtype=np.int64), [], []
     for g in range(n):
         if class_of[g] >= 0:
             continue
-        orbit = np.unique(cay[cay[h, g], inv[h]])
-        class_of[orbit] = len(reps)
+        class_of[cay[cay[h, g], inv[h]]] = len(reps)     # mark the orbit of g
+        sizes.append(int(np.count_nonzero(class_of == len(reps))))
         reps.append(g)
-        sizes.append(len(orbit))
     class_of.setflags(write=False)
     return ConjugacyClasses(class_of, tuple(reps), tuple(sizes))
 

@@ -23,14 +23,16 @@ routes side by side and decides agreement and integrality by exact equality.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import TwistedGroupAlgebra, WedderburnDecomposition, wedderburn_decompose
-from .cocycles import TwoCocycle, c_regular_count, cyclotomic_integer, trivial_cocycle
-from .groups import FiniteGroup, conjugacy_classes
+from .cocycles import (TwoCocycle, c_regular_count, cyclotomic_integer, heisenberg_cocycle,
+                       sign_cocycles_catalog, trivial_cocycle)
+from .groups import FiniteGroup, build_group, conjugacy_classes
 from .state_sum import TriangleTerm, plan_from_terms, run_state_sum
 from .surfaces import (RelatorPresentation, SimplicialSurface, SurfaceSpec, seven_vertex_torus,
                        standard_triangulation, tetrahedron_sphere)
@@ -326,31 +328,29 @@ def boundary_hom_count(G: FiniteGroup, genus: int, boundary: tuple) -> int:
     sending the i-th boundary class into the conjugacy class of boundary[i].
 
     Character formula: #G^(2g-1) * prod |K_i| * sum over irreducibles of
-    dim^(2-2g-k) * prod chi(g_i), evaluated from the trivial-cocycle blocks.
-    The characters are floats, so a count of 2^53 or more, where a double no
-    longer pins the integer, is refused with InvariantError.
+    dim^(2-2g-k) * prod chi(g_i), evaluated exactly from the trivial-cocycle
+    blocks: each chi(g_i) is its eigenvalue-multiplicity vector, an element of
+    Z[x]/(x^M - 1) with M = exp(G); the products are summed with Fraction
+    weights and reduced once modulo Phi_M.
     """
     k = len(boundary)
     if k < 1:
         raise InvariantError("at least one boundary circle is required")
     dec = wedderburn_decompose(TwistedGroupAlgebra(G, trivial_cocycle(G)))
     classes = conjugacy_classes(G)
-    n = G.order
-    class_sizes = [classes.sizes[classes.class_of[g]] for g in boundary]
-    total = 0j
+    total = 0
     for b in dec.blocks:
-        prod = complex(float(b.dim) ** (2 - 2 * genus - k))
+        prod = np.eye(1, b.multiplicities.shape[1], dtype=object)[0]
         for g in boundary:
-            prod *= b.character[g]
-        total += prod
-    val = float(n) ** (2 * genus - 1) * float(np.prod(class_sizes)) * total
-    nearest = round(val.real)
-    if abs(nearest) >= 2 ** 53:
-        raise InvariantError(f"boundary count {val} is past 2^53, where doubles do not "
-                             "resolve integers")
-    if abs(val - nearest) > 1e-6 * max(1.0, abs(nearest)):
-        raise InvariantError(f"boundary count {val} is not near an integer")
-    return int(nearest)
+            prod = sum(np.roll(prod, j) * int(m) for j, m in enumerate(b.multiplicities[g]))
+        total = total + Fraction(b.dim) ** (2 - 2 * genus - k) * prod
+    total = total * Fraction(G.order) ** (2 * genus - 1) * math.prod(
+        classes.sizes[classes.class_of[g]] for g in boundary)
+    den = math.lcm(*(t.denominator for t in total))
+    val = Fraction(cyclotomic_integer([int(t * den) for t in total], "boundary formula"), den)
+    if val.denominator != 1:
+        raise InvariantError(f"boundary count {val} is not an integer")
+    return int(val)
 
 
 def boundary_hom_count_brute(G: FiniteGroup, genus: int, boundary: tuple) -> int:
@@ -498,8 +498,6 @@ SIGN_CATALOG_GROUPS = (
 
 def catalog_pairs(entries=ORIENTABLE_CATALOG) -> list:
     """Materialize (group, cocycle) pairs from catalog descriptors."""
-    from .cocycles import heisenberg_cocycle
-    from .groups import build_group
     out = []
     for gspec, cname in entries:
         if cname == "trivial":
@@ -516,8 +514,6 @@ def catalog_pairs(entries=ORIENTABLE_CATALOG) -> list:
 def nonorientable_catalog_pairs() -> list:
     """(group, cocycle) pairs for the non-orientable suites: every sign-valued
     catalog entry on the supported groups, plus the trivial ones."""
-    from .cocycles import sign_cocycles_catalog
-    from .groups import build_group
     out = []
     for gspec in NONORIENTABLE_CATALOG_GROUPS:
         G = build_group(gspec)
@@ -529,8 +525,6 @@ def nonorientable_catalog_pairs() -> list:
 
 
 def sign_catalog_pairs() -> list:
-    from .cocycles import sign_cocycles_catalog
-    from .groups import build_group
     out = []
     for gspec in SIGN_CATALOG_GROUPS:
         G = build_group(gspec)

@@ -18,6 +18,7 @@ unchanged.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -383,18 +384,18 @@ def pachner_variants(tri: GluedTriangulation, n_variants: int, seed: int = 0) ->
     """Deterministic small perturbations of a triangulation by Pachner moves.
 
     Variant k applies 1 + (k mod 2) moves, alternating subdivisions
-    and diagonal flips, with all choices drawn from a seeded generator.
+    and diagonal flips, with all choices drawn from random.Random(seed).
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out = []
     for k in range(n_variants):
         cur = tri
         for step in range(1 + k % 2):
             if step % 2 == 0:
-                cur = pachner_13(cur, int(rng.integers(cur.n_triangles)))
+                cur = pachner_13(cur, rng.randrange(cur.n_triangles))
             else:
-                flippable = [f for f, p in cur.edge_flags() if f // 3 != p // 3]
-                cur = pachner_22(cur, flippable[int(rng.integers(len(flippable)))])
+                flips = [f for f, p in cur.edge_flags() if f // 3 != p // 3]
+                cur = pachner_22(cur, rng.choice(flips))
         out.append(cur)
     return out
 

@@ -2,7 +2,9 @@
 
 The twisted multiplication is read off its definition, and the regular
 matrices, the dense structure constants and the pairing vector are built from
-it; the involution of a sign-valued cocycle is a dense matrix.  The dense Fukuma-Hosono-Kawai contraction checks the sparse state-sum
+it; the involution of a sign-valued cocycle is a dense matrix, and the
+commutator residual of candidate central elements is read off the basis
+permutations.  The dense Fukuma-Hosono-Kawai contraction checks the sparse state-sum
 engine.  Homomorphisms are enumerated one tuple at a time, and one relator
 weight serves orientable and non-orientable words alike, for any table of
 exponents; histogrammed over the homomorphisms, these weights check the
@@ -57,6 +59,22 @@ def structure_constants(A):
     """Dense C[i, j, k] with e_i e_j = sum_k C[i, j, k] e_k."""
     basis = np.eye(A.dim)
     return multiply(A, basis[:, None], basis[None])
+
+
+def commutator_residual(A, Z):
+    """max |e_x z - z e_x| over the rows z of Z and every basis element e_x.
+
+    Both products permute coefficients: at position xj, e_x z holds
+    c(x,j) z[j] and z e_x holds c(j',x) z[j'] with j' = x j x^-1.  Comparing
+    the two for every x and every j in the support of z covers every nonzero
+    position of either side, because conjugation maps a support it does not
+    preserve partly outside itself.  Cost: #G times the number of nonzeros.
+    """
+    cay, inv, omega = A.group.cayley, A.group.inverse, A.omega
+    i, j = np.nonzero(Z)
+    x = np.arange(A.dim)[:, None]
+    jc = cay[cay[x, j], inv[x]]                  # x j x^-1, shape (#G, nonzeros)
+    return float(np.abs(Z[i, j] * omega[x, j] - Z[i, jc] * omega[jc, x]).max(initial=0.0))
 
 
 def pairing_matrix(C):

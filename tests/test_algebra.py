@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwsurf import algebra as algebra_module
 from dwsurf.algebra import (AlgebraError, TwistedGroupAlgebra, WedderburnDecomposition,
-                            commutator_residual, decomposition_to_json, fs_indicators,
-                            wedderburn_decompose)
+                            decomposition_to_json, fs_indicators, wedderburn_decompose)
 from dwsurf.cocycles import (TwoCocycle, c_regular_count, heisenberg_cocycle,
                              sign_cocycles_catalog, trivial_cocycle, twist)
 from dwsurf.groups import build_group, conjugacy_classes
 from dwsurf.invariants import SIGN_CATALOG_GROUPS, catalog_pairs, cross_check, sign_catalog_pairs
 from dwsurf.surfaces import SurfaceSpec
-from oracles import (left_matrix, multiply, pairing_matrix, right_matrix, star_matrix,
-                     structure_constants)
+from oracles import (commutator_residual, left_matrix, multiply, pairing_matrix, right_matrix,
+                     star_matrix, structure_constants)
 
 
 def algebra(gspec, cocycle=None):
@@ -248,7 +248,9 @@ def test_symmetric_five_verlinde_matches_character_degrees(genus, expected):
     assert rep.passed
     assert rep.diagnostics["block_dims"] == [1, 1, 4, 4, 5, 5, 6]
     assert rep.integrality["nearest"] == expected
-    assert rep.diagnostics["center_commutator_residual"] == 0.0
+    # the least prime = 1 mod 120 above 240 splits the center along one class sum
+    assert rep.diagnostics["prime"] == 241
+    assert rep.diagnostics["split_steps"] == 1
 
 
 def test_decomposition_of_complex_twisted_algebra():
@@ -315,43 +317,31 @@ def test_abelian_order_64_splits_into_its_linear_characters(gspec):
     assert np.abs(chars @ chars.conj().T / 64 - np.eye(64)).max() < 1e-9
 
 
-def fake_eig(eigenvectors):
-    """np.linalg.eig replacement: distinct eigenvalues, the given eigenvectors."""
-    def eig(m):
-        return np.arange(len(m), dtype=complex), eigenvectors(len(m))
-    return eig
-
-
-@pytest.mark.parametrize("eigenvectors,match", [
-    (np.eye, "not a positive integer"),        # scaled to the unit and two zeros: traces 6, 0, 0
-    (lambda r: np.random.default_rng(0).standard_normal((r, r)), "not orthogonal idempotents"),
-])
-def test_decomposition_rejects_wrong_eigenvectors(monkeypatch, eigenvectors, match):
-    A = algebra("symmetric:3")
-    monkeypatch.setattr(np.linalg, "eig", fake_eig(eigenvectors))
-    with pytest.raises(AlgebraError, match=match):
-        wedderburn_decompose(A)
-
-
-def test_decomposition_retries_then_rejects_eigenvalue_collisions(monkeypatch):
-    calls = []
-
-    def eig(m):
-        calls.append(m)
-        return np.zeros(len(m), dtype=complex), np.eye(len(m))
-    monkeypatch.setattr(np.linalg, "eig", eig)
-    with pytest.raises(AlgebraError, match="eigenvalue collision"):
+def test_decomposition_rejects_a_prime_that_cannot_split(monkeypatch):
+    # F_5 has no primitive cube root of unity, so x^3 - 1, the minimal
+    # polynomial of a generator's class sum in C[Z/3], has one root there
+    monkeypatch.setattr(algebra_module, "_prime", lambda modulus, above: 5)
+    with pytest.raises(AlgebraError, match="cyclic:3 with cocycle trivial over F_5: .* "
+                                           "does not split the center"):
         wedderburn_decompose(algebra("cyclic:3"))
-    assert len(calls) == 5
-    assert not np.allclose(calls[0], calls[1])    # fresh randomness on each attempt
 
 
-def test_decomposition_rejects_center_that_is_not_closed():
-    # e_0 and e_1 commute with C[Z/3] but e_1 e_1 = e_2 leaves their span
-    A = algebra("cyclic:3")
-    A.center_basis = lambda: np.eye(3, dtype=complex)[:2]
-    with pytest.raises(AlgebraError, match="not closed under multiplication"):
+def test_decomposition_refuses_a_prime_past_the_cap():
+    # a coboundary of order 2^19 on Z/4 needs p = 1 mod 2^21, past MAX_PRIME
+    G = build_group("cyclic:4")
+    A = TwistedGroupAlgebra(G, twist(trivial_cocycle(G), [0, 1, 2, 3], 1 << 19))
+    with pytest.raises(AlgebraError, match="beyond the cap of 1048576"):
         wedderburn_decompose(A)
+
+
+def test_split_rejects_an_idempotent_left_unsplit():
+    # a table on which the unit has rank (trace) 2 but every class sum maps
+    # it to a multiple of itself, so no class sum separates its pieces
+    M = np.zeros((2, 2, 2), dtype=np.int64)
+    M[0, :, 0] = (2, 3)
+    with pytest.raises(AlgebraError, match="toy: an idempotent of rank 2 is left after every "
+                                           "class sum"):
+        algebra_module._primitive_idempotents(np.array([1, 0]), M, np.array([2, 0]), 7, "toy")
 
 
 def test_block_count_matches_regular_classes_for_nontrivial_cocycles():
@@ -362,7 +352,7 @@ def test_block_count_matches_regular_classes_for_nontrivial_cocycles():
 
 def test_decomposition_is_deterministic():
     # a pure function of the algebra: the same tables give the same export,
-    # residuals included, and the export names no seed
+    # prime and split count included, and the export names no seed
     a = decomposition_to_json(wedderburn_decompose(algebra("quaternion:8")))
     b = decomposition_to_json(wedderburn_decompose(algebra("quaternion:8")))
     assert a == b
@@ -421,6 +411,31 @@ def test_projective_characters_are_orthonormal(G, c):
     chars = np.array([b.character for b in wedderburn_decompose(TwistedGroupAlgebra(G, c)).blocks])
     gram = chars @ chars.conj().T / G.order
     assert np.abs(gram - np.eye(len(chars))).max() < 1e-9
+
+
+@pytest.mark.parametrize("G,c", BLOCK_PAIRS, ids=lambda x: getattr(x, "name", None))
+def test_center_basis_over_a_prime_field_matches_the_complex_one(G, c):
+    # the same class sums: zeta_N^k over C (divided by sqrt|class|) is w^k in F_p
+    A = TwistedGroupAlgebra(G, c)
+    Z = A.center_basis()
+    p = algebra_module._prime(c.order * G.order, 2 * G.order)
+    Zp = A.center_basis(p)
+    assert np.array_equal(Z != 0, Zp != 0)
+    k = np.rint(np.angle(Z * np.sqrt((Z != 0).sum(axis=1, keepdims=True)))
+                * c.order / (2 * np.pi)).astype(np.int64) % c.order
+    w = algebra_module._root_powers(p, c.order)[1 % c.order]
+    assert all(Zp[i, j] == pow(int(w), int(k[i, j]), p) for i, j in zip(*np.nonzero(Z)))
+
+
+def test_decomposition_needs_no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decomposition called LAPACK")
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for G, c in BLOCK_PAIRS:
+        dec = wedderburn_decompose(TwistedGroupAlgebra(G, c))
+        assert sum(d * d for d in dec.dims) == G.order
+        assert all(abs(b.character[0] - b.dim) < 1e-12 for b in dec.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -532,22 +547,32 @@ def test_indicators_invariant_under_sign_twists():
 
 
 @pytest.mark.parametrize("idempotent,match", [
-    ((0.0, 1.0), "disagrees with the involution's block pairing"),   # trace 0, S.x = x
-    ((0.3, 0.0), "not -1, 0 or \\+1 within 1e-6"),                   # trace 0.6
+    ((0, 1), "disagrees with the involution's block pairing"),   # trace 0, S.x = x
+    ((1, 0), "not -1, 0 or \\+1 mod p"),                         # trace 2 mod 5, d = 1
 ])
 def test_indicator_is_checked_against_the_block_pairing(idempotent, match):
     # a one-block decomposition of C[Z/2] whose "idempotent" is fixed by the
     # involution, so the pairing says self-dual, but whose trace is wrong
     dec = wedderburn_decompose(algebra("cyclic:2"))
-    fake = replace(dec.blocks[0], idempotent=np.array(idempotent, dtype=complex))
+    assert dec.diagnostics["prime"] == 5
+    fake = replace(dec.blocks[0], residues=np.array(idempotent))
     with pytest.raises(AlgebraError, match=match):
+        fs_indicators(WedderburnDecomposition(dec.algebra, (fake,), {}))
+
+
+def test_involution_image_must_equal_an_idempotent():
+    # in C[Z/3] the involution swaps g and g^-1: the residues (0, 1, 0) have
+    # indicator trace 1 = d but map to (0, 0, 1)
+    dec = wedderburn_decompose(algebra("cyclic:3"))
+    fake = replace(dec.blocks[0], residues=np.array([0, 1, 0]))
+    with pytest.raises(AlgebraError, match="matches no block"):
         fs_indicators(WedderburnDecomposition(dec.algebra, (fake,), {}))
 
 
 def test_fs_requires_sign_valued_cocycle():
     c = heisenberg_cocycle(3)
     dec = wedderburn_decompose(TwistedGroupAlgebra(c.group, c))
-    assert dec.fs_list == (None,) and "fs_rounding_residual" not in dec.diagnostics
+    assert dec.fs_list == (None,) and set(dec.diagnostics) == {"prime", "split_steps"}
     with pytest.raises(AlgebraError):
         fs_indicators(dec)
 
@@ -582,5 +607,5 @@ def test_decomposition_export_shape():
     data = decomposition_to_json(wedderburn_decompose(algebra("cyclic:2")))
     assert {b["dim"] for b in data["blocks"]} == {1}
     assert all(len(b["character"]) == 2 for b in data["blocks"])
-    assert "idempotency_residual" in data["residuals"]
-    assert data["residuals"]["fs_rounding_residual"] < 1e-12
+    assert (data["prime"], data["split_steps"]) == (5, 1)
+    assert "residuals" not in data

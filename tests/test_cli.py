@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,7 +206,7 @@ def test_compute_reports_indicators_on_orientable_surfaces(capsys):
     diagnostics = json.loads(out)["diagnostics"]
     assert code == 0
     assert diagnostics["fs"] == [1, 1, 1, 1, -1]
-    assert diagnostics["fs_rounding_residual"] < 1e-9
+    assert (diagnostics["prime"], diagnostics["split_steps"]) == (17, 4)
 
 
 def test_cocycle_file_descriptor(tmp_path, capsys):
@@ -401,3 +405,29 @@ def test_run_scope_keys_on_cocycle_table(decompositions):
     assert decs[1].blocks is decs[0].blocks and decs[3].blocks is decs[2].blocks
     assert decs[1].algebra is not decs[0].algebra    # each caller gets its own algebra
     assert decs[2].dims == decs[0].dims
+
+
+NO_NUMPY_RANDOM = """
+import sys
+from dwsurf import (TwistedGroupAlgebra, build_group, cross_check, decomposition_to_json,
+                    heisenberg_cocycle, sign_cocycles_catalog, wedderburn_decompose)
+from dwsurf.cli import main
+from dwsurf.surfaces import SurfaceSpec
+G = build_group("quaternion:8")
+q8 = next(c for c in sign_cocycles_catalog(G) if c.name == "q8:cup")
+h3 = heisenberg_cocycle(3)
+for G, c, spec in ((G, q8, SurfaceSpec(False, 2)), (h3.group, h3, SurfaceSpec(True, 1))):
+    assert cross_check(G, c, spec, oracle=True).passed
+    decomposition_to_json(wedderburn_decompose(TwistedGroupAlgebra(G, c)))
+assert main(["check", "--suite", "all", "--json"]) == 0
+assert "numpy.random" not in sys.modules, "numpy.random was imported"
+"""
+
+
+def test_no_library_path_imports_numpy_random():
+    # a fresh interpreter: every route, the oracle, a character lift and dw check
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY_RANDOM], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -464,12 +464,12 @@ def test_boundary_formula_matches_brute_force():
     assert boundary_hom_count(S3, 0, (0,)) == 1   # disk: only the trivial assignment
 
 
-def test_boundary_formula_refuses_counts_past_double_precision():
+def test_boundary_formula_is_exact_past_double_precision():
     S5 = build_group("symmetric:5")
     assert boundary_hom_count(S5, 2, (0,)) == mednykh_count(S5, GENUS2) == 120 * 32152
-    # the true count, 148601832300811431690240, needs more than a double's 53 bits
-    with pytest.raises(InvariantError, match="2\\^53"):
-        boundary_hom_count(S5, 6, (0,))
+    # past 2^53: 120 times the Verlinde value 1238348602506761930752 at genus 6
+    assert (boundary_hom_count(S5, 6, (0,)) == mednykh_count(S5, SurfaceSpec(True, 6))
+            == 148601832300811431690240 == 120 * 1238348602506761930752)
 
 
 def test_boundary_formula_two_holes():
@@ -534,7 +534,7 @@ def test_cross_check_nonorientable():
     rep = cross_check(c.group, c, KLEIN)
     assert rep.passed
     assert rep.integrality["nearest"] == 1
-    assert rep.diagnostics["fs_rounding_residual"] < 1e-12
+    assert (rep.diagnostics["prime"], rep.diagnostics["split_steps"]) == (17, 0)   # one block
 
 
 def test_cross_check_report_is_jsonable():
