@@ -123,25 +123,23 @@ class TwistedGroupAlgebra:
         times sum_k zeta^phi(k) e_k over the class.  Other classes contribute
         nothing.  Over C (p None) the rows are divided by sqrt(|class|), so
         they are orthonormal; given a prime p = 1 mod N, they are over F_p."""
-        G, exps, N, h = self.group, self.cocycle.exps, self.cocycle.order, np.arange(self.dim)
-        cay, inv, rows = G.cayley, G.inverse, []
-        for g in conjugacy_classes(G).representatives:
-            hg = cay[h, g]
-            conj = cay[hg, inv]                       # h g h^-1
-            phase = (exps[h, g] + exps[hg, inv] - exps[h, inv]) % N
-            if phase[conj == g].any():
-                continue                              # not c-regular
-            phi = np.full(self.dim, -1, dtype=np.int64)
-            phi[conj] = phase
-            if (phi[conj] != phase).any():
-                raise AlgebraError(
-                    f"conjugation phase of class {g} is not constant on the cosets of "
-                    "its centralizer; the cocycle table is inconsistent")
-            rows.append(phi)
-        if not rows:
+        G, exps, N, inv = self.group, self.cocycle.exps, self.cocycle.order, self.group.inverse
+        g, h = np.array(conjugacy_classes(G).representatives), np.arange(self.dim)[:, None]
+        hg = G.cayley[h, g]
+        conj = G.cayley[hg, inv[h]]                       # h g h^-1, one column per class
+        phase = (exps[h, g] + exps[hg, inv[h]] - exps[h, inv[h]]) % N
+        regular = ~((conj == g) & (phase != 0)).any(axis=0)
+        phi = np.full((len(g), self.dim), -1, dtype=np.int64)
+        phi[np.arange(len(g)), conj] = phase
+        broken = regular & (phi[np.arange(len(g)), conj] != phase).any(axis=0)
+        if broken.any():
+            raise AlgebraError(
+                f"conjugation phase of class {g[broken][0]} is not constant on the cosets of "
+                "its centralizer; the cocycle table is inconsistent")
+        phi = phi[regular]
+        if not len(phi):
             raise AlgebraError("empty center: the identity is not c-regular, so the table "
                                "is not normalized")
-        phi = np.array(rows)
         if p is None:
             size = np.count_nonzero(phi >= 0, axis=1)[:, None]
             return np.where(phi >= 0, np.exp(2j * np.pi * phi / N) / np.sqrt(size), 0)
