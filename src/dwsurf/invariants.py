@@ -4,8 +4,11 @@ The direct route sums over homomorphisms from the surface group to G, each
 weighted by an exact root-of-unity evaluation of the 2-cocycle on the
 fundamental cycle of the standard polygon.  It cuts the polygon along its
 handles (crosscaps), so the sum becomes a product of transfer operators on
-(relator prefix, exponent) counts: O(n^3) work per handle operator, built
-once, and genus is a loop count.  count_homs, the oracle of the dw check
+(relator prefix, exponent) counts, and genus is a loop count.  The first
+handle starts at the identity prefix and the last closes there, so genus
+<= 2 costs O(n^2 N + n N^2) and builds no general operator; genus g >= 3
+builds the handle operator once, O(n^3 + (g-2) n^2 N^2 + n N^2) in all, for
+order n and cocycle order N.  count_homs, the oracle of the dw check
 hom-count rows, enumerates all n^generators tuples and only counts those
 that satisfy the relator; the weighted brute force and the weight of a
 single homomorphism are test oracles (tests/oracles.py).  The state-sum
@@ -92,40 +95,71 @@ def count_homs(G: FiniteGroup, pres: RelatorPresentation) -> int:
     return count
 
 
-def _operator_rows(G: FiniteGroup, c: TwoCocycle, rows: np.ndarray, orientable: bool,
-                   first: bool = False) -> np.ndarray:
-    """Transfer operator rows T[i, h, k]: the number of handles (a, b), or of
-    crosscaps x, that take the relator prefix rows[i] to h with cocycle
-    exponent k mod N.
+def _read_handle(G: FiniteGroup, c: TwoCocycle, prefix: np.ndarray, orientable: bool,
+                 first: bool = False) -> tuple:
+    """Read one handle (a, b), or one crosscap x, after the relator prefixes
+    in ``prefix``; returns (prefix after it, cocycle exponent it adds).
 
-    A handle reads the letters a, b, a^-1, b^-1 and pays c(x, x^-1) back for
+    ``prefix`` broadcasts against the letters, which run over a on the
+    next-to-last axis and b on the last (handle) or x on the last axis
+    (crosscap).  A handle reads a, b, a^-1, b^-1 and pays c(x, x^-1) back for
     x = a, b; a crosscap reads x, x.  Each letter adds exps[prefix, letter],
-    except the first letter of the whole relator (first=True, rows = [0]),
-    which carries no c(1, g) term.
+    except the first letter of the whole relator (first=True, prefix the
+    identity), which carries no c(1, g) term.  The exponents are not reduced
+    mod N.
     """
-    n, N = G.order, c.order
+    n = G.order
     cay, inv, exps = G.cayley.ravel(), G.inverse, c.exps.ravel()
     idx = np.arange(n)
     if orientable:
-        shape = (len(rows), n, n)
-        a, b = idx[None, :, None], idx[None, None, :]
+        a, b = idx[:, None], idx[None, :]
         letters = (a, b, inv[a], inv[b])
         pay_back = exps.take(idx * n + inv)
         k = -(pay_back[a] + pay_back[b])
     else:
-        shape = (len(rows), n)
-        letters = (idx[None, :],) * 2
+        letters = (idx,) * 2
         k = 0
-    h = np.asarray(rows).reshape((-1,) + (1,) * (len(shape) - 1))
-    row = np.arange(len(rows)).reshape(h.shape)
+    h = prefix
     for pos, e in enumerate(letters):
         at = h * n + e    # flat (prefix, letter) index into both tables
         if pos or not first:
             k = k + exps.take(at)
         h = cay.take(at)
+    return h, k
+
+
+def _operator_rows(G: FiniteGroup, c: TwoCocycle, rows: np.ndarray, orientable: bool,
+                   first: bool = False) -> np.ndarray:
+    """Transfer operator rows T[i, h, k]: the number of handles (a, b), or of
+    crosscaps x, that take the relator prefix rows[i] to h with cocycle
+    exponent k mod N.  first=True (rows = [0]) reads the first handle of the
+    whole relator, as in _read_handle.
+    """
+    n, N = G.order, c.order
+    lead = (-1,) + (1,) * (2 if orientable else 1)
+    h, k = _read_handle(G, c, np.asarray(rows).reshape(lead), orientable, first)
+    row = np.arange(len(rows)).reshape(lead)
     slot = (row * n + h) * N + np.mod(k, N)
-    hist = np.bincount(np.broadcast_to(slot, shape).ravel(), minlength=len(rows) * n * N)
-    return hist.reshape(len(rows), n, N)
+    return np.bincount(slot.ravel(), minlength=len(rows) * n * N).reshape(len(rows), n, N)
+
+
+def _closing_counts(G: FiniteGroup, c: TwoCocycle, orientable: bool) -> np.ndarray:
+    """C[h, d]: the number of handles (a, b), or of crosscaps x, that take the
+    relator prefix h to the identity with cocycle exponent d mod N.
+
+    Only h = [a, b]^-1 (h = (x^2)^-1) closes, so each of the n^2 handles (n
+    crosscaps) is read once, from that prefix.
+    """
+    n, N = G.order, c.order
+    cay, inv = G.cayley, G.inverse
+    idx = np.arange(n)
+    if orientable:
+        a, b = idx[:, None], idx[None, :]
+        prefix = inv[cay[cay[cay[a, b], inv[a]], inv[b]]]
+    else:
+        prefix = inv[cay[idx, idx]]
+    _, k = _read_handle(G, c, prefix, orientable)
+    return np.bincount((prefix * N + np.mod(k, N)).ravel(), minlength=n * N).reshape(n, N)
 
 
 def _direct_counts(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> np.ndarray:
@@ -133,13 +167,18 @@ def _direct_counts(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> np.ndarr
 
     The state v[h, k] counts partial assignments of relator prefix h and
     exponent k.  The first handle or crosscap starts at the identity prefix
-    (one operator row, O(n^2) work); every further one applies the general
-    operator, built once in O(n^3) (handle) or O(n^2) (crosscap) work, as N
-    int64 matmuls with a cyclic shift in k.  Genus is a loop count.  The
-    operator is built in blocks of whole rows, at most _OPERATOR_BLOCK
-    (row, a, b) entries each (2^14, one row when n^2 is larger), so its
-    temporaries stay under 128 KiB for every order up to 128; the operator
-    itself holds N n^2 counts.
+    (one operator row, O(n^2) work) and the last one must end there: at
+    genus 1 the answer is that row's identity entry, and otherwise the last
+    one is the closing histogram C[h, d] (O(n^2) work), contracted with v as
+    sum_d roll(C[:, d] @ v, d) in O(n N^2).  So genus <= 2 costs
+    O(n^2 N + n N^2) and builds no general operator.  Each handle or
+    crosscap in between applies the general operator, built once in O(n^3)
+    (handle) or O(n^2) (crosscap) work, as N int64 matmuls with a cyclic
+    shift in k, O(n^2 N^2) per step: O(n^3 + (g-2) n^2 N^2 + n N^2) at genus
+    g >= 3.  The operator is built in blocks of whole rows, at most
+    _OPERATOR_BLOCK (row, a, b) entries each (2^14, one row when n^2 is
+    larger), so its temporaries stay under 128 KiB for every order up to
+    128; the operator itself holds N n^2 counts.
     """
     n, N = G.order, c.order
     steps = spec.genus
@@ -149,24 +188,30 @@ def _direct_counts(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> np.ndarr
     if n ** generators >= 2 ** 63:
         raise InvariantError(f"{n}^{generators} homomorphism candidates overflow int64 counts")
     v = _operator_rows(G, c, np.zeros(1, dtype=np.int64), spec.orientable, first=True)[0]
-    if steps > 1:
+    if steps == 1:
+        return v[0]
+    if steps > 2:
         block = max(1, _OPERATOR_BLOCK // (n * n if spec.orientable else n))
         T = np.empty((N, n, n), dtype=np.int64)   # T[d, h', h], transposed for the matmuls
         for start in range(0, n, block):
             stop = min(n, start + block)
             rows = _operator_rows(G, c, np.arange(start, stop), spec.orientable)
             T[:, :, start:stop] = rows.transpose(2, 1, 0)
-        for _ in range(steps - 1):
+        for _ in range(steps - 2):
             v = sum(np.roll(T[d] @ v, d, axis=1) for d in range(N))
-    return v[0]
+    M = _closing_counts(G, c, spec.orientable).T @ v   # M[d, k]: closed with d after k
+    shift = np.arange(N)
+    return M[shift[:, None], shift[None, :] - shift[:, None]].sum(axis=0)
 
 
 def dw_direct(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> Fraction:
     """(1/#G) sum over homomorphisms of the cocycle weight.
 
     The homomorphism sum is cut along the handles (crosscaps) of the standard
-    relator into a product of transfer operators: O(n^3 + g n^2 N^2) work for
-    genus g, order n and cocycle order N, and memory of n^2 N int64 counts.
+    relator into a product of transfer operators (see _direct_counts): for
+    order n and cocycle order N, O(n^2 N + n N^2) work up to genus 2, with no
+    operator held, and O(n^3 + (g-2) n^2 N^2 + n N^2) work and an operator of
+    n^2 N int64 counts at genus g >= 3.
     Counts are exact and reduce to an exact integer modulo Phi_N;
     #G^generators >= 2^63 is refused with InvariantError.  The sphere
     contributes the single trivial homomorphism, giving 1/#G for every
