@@ -68,11 +68,6 @@ class TwistedGroupAlgebra:
         return f"TwistedGroupAlgebra({self.group.name}, {self.cocycle.name or 'cocycle'})"
 
     @cached_property
-    def omega(self) -> np.ndarray:
-        """The cocycle's values as a complex table."""
-        return np.exp(2j * np.pi * self.cocycle.exps / self.cocycle.order)
-
-    @cached_property
     def prime(self) -> int:
         """The prime of the decomposition: the least p = 1 (mod N #G) above 2 #G."""
         p = _prime(self.cocycle.order * self.dim, 2 * self.dim)
@@ -100,29 +95,15 @@ class TwistedGroupAlgebra:
         F = _root_powers(p, e)[-np.outer(np.arange(e), np.arange(e)) % e] * pow(e, -1, p) % p
         return gp[:, :e], w, shift, F
 
-    def trace(self, a: np.ndarray) -> complex:
-        """Trace of left multiplication by a: #G times the identity coefficient."""
-        return self.dim * a[0]
-
-    def star(self, a: np.ndarray) -> np.ndarray:
-        """The involution e_g -> c(g, g^-1) e_{g^-1} (sign-valued cocycles only),
-        applied to the coefficient vectors along the last axis of a: the
-        coefficient at g^-1 moves to g, times c(g^-1, g)."""
-        if not self.cocycle.is_sign_valued:
-            raise AlgebraError("the involution needs a cocycle with values in {+1,-1}")
-        inv = self.group.inverse
-        return np.asarray(a)[..., inv] * self.omega[inv, np.arange(self.dim)]
-
-    def center_basis(self, p: int | None = None) -> np.ndarray:
-        """The twisted class sums, one row per c-regular class.
+    def center_basis(self) -> np.ndarray:
+        """The twisted class sums over F_p, p = self.prime, one row per c-regular class.
 
         For a class representative g, e_h e_g e_h^-1 = zeta^phi(h) e_{hgh^-1}
         with phi(h) = c(h,g) + c(hg,h^-1) - c(h,h^-1) in exact exponents.  g is
         c-regular iff phi vanishes on its centralizer C(g); then phi is
         constant on every coset h.C(g), and sum_h e_h e_g e_h^-1 is |C(g)|
         times sum_k zeta^phi(k) e_k over the class.  Other classes contribute
-        nothing.  Over C (p None) the rows are divided by sqrt(|class|), so
-        they are orthonormal; given a prime p = 1 mod N, they are over F_p."""
+        nothing.  zeta_N is its image in F_p, as p = 1 mod N."""
         G, exps, N, inv = self.group, self.cocycle.exps, self.cocycle.order, self.group.inverse
         g, h = np.array(conjugacy_classes(G).representatives), np.arange(self.dim)[:, None]
         hg = G.cayley[h, g]
@@ -140,10 +121,7 @@ class TwistedGroupAlgebra:
         if not len(phi):
             raise AlgebraError("empty center: the identity is not c-regular, so the table "
                                "is not normalized")
-        if p is None:
-            size = np.count_nonzero(phi >= 0, axis=1)[:, None]
-            return np.where(phi >= 0, np.exp(2j * np.pi * phi / N) / np.sqrt(size), 0)
-        return np.where(phi >= 0, _root_powers(p, N)[phi], 0)
+        return np.where(phi >= 0, _root_powers(self.prime, N)[phi], 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,12 +157,6 @@ class Block:
         k = self.algebra.power_map[2][:, None] + N * np.arange(e)   # exponents of zeta_{N e}
         return (self.multiplicities * np.exp(2j * np.pi * k / (N * e))).sum(axis=1)
 
-    @cached_property
-    def idempotent(self) -> np.ndarray:
-        """e over C: e[x] = d chi(x^-1) / (#G c(x^-1, x))."""
-        A, inv = self.algebra, self.algebra.group.inverse
-        return self.dim / A.dim * self.character[inv] * A.omega[inv, np.arange(A.dim)].conj()
-
 
 @dataclass(frozen=True, eq=False)
 class WedderburnDecomposition:
@@ -215,7 +187,7 @@ def wedderburn_decompose(A: TwistedGroupAlgebra) -> WedderburnDecomposition:
 
 def _decompose(A: TwistedGroupAlgebra) -> WedderburnDecomposition:
     G, c, n, p = A.group, A.cocycle, A.dim, A.prime
-    Z = A.center_basis(p)
+    Z = A.center_basis()
     r, support = len(Z), Z != 0
     cls = np.where(support.any(axis=0), support.argmax(axis=0), -1)   # row of g, or -1
     val, reps = Z.sum(axis=0), (Z == 1).argmax(axis=1)   # coordinates: coefficients at reps

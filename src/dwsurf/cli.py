@@ -7,8 +7,8 @@ the other commands, like library calls, keep no state between calls.
 
 Exit codes: 0 pass, 1 computational failure or disagreement, 2 usage error.
 Every command is deterministic.  The one random input is `dw check --seed`
-(default 0, overridable via DW_SEED), which seeds the random.Random that
-draws the invariance suite's coboundary twists and Pachner variants.
+(default 0), which seeds the random.Random that draws the invariance suite's
+coboundary twists and Pachner variants.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import sys
 
@@ -30,9 +29,10 @@ from .invariants import (MAX_HOM_TUPLES, catalog_pairs, cross_check, boundary_ho
                          sign_catalog_pairs)
 from .memo import run_scope
 from .state_sum import fhk_state_sum, run_state_sum, star_state_sum
-from .surfaces import (GluedTriangulation, SurfaceSpec, flip_triangle, pachner_13, pachner_22,
-                       pachner_variants, relator_presentation, seven_vertex_torus,
-                       standard_triangulation, tetrahedron_sphere)
+from .surfaces import (GluedTriangulation, SurfaceError, SurfaceSpec, flip_triangle,
+                       orientability_and_orientation, pachner_13, pachner_22, pachner_variants,
+                       relator_presentation, seven_vertex_torus, standard_triangulation,
+                       tetrahedron_sphere)
 
 
 def parse_cocycle(spec: str, G: FiniteGroup) -> TwoCocycle:
@@ -52,12 +52,6 @@ def parse_cocycle(spec: str, G: FiniteGroup) -> TwoCocycle:
     if s.startswith("file:"):
         return read_cocycle_file(s.split(":", 1)[1], G)
     raise ValueError(f"cannot parse cocycle descriptor {spec!r}")
-
-
-def _default_seed() -> str:
-    """DW_SEED, or "0".  argparse converts a string default like a typed value,
-    so a malformed DW_SEED is a usage error of `dw check` and of nothing else."""
-    return os.environ.get("DW_SEED", "0")
 
 
 def _emit(data):
@@ -88,8 +82,15 @@ def cmd_statesum(args) -> int:
     if args.tri == "standard":
         tri = standard_triangulation(spec)
     elif args.tri.startswith("file:"):
-        with open(args.tri.split(":", 1)[1], encoding="utf-8") as fh:
+        path = args.tri.split(":", 1)[1]
+        with open(path, encoding="utf-8") as fh:
             tri = GluedTriangulation.from_json(json.load(fh))
+        orientable = orientability_and_orientation(tri).orientable
+        chi = tri.euler_characteristic
+        if (orientable, chi) != (spec.orientable, spec.chi):
+            found = SurfaceSpec(orientable, (2 - chi) // 2 if orientable else 2 - chi)
+            raise SurfaceError(f"the triangulation in {path} is {found.name} (chi={chi}), "
+                               f"not --surface {spec.name} (chi={spec.chi})")
     else:
         raise ValueError(f"cannot parse --tri {args.tri!r}")
     A = TwistedGroupAlgebra(G, c)
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--config", help="JSON file with explicit (group, cocycle, surface) entries")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    p.add_argument("--seed", type=int, default=0,
                    help="draws the invariance suite's twists and Pachner variants")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; has no effect")

@@ -234,7 +234,7 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     partial labeling, rows are never merged, every labeled edge is kept and
     nothing is gauge-fixed.  The edges are labeled in plan.order, one level at
     a time.  A term is checked at the level of its last edge and adds exp2 of
-    its two pair slots there (edges carry no weight of their own); a term that
+    its slots 0 and 1 there (edges carry no weight of their own); a term that
     closes there and holds that edge once forces its label,
     l_s = (l_{s+1} l_{s+2})^-1, by one gather, and otherwise the edge is free
     and every row repeats #G times.  A block of rows goes through the levels
@@ -289,7 +289,7 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
                 l = [slot_label(lab, slot) for slot in slots]
                 ok = cay[cay[l[0], l[1]], l[2]] == 0
                 keep = ok if keep is None else keep & ok
-                expo = expo + term.exp2[l[term.pair[0]], l[term.pair[1]]]
+                expo = expo + term.exp2[l[0], l[1]]
             if keep is not None and not keep.all():
                 lab, expo = lab[keep], expo[keep]
             pos += 1
@@ -314,21 +314,17 @@ def dw_labeling_oracle(G: FiniteGroup, c: TwoCocycle, surf: SimplicialSurface) -
     edges = surf.edges
     edge_index = {e: i for i, e in enumerate(edges)}
     inv = G.inverse
-    neg_table = (-c.exps[np.ix_(inv, inv)]) % N
+    reversed_table = -c.exps.T[np.ix_(inv, inv)] % N   # -c(l(AB), l(BC)) at (l(CB), l(BA))
     terms = []
     for tr in surf.triangles:
-        vars_, invs = [], []
-        for s in range(3):
-            u, v = tr[s], tr[(s + 1) % 3]
-            vars_.append(edge_index[(min(u, v), max(u, v))])
-            invs.append(u > v)
-        a = min(tr)
-        pa = tr.index(a)
-        if tr[(pa + 1) % 3] == sorted(tr)[1]:  # orientation runs A -> B
-            pair, table = ((pa, (pa + 1) % 3), c.exps)
-        else:
-            pair, table = (((pa + 2) % 3, (pa + 1) % 3), neg_table)
-        terms.append(TriangleTerm(tuple(vars_), tuple(invs), pair, table))
+        pa = tr.index(min(tr))
+        if tr[(pa + 1) % 3] == sorted(tr)[1]:  # orientation runs A -> B: slots AB, BC, CA
+            first, table = pa, c.exps
+        else:                                  # slots CB, BA, AC
+            first, table = pa + 1, reversed_table
+        sides = [(tr[s % 3], tr[(s + 1) % 3]) for s in range(first, first + 3)]
+        terms.append(TriangleTerm(tuple(edge_index[(min(u, v), max(u, v))] for u, v in sides),
+                                  tuple(u > v for u, v in sides), table))
     plan = plan_from_terms(len(edges), terms)
     estimate = plan.estimate_nodes(n)
     if estimate > MAX_ORACLE_STATES:

@@ -7,10 +7,11 @@ identity.  The contraction is therefore variable elimination over edge labels
 along a fixed plan: a table keyed by the labels of the open (frontier) edges
 and the exponent so far, where a triangle with two labeled edges forces the
 third and an edge leaves the table once its triangles are complete.  Every
-admissible labeling contributes a root of unity, accumulated as an exact
-int64 exponent histogram, which reduces modulo the cyclotomic polynomial to
-an exact integer; the value is that integer times #G^(triangles - edges), a
-Fraction.  This engine involves no floating point.
+admissible labeling contributes a root of unity, read off one exponent table
+per triangle that also holds the weights of its edges, and accumulated as an
+exact int64 exponent histogram, which reduces modulo the cyclotomic
+polynomial to an exact integer; the value is that integer times
+#G^(triangles - edges), a Fraction.  This engine involves no floating point.
 """
 
 from __future__ import annotations
@@ -76,19 +77,16 @@ class StateSumResult:
 
 @dataclass(frozen=True)
 class TriangleTerm:
-    """One trilinear factor of the contraction.
+    """One trilinear factor of the contraction, the form both engines read.
 
-    The three slot labels are edge variables, optionally inverted; the factor
-    vanishes unless their ordered product is the identity, and otherwise
-    contributes exp2[x_i, x_j] (+ exp1[x_k]) to the exponent sum.
+    The slot labels l_0, l_1, l_2 are edge variables, optionally inverted; the
+    factor vanishes unless l_0 l_1 l_2 = 1, and otherwise contributes
+    exp2[l_0, l_1] to the exponent sum, its whole weight: l_2 = (l_0 l_1)^-1.
     """
 
-    vars: tuple      # three edge-variable indices
-    inverted: tuple  # per slot: label is the inverse of the variable
-    pair: tuple      # the two slots feeding exp2
-    exp2: np.ndarray
-    exp1_slot: int | None = None
-    exp1: np.ndarray | None = None
+    vars: tuple        # three edge-variable indices
+    inverted: tuple    # per slot: label is the inverse of the variable
+    exp2: np.ndarray   # exponent by the labels of slots 0 and 1
 
 
 def plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
@@ -133,14 +131,14 @@ def _plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
     return ContractionPlan(tuple(order), tuple(kinds))
 
 
-def exact_contraction(group, modulus: int, n_vars: int, var_exp, terms, plan):
+def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     """Frontier dynamic program over the plan's edge order.
 
     The table holds one row per distinct (labels of the open frontier edges,
     exponent mod modulus), with an int64 multiplicity.  A free edge repeats
     every row #G times; a forced edge is one gather from the Cayley and
     inverse tables.  A completed triangle filters rows by its boundary product
-    and adds its exponent terms.  An edge whose triangles are all complete
+    and adds its exp2 entry.  An edge whose triangles are all complete
     leaves the frontier, and rows with equal keys merge.
 
     Returns (counts, rows) with counts[k] the number of admissible labelings
@@ -183,8 +181,6 @@ def exact_contraction(group, modulus: int, n_vars: int, var_exp, terms, plan):
             prod = cay[slot_label(term, (s + 1) % 3), slot_label(term, (s + 2) % 3)]
             cols[var] = prod if term.inverted[s] else inv[prod]
         rows += len(mult)
-        if var_exp[var] is not None:
-            expo = (expo + var_exp[var][cols[var]]) % modulus
         keep = None
         closed = [] if open_terms[var] else [var]
         for ti in terms_of[var]:
@@ -195,10 +191,7 @@ def exact_contraction(group, modulus: int, n_vars: int, var_exp, terms, plan):
             l = [slot_label(term, s) for s in range(3)]
             ok = cay[cay[l[0], l[1]], l[2]] == 0
             keep = ok if keep is None else keep & ok
-            delta = term.exp2[l[term.pair[0]], l[term.pair[1]]]
-            if term.exp1 is not None:
-                delta = delta + term.exp1[l[term.exp1_slot]]
-            expo = (expo + delta) % modulus
+            expo = (expo + term.exp2[l[0], l[1]]) % modulus
             for u in set(term.vars):
                 open_terms[u] -= 1
                 if not open_terms[u]:
@@ -236,25 +229,30 @@ def _merge(cols: dict, expo: np.ndarray, mult: np.ndarray):
 # engine inputs for twisted group algebras
 
 def _edge_terms(A: TwistedGroupAlgebra, tri: GluedTriangulation):
-    c = A.cocycle
-    exps, N, inv = c.exps, c.order, A.group.inverse
-    n = A.group.order
-    rng_n = np.arange(n)
-    pair_weight = (-exps[rng_n, inv]) % N   # c(g, g^-1)^-1 per edge label
-    triangle_closer = exps[rng_n, inv]      # c(x3, x3^-1) for the third slot
+    """The edge variables and triangle terms of the state sum of A.
+
+    A triangle with labels (a, b, l_2), l_2 = (ab)^-1, weighs c(a, b)
+    c(l_2, l_2^-1).  An edge of reversal type weighs c(g, g^-1)^-1 at its label
+    g, folded into the slot of its smaller flag, whose label is g.  A table
+    depends only on the subset of slots that pay, so at most 8 are built.
+    """
+    c, inv = A.cocycle, A.group.inverse
+    closer = c.exps[np.arange(A.group.order), inv]   # c(g, g^-1)
+    # c(l_s, l_s^-1), s = 0, 1, 2, as tables of (l_0, l_1), with l_2 = (l_0 l_1)^-1
+    weights = (closer[:, None], closer, closer[inv[A.group.cayley]])
+    tables = {}
     edges = tri.edge_flags()
     edge_of_flag = {flag: e for e, pair in enumerate(edges) for flag in pair}
-    var_exp = [pair_weight if tri.reversal[f] else None for f, _ in edges]
     terms = []
     for t in range(tri.n_triangles):
-        vars_, invs = [], []
-        for s in range(3):
-            f = 3 * t + s
-            primary = f < tri.pairing[f]
-            vars_.append(edge_of_flag[f])
-            invs.append(bool(not primary and tri.reversal[f]))
-        terms.append(TriangleTerm(tuple(vars_), tuple(invs), (0, 1), exps, 2, triangle_closer))
-    return len(edges), var_exp, terms, N
+        flags = range(3 * t, 3 * t + 3)
+        paying = tuple(s for s, f in enumerate(flags) if f < tri.pairing[f] and tri.reversal[f])
+        if paying not in tables:
+            tables[paying] = (c.exps + weights[2] - sum(weights[s] for s in paying)) % c.order
+        terms.append(TriangleTerm(tuple(edge_of_flag[f] for f in flags),
+                                  tuple(bool(f > tri.pairing[f] and tri.reversal[f])
+                                        for f in flags), tables[paying]))
+    return len(edges), terms, c.order
 
 
 def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation,
@@ -275,9 +273,9 @@ def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation,
             raise SurfaceError("this state sum needs an orientable triangulation; "
                                "use the star variant")
         tri = result.oriented
-    n_vars, var_exp, terms, modulus = _edge_terms(A, tri)
+    n_vars, terms, modulus = _edge_terms(A, tri)
     plan = plan_from_terms(n_vars, terms)
-    counts, rows = exact_contraction(A.group, modulus, n_vars, var_exp, terms, plan)
+    counts, rows = exact_contraction(A.group, modulus, n_vars, terms, plan)
     scale = Fraction(A.group.order) ** (tri.n_triangles - tri.n_edges)
     value = scale * cyclotomic_integer(counts, "state sum")
     return StateSumResult(value, rows, counts, modulus, plan)

@@ -1,11 +1,13 @@
 """Reference computations that only the tests use, each kept once.
 
 The twisted multiplication is read off its definition, and the regular
-matrices, the dense structure constants and the pairing vector are built from
-it; the involution of a sign-valued cocycle is a dense matrix, and the
-commutator residual of candidate central elements is read off the basis
-permutations.  The dense Fukuma-Hosono-Kawai contraction checks the sparse state-sum
-engine.  Homomorphisms are enumerated one tuple at a time, and one relator
+matrices, the dense structure constants, the pairing vector and the complex
+class sums are built from it; the trace form, the involution of a sign-valued
+cocycle (as a gather and as a dense matrix) and the block idempotents over C
+are read off their closed forms, and the commutator residual of candidate
+central elements is read off the basis permutations.  The dense
+Fukuma-Hosono-Kawai contraction checks the sparse state-sum engine.
+Homomorphisms are enumerated one tuple at a time, and one relator
 weight serves orientable and non-orientable words alike, for any table of
 exponents; histogrammed over the homomorphisms, these weights check the
 direct route's transfer operators.  The group tables of the dihedral,
@@ -20,6 +22,7 @@ import itertools
 import numpy as np
 
 from dwsurf.algebra import AlgebraError
+from dwsurf.groups import conjugacy_classes
 from dwsurf.invariants import InvariantError
 from dwsurf.surfaces import orientability_and_orientation
 
@@ -27,11 +30,48 @@ from dwsurf.surfaces import orientability_and_orientation
 # ---------------------------------------------------------------------------
 # twisted group algebras
 
+def omega(A):
+    """The cocycle's values c(x, y) as a complex table."""
+    return np.exp(2j * np.pi * A.cocycle.exps / A.cocycle.order)
+
+
 def multiply(A, a, b):
     """The product in A, from e_x e_y = c(x, y) e_xy: the coefficient
     a[x] b[y] c(x, y) lands at position xy.  Broadcasts over leading axes."""
-    terms = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :] * A.omega
+    terms = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :] * omega(A)
     return terms.reshape(terms.shape[:-2] + (-1,)) @ np.eye(A.dim)[A.group.cayley.ravel()]
+
+
+def trace(A, a):
+    """Trace of left multiplication by a: #G times the identity coefficient."""
+    return A.dim * a[0]
+
+
+def star(A, a):
+    """The involution e_g -> c(g, g^-1) e_{g^-1} (sign-valued cocycles only) as
+    a gather along the last axis of a: the coefficient at g^-1 moves to g,
+    times c(g^-1, g)."""
+    if not A.cocycle.is_sign_valued:
+        raise AlgebraError("the involution needs a cocycle with values in {+1,-1}")
+    inv = A.group.inverse
+    return np.asarray(a)[..., inv] * omega(A)[inv, np.arange(A.dim)]
+
+
+def complex_center_basis(A):
+    """The twisted class sums sum_h e_h e_g e_h^-1 of the class representatives
+    g, by the product in A; the classes that are not c-regular sum to zero and
+    are dropped, and each row is scaled to unit norm."""
+    n, inv, basis = A.dim, A.group.inverse, np.eye(A.dim)
+    inverses = basis[inv] * np.conj(omega(A)[np.arange(n), inv])[:, None]   # the e_h^-1
+    sums = [multiply(A, multiply(A, basis, basis[g]), inverses).sum(axis=0)
+            for g in conjugacy_classes(A.group).representatives]
+    return np.array([z / np.linalg.norm(z) for z in sums if np.abs(z).max() > 1e-9])
+
+
+def idempotent(block):
+    """A block's central idempotent over C: e[x] = d chi(x^-1) / (#G c(x^-1, x))."""
+    A, inv = block.algebra, block.algebra.group.inverse
+    return block.dim / A.dim * block.character[inv] * omega(A)[inv, np.arange(A.dim)].conj()
 
 
 def star_matrix(A):
@@ -41,7 +81,7 @@ def star_matrix(A):
         raise AlgebraError("the involution needs a cocycle with values in {+1,-1}")
     n, inv = A.dim, A.group.inverse
     S = np.zeros((n, n), dtype=complex)
-    S[inv, np.arange(n)] = A.omega[np.arange(n), inv]
+    S[inv, np.arange(n)] = omega(A)[np.arange(n), inv]
     return S
 
 
@@ -70,11 +110,11 @@ def commutator_residual(A, Z):
     position of either side, because conjugation maps a support it does not
     preserve partly outside itself.  Cost: #G times the number of nonzeros.
     """
-    cay, inv, omega = A.group.cayley, A.group.inverse, A.omega
+    cay, inv, w = A.group.cayley, A.group.inverse, omega(A)
     i, j = np.nonzero(Z)
     x = np.arange(A.dim)[:, None]
     jc = cay[cay[x, j], inv[x]]                  # x j x^-1, shape (#G, nonzeros)
-    return float(np.abs(Z[i, j] * omega[x, j] - Z[i, jc] * omega[jc, x]).max(initial=0.0))
+    return float(np.abs(Z[i, j] * w[x, j] - Z[i, jc] * w[jc, x]).max(initial=0.0))
 
 
 def pairing_matrix(C):

@@ -14,8 +14,9 @@ from dwsurf.cocycles import (TwoCocycle, c_regular_count, heisenberg_cocycle,
 from dwsurf.groups import build_group, conjugacy_classes
 from dwsurf.invariants import SIGN_CATALOG_GROUPS, catalog_pairs, cross_check, sign_catalog_pairs
 from dwsurf.surfaces import SurfaceSpec
-from oracles import (commutator_residual, left_matrix, multiply, pairing_matrix, right_matrix,
-                     star_matrix, structure_constants)
+from oracles import (commutator_residual, complex_center_basis, idempotent, left_matrix,
+                     multiply, omega, pairing_matrix, right_matrix, star, star_matrix,
+                     structure_constants, trace)
 
 
 def algebra(gspec, cocycle=None):
@@ -72,9 +73,9 @@ def test_trivial_multiplication_is_group_convolution():
 
 def test_trace_values_on_basis():
     A = algebra("quaternion:8")
-    assert A.trace(basis(A)[0]) == 8
+    assert trace(A, basis(A)[0]) == 8
     for g in range(1, 8):
-        assert A.trace(basis(A)[g]) == 0
+        assert trace(A, basis(A)[g]) == 0
 
 
 def test_trace_fast_path_equals_matrix_trace():
@@ -83,7 +84,7 @@ def test_trace_fast_path_equals_matrix_trace():
     rng = np.random.default_rng(2)
     for _ in range(5):
         a = random_element(A, rng)
-        assert abs(A.trace(a) - np.trace(left_matrix(A, a))) < 1e-10
+        assert abs(trace(A, a) - np.trace(left_matrix(A, a))) < 1e-10
 
 
 def test_trace_is_symmetric():
@@ -91,18 +92,18 @@ def test_trace_is_symmetric():
     rng = np.random.default_rng(3)
     for _ in range(10):
         x, y = random_element(A, rng), random_element(A, rng)
-        assert abs(A.trace(multiply(A, x, y)) - A.trace(multiply(A, y, x))) < 1e-10
+        assert abs(trace(A, multiply(A, x, y)) - trace(A, multiply(A, y, x))) < 1e-10
 
 
 def test_bilinear_form_on_basis_pairs():
     A = algebra("symmetric:3")
     for g1, g2 in itertools.product(range(6), repeat=2):
-        t = A.trace(multiply(A, basis(A)[g1], basis(A)[g2]))
+        t = trace(A, multiply(A, basis(A)[g1], basis(A)[g2]))
         assert abs(t - (6 if g2 == A.group.inverse[g1] else 0)) < 1e-12
     c = heisenberg_cocycle(2)
     A = TwistedGroupAlgebra(c.group, c)
     for g1, g2 in itertools.product(range(4), repeat=2):
-        t = A.trace(multiply(A, basis(A)[g1], basis(A)[g2]))
+        t = trace(A, multiply(A, basis(A)[g1], basis(A)[g2]))
         if g2 == A.group.inverse[g1]:
             assert abs(abs(t) - 4) < 1e-12   # #G times the cocycle twist factor
         else:
@@ -120,13 +121,13 @@ def test_pairing_identity_on_random_pairs():
         # the closed form: c(g, g^-1)^-1 / #G on g (x) g^-1, zero elsewhere
         g, inv = np.arange(A.dim), G.inverse
         sparse = np.zeros_like(v)
-        sparse[g, inv] = np.conj(A.omega[g, inv]) / A.dim
+        sparse[g, inv] = np.conj(omega(A)[g, inv]) / A.dim
         assert np.abs(v - sparse).max() < 1e-12
         for _ in range(100):
             a, b = random_element(A, rng), random_element(A, rng)
-            lhs = A.trace(multiply(A, a, b))
-            ta = np.array([A.trace(x) for x in multiply(A, a, basis(A))])   # T(a e_x)
-            tb = np.array([A.trace(x) for x in multiply(A, b, basis(A))])
+            lhs = trace(A, multiply(A, a, b))
+            ta = np.array([trace(A, x) for x in multiply(A, a, basis(A))])   # T(a e_x)
+            tb = np.array([trace(A, x) for x in multiply(A, b, basis(A))])
             assert abs(lhs - ta @ v @ tb) < 1e-9
 
 
@@ -161,7 +162,7 @@ def test_center_basis_is_central_for_complex_tables():
     rng = np.random.default_rng(42)
     b = [0] + [int(rng.integers(12)) for _ in range(5)]
     A = TwistedGroupAlgebra(G, twist(trivial_cocycle(G), b, 12))
-    Z = A.center_basis()
+    Z = complex_center_basis(A)
     assert len(Z) == 3
     for z in Z:
         for e in basis(A):
@@ -178,6 +179,15 @@ def null_space_center(A):
     return vh[sigma <= 1e-8].conj()   # the null space is spanned by rows of V, not V^H
 
 
+def assert_same_class_sums(Zp, Z, p, N):
+    # the same class sums: zeta_N^k over C (divided by sqrt|class|) is w^k in F_p
+    assert np.array_equal(Z != 0, Zp != 0)
+    k = np.rint(np.angle(Z * np.sqrt((Z != 0).sum(axis=1, keepdims=True)))
+                * N / (2 * np.pi)).astype(np.int64) % N
+    w = algebra_module._root_powers(p, N)[1 % N]
+    assert all(Zp[i, j] == pow(int(w), int(k[i, j]), p) for i, j in zip(*np.nonzero(Z)))
+
+
 def assert_same_span(Z, W):
     # orthonormal rows span the same space iff their projectors agree
     assert Z.shape == W.shape
@@ -189,7 +199,7 @@ def assert_same_span(Z, W):
                          ids=lambda x: getattr(x, "name", None))
 def test_class_sum_center_matches_null_space(G, c):
     A = TwistedGroupAlgebra(G, c)
-    Z = A.center_basis()
+    Z = complex_center_basis(A)
     assert_same_span(Z, null_space_center(A))
     assert len(Z) == c_regular_count(G, c)
     assert commutator_residual(A, Z) < 1e-12
@@ -206,8 +216,9 @@ def test_class_sum_center_under_random_coboundary_twists(gspec, cname, data):
     ks = data.draw(st.lists(st.integers(0, 11), min_size=G.order - 1, max_size=G.order - 1))
     tc = twist(c, [0, *ks], 12)
     A = TwistedGroupAlgebra(G, tc)
-    Z = A.center_basis()
+    Z = complex_center_basis(A)
     assert_same_span(Z, null_space_center(A))
+    assert_same_class_sums(A.center_basis(), Z, A.prime, tc.order)
     assert len(Z) == len(TwistedGroupAlgebra(G, c).center_basis())   # a class invariant
 
 
@@ -231,12 +242,12 @@ def test_commutator_residual_matches_products(gspec):
     G = build_group(gspec)
     b = [0] + [int(rng.integers(12)) for _ in range(G.order - 1)]
     A = TwistedGroupAlgebra(G, twist(trivial_cocycle(G), b, 12))
-    Z = np.vstack([A.center_basis(), random_element(A, rng), np.eye(A.dim)[[1]]])
+    Z = np.vstack([complex_center_basis(A), random_element(A, rng), np.eye(A.dim)[[1]]])
     Z[-2, rng.integers(A.dim, size=3)] = 0       # sparse rows must not hide a commutator
     for z in Z:
         want = max(np.abs(multiply(A, ex, z) - multiply(A, z, ex)).max() for ex in basis(A))
         assert abs(commutator_residual(A, z[None]) - want) < 1e-12
-    assert commutator_residual(A, A.center_basis()) < 1e-12
+    assert commutator_residual(A, complex_center_basis(A)) < 1e-12
 
 
 @pytest.mark.parametrize("genus,expected", [(2, 32152), (3, 417163552)])
@@ -294,14 +305,14 @@ def test_block_structure_invariants(gspec):
     dec = wedderburn_decompose(A)
     assert sum(d * d for d in dec.dims) == G.order
     assert dec.block_count() == c_regular_count(G, trivial_cocycle(G))
-    total = np.sum([b.idempotent for b in dec.blocks], axis=0)
+    total = np.sum([idempotent(b) for b in dec.blocks], axis=0)
     assert np.allclose(total, basis(A)[0])
     for b in dec.blocks:
-        assert abs(A.trace(b.idempotent) - b.dim ** 2) < 1e-8
+        assert abs(trace(A, idempotent(b)) - b.dim ** 2) < 1e-8
         assert abs(b.character[0] - b.dim) < 1e-8
         assert G.order % b.dim == 0   # block dimensions divide the group order
     for b1, b2 in itertools.combinations(dec.blocks, 2):
-        assert np.abs(multiply(A, b1.idempotent, b2.idempotent)).max() < 1e-8
+        assert np.abs(multiply(A, idempotent(b1), idempotent(b2))).max() < 1e-8
 
 
 @pytest.mark.parametrize("gspec", ["cyclic:64", "product(cyclic:8,cyclic:8)"])
@@ -365,7 +376,7 @@ def ideal_basis_reference(A, block):
     by a full SVD), chi(g) = tr(P L_g)/d with the projector P = B B*, and for
     sign-valued cocycles the fixed dimension of the restricted involution
     B* S B.  Cost #G^3 per block."""
-    e, d, n = block.idempotent, block.dim, A.dim
+    e, d, n = idempotent(block), block.dim, A.dim
     u, sigma, _ = np.linalg.svd(right_matrix(A, e))
     assert np.sum(sigma > 1e-8) == d * d
     B = u[:, :d * d]
@@ -415,16 +426,8 @@ def test_projective_characters_are_orthonormal(G, c):
 
 @pytest.mark.parametrize("G,c", BLOCK_PAIRS, ids=lambda x: getattr(x, "name", None))
 def test_center_basis_over_a_prime_field_matches_the_complex_one(G, c):
-    # the same class sums: zeta_N^k over C (divided by sqrt|class|) is w^k in F_p
     A = TwistedGroupAlgebra(G, c)
-    Z = A.center_basis()
-    p = algebra_module._prime(c.order * G.order, 2 * G.order)
-    Zp = A.center_basis(p)
-    assert np.array_equal(Z != 0, Zp != 0)
-    k = np.rint(np.angle(Z * np.sqrt((Z != 0).sum(axis=1, keepdims=True)))
-                * c.order / (2 * np.pi)).astype(np.int64) % c.order
-    w = algebra_module._root_powers(p, c.order)[1 % c.order]
-    assert all(Zp[i, j] == pow(int(w), int(k[i, j]), p) for i, j in zip(*np.nonzero(Z)))
+    assert_same_class_sums(A.center_basis(), complex_center_basis(A), A.prime, c.order)
 
 
 def test_decomposition_needs_no_lapack(monkeypatch):
@@ -461,7 +464,7 @@ def test_star_rejects_non_sign_cocycles():
     with pytest.raises(AlgebraError):
         star_matrix(A)
     with pytest.raises(AlgebraError):
-        A.star(basis(A))
+        star(A, basis(A))
 
 
 @pytest.mark.parametrize("gspec", ["product(cyclic:2,cyclic:2)", "dihedral:8", "quaternion:8"])
@@ -483,7 +486,7 @@ def test_star_preserves_trace_and_is_involutive():
     rng = np.random.default_rng(5)
     a = random_element(A, rng)
     S = star_matrix(A)
-    assert abs(A.trace(S @ a) - A.trace(a)) < 1e-10
+    assert abs(trace(A, S @ a) - trace(A, a)) < 1e-10
     assert np.allclose(S @ (S @ a), a)
 
 
@@ -592,7 +595,7 @@ def test_indicators_are_pinned(gspec, cname, fs):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_star_gather_matches_the_reference_matrix(gspec, data):
-    # the library's involution on random vectors of random sign twists of the catalog
+    # the involution's gather on random vectors of random sign twists of the catalog
     G = build_group(gspec)
     catalog = sign_cocycles_catalog(G)
     c = catalog[data.draw(st.integers(0, len(catalog) - 1))]
@@ -600,7 +603,7 @@ def test_star_gather_matches_the_reference_matrix(gspec, data):
     A = TwistedGroupAlgebra(G, twist(c, [0, *signs], 2))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     a = rng.standard_normal((3, G.order)) + 1j * rng.standard_normal((3, G.order))
-    assert np.array_equal(A.star(a), a @ star_matrix(A).T)
+    assert np.array_equal(star(A, a), a @ star_matrix(A).T)
 
 
 def test_decomposition_export_shape():

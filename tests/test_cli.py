@@ -16,7 +16,7 @@ from dwsurf.cocycles import heisenberg_cocycle, trivial_cocycle, twist, write_co
 from dwsurf.groups import build_group
 from dwsurf.invariants import cross_check
 from dwsurf.memo import run_scope
-from dwsurf.surfaces import SurfaceSpec, standard_triangulation
+from dwsurf.surfaces import SurfaceSpec, pachner_13, standard_triangulation
 
 
 def run(capsys, *argv):
@@ -145,6 +145,21 @@ def test_statesum_from_triangulation_file(capsys, tmp_path):
                     "--surface", "orientable:1", "--tri", f"file:{path}")
     assert code == 0
     assert json.loads(out)["exact"] == "3"
+
+
+@pytest.mark.parametrize("surface,chi", [("orientable:2", -2), ("orientable:0", 2),
+                                         ("nonorientable:2", 0)])
+def test_triangulation_file_must_match_the_surface(capsys, tmp_path, surface, chi):
+    path = tmp_path / "torus.json"
+    tri = pachner_13(standard_triangulation(SurfaceSpec(True, 1)), 0)
+    path.write_text(json.dumps(tri.to_json()))
+    argv = ("statesum", "--group", "quaternion:8", "--tri", f"file:{path}", "--surface")
+    code, out = run(capsys, *argv, "orientable:1")
+    assert code == 0 and json.loads(out)["exact"] == "5"
+    code, out = run(capsys, *argv, surface)
+    assert code == 1 and json.loads(out)["error"] == (
+        f"SurfaceError: the triangulation in {path} is orientable:1 (chi=0), "
+        f"not --surface {surface} (chi={chi})")
 
 
 @pytest.mark.parametrize("data,message", [
@@ -312,19 +327,6 @@ def test_parse_cocycle_validates_group():
         parse_cocycle("mystery", G)
     with pytest.raises(ValueError, match="'heisenberg:q'"):
         parse_cocycle("heisenberg:q", G)
-
-
-def test_seed_env_sets_the_check_seed(monkeypatch):
-    monkeypatch.setenv("DW_SEED", "7")
-    assert build_parser().parse_args(["check"]).seed == 7
-    assert build_parser().parse_args(["check", "--seed", "3"]).seed == 3
-
-
-def test_malformed_seed_env_is_a_usage_error_of_check_only(monkeypatch, capsys):
-    monkeypatch.setenv("DW_SEED", "x")
-    assert main(["check", "--suite", "oracles"]) == 2
-    code, out = run(capsys, "compute", "--group", "cyclic:2", "--surface", "orientable:1")
-    assert code == 0 and json.loads(out)["passed"]
 
 
 # ---------------------------------------------------------------------------

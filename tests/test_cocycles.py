@@ -409,7 +409,8 @@ def test_cocycle_file_rejects_bad_lines_by_number(tmp_path, edit, line, message)
         read_cocycle_file(path, G)
 
 
-@pytest.mark.parametrize("header", ["order 0", "order -2", "order two", "order", "N 2"])
+@pytest.mark.parametrize("header", ["order 0", "order -2", "order two", "order", "N 2",
+                                    "order 100000000"])
 def test_cocycle_file_rejects_bad_headers(tmp_path, header):
     G = build_group("cyclic:2")
     path = tmp_path / "bad.cocycle"

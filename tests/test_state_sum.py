@@ -264,6 +264,12 @@ def _property_pairs():
     for gspec in ("cyclic:2", "cyclic:4", "dihedral:8", "quaternion:8"):
         G = build_group(gspec)
         pairs.extend((G, c) for c in sign_cocycles_catalog(G))
+    # order-12 coboundary twists, where a weight and its negative differ
+    rng = np.random.default_rng(12)
+    for gspec in ("symmetric:3", "dihedral:8", "quaternion:8"):
+        G = build_group(gspec)
+        b = [0] + [int(rng.integers(12)) for _ in range(G.order - 1)]
+        pairs.append((G, twist(trivial_cocycle(G), b, 12)))
     return pairs
 
 
@@ -285,37 +291,6 @@ def apply_moves(tri, moves):
     return tri
 
 
-def fold_weights(group, var_exp, terms):
-    """The state sum's terms with every weight moved into exp2 of the pair
-    slots (0, 1), the form the labeling engine reads.
-
-    On a labeling that passes a term, its third slot label is (l_0 l_1)^-1,
-    so the term's exp1 and the weight of each edge it holds are functions of
-    (l_0, l_1); a weighted edge is folded into the first term that holds it.
-    """
-    cay, inv = group.cayley, group.inverse
-    a, b = np.indices(cay.shape)
-    slot_labels = (a, b, inv[cay])
-    pending = {v for v, w in enumerate(var_exp) if w is not None}
-    folded = []
-    for term in terms:
-        assert term.pair == (0, 1)
-        exp2 = term.exp2 + (0 if term.exp1 is None else term.exp1[slot_labels[term.exp1_slot]])
-        for v, flip, lab in zip(term.vars, term.inverted, slot_labels):
-            if v in pending:
-                pending.discard(v)
-                exp2 = exp2 + var_exp[v][inv[lab] if flip else lab]
-        folded.append(state_sum.TriangleTerm(term.vars, term.inverted, (0, 1), exp2))
-    assert not pending
-    return folded
-
-
-def labeling_engine(group, modulus, n_vars, var_exp, terms, plan):
-    """The state sum's engine call answered by the labeling oracle's engine."""
-    return invariants.exact_contraction(group, modulus, n_vars,
-                                        fold_weights(group, var_exp, terms), plan)
-
-
 @settings(max_examples=40, deadline=None)
 @given(base=st.sampled_from(["orientable:0", "orientable:1", "nonorientable:2"]),
        pair=st.sampled_from(range(len(PROPERTY_PAIRS))), moves=MOVES)
@@ -326,7 +301,7 @@ def test_frontier_table_matches_backtracking(base, pair, moves):
     A = TwistedGroupAlgebra(G, c)
     tri = apply_moves(standard_triangulation(spec), moves)
     table = run_state_sum(A, tri, star=not spec.orientable)
-    with mock.patch.object(state_sum, "exact_contraction", labeling_engine):
+    with mock.patch.object(state_sum, "exact_contraction", invariants.exact_contraction):
         search = run_state_sum(A, tri, star=not spec.orientable)
     assert table.counts.dtype == np.int64
     assert np.array_equal(table.counts, np.asarray(search.counts))
