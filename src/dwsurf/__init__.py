@@ -13,11 +13,10 @@ from .cocycles import (TwoCocycle, CocycleError, coboundary, c_regular_count,
 from .algebra import (AlgebraError, Block, TwistedGroupAlgebra, WedderburnDecomposition,
                       decomposition_to_json, wedderburn_decompose)
 from .surfaces import (GluedTriangulation, RelatorPresentation, SimplicialSurface,
-                       SurfaceError, SurfaceSpec, flip_triangle, orientability_and_orientation,
-                       pachner_13, pachner_22, relator_presentation, seven_vertex_torus,
-                       standard_triangulation, tetrahedron_sphere)
-from .state_sum import (ContractionError, ContractionPlan, StateSumResult, fhk_state_sum,
-                        run_state_sum, star_state_sum)
+                       SurfaceError, SurfaceSpec, flip_triangle, pachner_13, pachner_22,
+                       relator_presentation, seven_vertex_torus, standard_triangulation,
+                       tetrahedron_sphere)
+from .state_sum import ContractionError, ContractionPlan, StateSumResult, run_state_sum
 from .invariants import (InvariantError, InvariantReport, boundary_hom_count,
                          boundary_hom_count_brute, count_homs, cross_check, dw_direct,
                          dw_labeling_oracle, mednykh_count, verlinde)

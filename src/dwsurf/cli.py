@@ -20,38 +20,17 @@ import random
 import sys
 
 from .algebra import TwistedGroupAlgebra, decomposition_to_json, wedderburn_decompose
-from .cocycles import (TwoCocycle, heisenberg_cocycle, read_cocycle_file, trivial_cocycle,
-                       twist)
-from .groups import FiniteGroup, build_group, conjugacy_classes, involution_set
+from .cocycles import parse_cocycle, twist
+from .groups import build_group, conjugacy_classes, involution_set
 from .invariants import (MAX_HOM_TUPLES, catalog_pairs, cross_check, boundary_hom_count,
-                         boundary_hom_count_brute, dw_direct, dw_labeling_oracle,
+                         boundary_hom_count_brute, dw_direct, dw_labeling_oracle, float_view,
                          mednykh_count, count_homs, nonorientable_catalog_pairs,
                          sign_catalog_pairs)
 from .memo import run_scope
-from .state_sum import fhk_state_sum, run_state_sum, star_state_sum
-from .surfaces import (GluedTriangulation, SurfaceError, SurfaceSpec, flip_triangle,
-                       orientability_and_orientation, pachner_13, pachner_22, pachner_variants,
-                       relator_presentation, seven_vertex_torus, standard_triangulation,
-                       tetrahedron_sphere)
-
-
-def parse_cocycle(spec: str, G: FiniteGroup) -> TwoCocycle:
-    """trivial | heisenberg:<n> | file:<path>"""
-    s = spec.strip()
-    if s == "trivial":
-        return trivial_cocycle(G)
-    if s.startswith("heisenberg:"):
-        try:
-            n = int(s.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad numeric argument in cocycle descriptor {spec!r}") from None
-        c = heisenberg_cocycle(n)
-        if c.group != G:
-            raise ValueError(f"cocycle {s} lives on {c.group.name}, not on {G.name}")
-        return TwoCocycle(G, c.order, c.exps, c.name)
-    if s.startswith("file:"):
-        return read_cocycle_file(s.split(":", 1)[1], G)
-    raise ValueError(f"cannot parse cocycle descriptor {spec!r}")
+from .state_sum import run_state_sum
+from .surfaces import (GluedTriangulation, SurfaceError, SurfaceSpec, flip_triangle, pachner_13,
+                       pachner_22, pachner_variants, relator_presentation, seven_vertex_torus,
+                       standard_triangulation, tetrahedron_sphere)
 
 
 def _emit(data):
@@ -67,7 +46,8 @@ def cmd_compute(args) -> int:
     if args.csv:
         out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(["group", "cocycle", "surface", "method", "re", "im", "exact"])
-        out.writerows([report.group, report.cocycle, report.surface, method, repr(float(v)), "0.0", v]
+        out.writerows([report.group, report.cocycle, report.surface, method,
+                       *(float_view(v) or ("", "")), v]
                       for method, v in sorted(report.values.items()))
     else:
         _emit(report.to_json())
@@ -85,17 +65,15 @@ def cmd_statesum(args) -> int:
         path = args.tri.split(":", 1)[1]
         with open(path, encoding="utf-8") as fh:
             tri = GluedTriangulation.from_json(json.load(fh))
-        orientable = orientability_and_orientation(tri).orientable
-        chi = tri.euler_characteristic
-        if (orientable, chi) != (spec.orientable, spec.chi):
-            found = SurfaceSpec(orientable, (2 - chi) // 2 if orientable else 2 - chi)
-            raise SurfaceError(f"the triangulation in {path} is {found.name} (chi={chi}), "
+        if tri.surface != spec:
+            raise SurfaceError(f"the triangulation in {path} is {tri.surface.name} "
+                               f"(chi={tri.euler_characteristic}), "
                                f"not --surface {spec.name} (chi={spec.chi})")
     else:
         raise ValueError(f"cannot parse --tri {args.tri!r}")
     A = TwistedGroupAlgebra(G, c)
-    res = run_state_sum(A, tri, star=not spec.orientable)
-    _emit({"value": [float(res.value), 0.0],
+    res = run_state_sum(A, tri)
+    _emit({"value": float_view(res.value),
            "exact": str(res.value),
            "states_visited": res.states_visited,
            "plan": res.plan.to_json()})
@@ -183,18 +161,18 @@ def _suite_invariance(seed: int) -> list:
     variants = pachner_variants(sphere, 5, seed=seed)
     for G, c in catalog_pairs():
         A = TwistedGroupAlgebra(G, c)
-        ok = all(fhk_state_sum(A, tri) == G.order for tri in [sphere, *variants])
+        ok = all(run_state_sum(A, tri).value == G.order for tri in [sphere, *variants])
         rows.append((f"sphere refinement {G.name}/{c.name}", ok, "6 triangulations"))
     for G, c in catalog_pairs([("symmetric:3", "trivial"),
                                ("product(cyclic:2,cyclic:2)", "heisenberg:2")]):
         A = TwistedGroupAlgebra(G, c)
         for spec in (SurfaceSpec(True, 1), SurfaceSpec(True, 2)):
             tri = standard_triangulation(spec)
-            base = fhk_state_sum(A, tri)
+            base = run_state_sum(A, tri).value
             tri2 = pachner_13(tri, 0)
             flags = [f for f, p in tri2.edge_flags() if f // 3 != p // 3]
             tri2 = pachner_22(tri2, flags[0])
-            val = fhk_state_sum(A, tri2)
+            val = run_state_sum(A, tri2).value
             rows.append((f"refined {spec.name} {G.name}/{c.name}", val == base, f"{val} vs {base}"))
     for G, c in catalog_pairs():
         base = dw_direct(G, c, SurfaceSpec(True, 1))
@@ -207,8 +185,8 @@ def _suite_invariance(seed: int) -> list:
         A = TwistedGroupAlgebra(G, c)
         for spec in (SurfaceSpec(False, 1), SurfaceSpec(False, 2)):
             tri = standard_triangulation(spec)
-            base = star_state_sum(A, tri)
-            ok = all(star_state_sum(A, flip_triangle(tri, t)) == base
+            base = run_state_sum(A, tri).value
+            ok = all(run_state_sum(A, flip_triangle(tri, t)).value == base
                      for t in range(tri.n_triangles))
             rows.append((f"orientation flips {G.name}/{c.name}/{spec.name}", ok, str(base)))
     return rows

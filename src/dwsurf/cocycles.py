@@ -308,3 +308,22 @@ def read_cocycle_file(path, G: FiniteGroup, name: str = "") -> TwoCocycle:
     if not check.ok:
         raise CocycleError(f"cocycle file failed verification: {check}")
     return c
+
+
+def parse_cocycle(spec: str, G: FiniteGroup) -> TwoCocycle:
+    """trivial | heisenberg:<n> | file:<path>, as a cocycle on G."""
+    s = spec.strip()
+    if s == "trivial":
+        return trivial_cocycle(G)
+    if s.startswith("heisenberg:"):
+        try:
+            n = int(s.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad numeric argument in cocycle descriptor {spec!r}") from None
+        c = heisenberg_cocycle(n)
+        if c.group != G:
+            raise ValueError(f"cocycle {s} lives on {c.group.name}, not on {G.name}")
+        return TwoCocycle(G, c.order, c.exps, c.name)
+    if s.startswith("file:"):
+        return read_cocycle_file(s.split(":", 1)[1], G)
+    raise ValueError(f"cannot parse cocycle descriptor {spec!r}")

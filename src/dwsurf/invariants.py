@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import TwistedGroupAlgebra, WedderburnDecomposition, wedderburn_decompose
-from .cocycles import (TwoCocycle, c_regular_count, cyclotomic_integer, heisenberg_cocycle,
+from .cocycles import (TwoCocycle, c_regular_count, cyclotomic_integer, parse_cocycle,
                        sign_cocycles_catalog, trivial_cocycle)
 from .groups import FiniteGroup, build_group, conjugacy_classes
 from .state_sum import TriangleTerm, plan_from_terms, run_state_sum
@@ -424,6 +424,15 @@ def boundary_hom_count_brute(G: FiniteGroup, genus: int, boundary: tuple) -> int
 # ---------------------------------------------------------------------------
 # cross-check reports
 
+def float_view(v: Fraction) -> list | None:
+    """The complex float view [re, im] of an exact real value, or None when it
+    does not fit a double; the exact value is reported beside it."""
+    try:
+        return [float(v), 0.0]
+    except OverflowError:
+        return None
+
+
 @dataclass
 class InvariantReport:
     """One surface + group + cocycle evaluated by all requested routes."""
@@ -444,7 +453,7 @@ class InvariantReport:
             "cocycle": self.cocycle,
             "surface": self.surface,
             "chi": self.chi,
-            "values": {k: [float(v), 0.0] for k, v in self.values.items()},
+            "values": {k: float_view(v) for k, v in self.values.items()},
             "exact": {k: str(v) for k, v in self.values.items()},
             "integrality": self.integrality,
             "diagnostics": self.diagnostics,
@@ -480,7 +489,7 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
     A = TwistedGroupAlgebra(G, c)
     if "statesum" in methods:
         tri = standard_triangulation(spec)
-        res = run_state_sum(A, tri, star=not spec.orientable)
+        res = run_state_sum(A, tri)
         values["statesum"] = Fraction(G.order) ** (-spec.chi) * res.value
         states = res.states_visited
         diagnostics["statesum_plan_free_edges"] = res.plan.free_count
@@ -541,14 +550,8 @@ def catalog_pairs(entries=ORIENTABLE_CATALOG) -> list:
     """Materialize (group, cocycle) pairs from catalog descriptors."""
     out = []
     for gspec, cname in entries:
-        if cname == "trivial":
-            G = build_group(gspec)
-            out.append((G, trivial_cocycle(G)))
-        elif cname.startswith("heisenberg:"):
-            c = heisenberg_cocycle(int(cname.split(":")[1]))
-            out.append((c.group, c))
-        else:
-            raise InvariantError(f"unknown catalog cocycle {cname}")
+        G = build_group(gspec)
+        out.append((G, parse_cocycle(cname, G)))
     return out
 
 

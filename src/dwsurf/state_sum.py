@@ -12,6 +12,12 @@ per triangle that also holds the weights of its edges, and accumulated as an
 exact int64 exponent histogram, which reduces modulo the cyclotomic
 polynomial to an exact integer; the value is that integer times
 #G^(triangles - edges), a Fraction.  This engine involves no floating point.
+
+The triangulation decides which state sum applies.  An orientable one is
+oriented coherently first, and its edges all carry the pairing vector.  A
+non-orientable one keeps the orientation of each triangle as given, and an
+edge where two orientations agree carries the pairing vector twisted by the
+involution g* = c(g, g^-1) g^-1, which needs a sign-valued cocycle.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 from .algebra import AlgebraError, TwistedGroupAlgebra
 from .cocycles import cyclotomic_integer
 from .memo import shared
-from .surfaces import GluedTriangulation, SurfaceError, orientability_and_orientation
+from .surfaces import GluedTriangulation
 
 # Rows a free edge may expand the contraction table to.  A row is a few
 # machine words, so this stays well under 1 GB, and it is above the largest
@@ -255,39 +261,16 @@ def _edge_terms(A: TwistedGroupAlgebra, tri: GluedTriangulation):
     return len(edges), terms, c.order
 
 
-def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation,
-                  star: bool = False) -> StateSumResult:
-    """Contract the state sum of A over a glued triangulation.
-
-    With ``star=False`` the triangulation must be orientable; it is brought to
-    a consistent orientation first.  With ``star=True`` the per-triangle
-    orientations are taken as given and the edges where they agree use the
-    involution-twisted pairing vector, which requires a sign-valued cocycle.
-    """
-    if star:
-        if not A.cocycle.is_sign_valued:
-            raise AlgebraError("the non-orientable state sum needs a sign-valued cocycle")
-    else:
-        result = orientability_and_orientation(tri)
-        if not result.orientable:
-            raise SurfaceError("this state sum needs an orientable triangulation; "
-                               "use the star variant")
-        tri = result.oriented
+def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> StateSumResult:
+    """Contract the state sum of A over a glued triangulation of any closed
+    surface; a non-orientable one needs a sign-valued cocycle."""
+    if tri.orientable:
+        tri = tri.oriented()
+    elif not A.cocycle.is_sign_valued:
+        raise AlgebraError("the non-orientable state sum needs a sign-valued cocycle")
     n_vars, terms, modulus = _edge_terms(A, tri)
     plan = plan_from_terms(n_vars, terms)
     counts, rows = exact_contraction(A.group, modulus, n_vars, terms, plan)
     scale = Fraction(A.group.order) ** (tri.n_triangles - tri.n_edges)
     value = scale * cyclotomic_integer(counts, "state sum")
     return StateSumResult(value, rows, counts, modulus, plan)
-
-
-def fhk_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> Fraction:
-    """State sum of an oriented surface: trace form over triangles, pairing
-    vector over edges."""
-    return run_state_sum(A, tri, star=False).value
-
-
-def star_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> Fraction:
-    """State sum of a (possibly non-orientable) surface using the involution."""
-    return run_state_sum(A, tri, star=True).value
-

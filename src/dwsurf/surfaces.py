@@ -4,8 +4,14 @@ Two representations live here: glued triangulations (triangles with cyclically
 ordered edge slots and a perfect matching of the 3t flags), which drive the
 state sums, and simplicial surfaces with totally ordered vertices, which feed
 the labeling-sum oracle.  Plus the standard relator presentations of surface
-fundamental groups, Euler characteristic bookkeeping, orientability, and the
-two Pachner moves.
+fundamental groups, Euler characteristic bookkeeping, and the two Pachner
+moves.
+
+A glued triangulation knows its own surface: one traversal of its triangles
+across their edges checks that the gluing is connected and finds the flips
+that orient it coherently, or a contradiction, which makes it non-orientable.
+Orientability and the Euler characteristic then determine ``surface``, so no
+caller declares it.
 
 Flag conventions: flag f = 3*t + s is edge slot s of triangle t; with the
 triangle's current orientation, slot s runs from corner s to corner s+1 (mod
@@ -19,7 +25,7 @@ unchanged.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,8 +76,7 @@ class GluedTriangulation:
     n_triangles: int
     pairing: np.ndarray    # involution on 3t flags, no fixed points
     reversal: np.ndarray   # per flag; equal on matched pairs
-    surface: SurfaceSpec | None = None
-    name: str = ""
+    name: str = field(default="", kw_only=True)
 
     def __post_init__(self):
         t = self.n_triangles
@@ -93,12 +98,30 @@ class GluedTriangulation:
         reversal.setflags(write=False)
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "reversal", reversal)
-        if not self._connected():
+        object.__setattr__(self, "_flips", self._orienting_flips())
+
+    def _orienting_flips(self) -> np.ndarray | None:
+        """The triangle flips that make every glued pair reversal-type, with
+        triangle 0 kept, or None when two paths demand different flips of one
+        triangle; a self-glued pair must be reversal-type already.  The same
+        traversal checks that the gluing is connected."""
+        flips = np.full(self.n_triangles, -1, dtype=np.int64)
+        flips[0] = 0
+        stack = [0]
+        orientable = True
+        while stack:
+            a = stack.pop()
+            for f in range(3 * a, 3 * a + 3):
+                b = int(self.pairing[f]) // 3
+                want = flips[a] ^ (not self.reversal[f])
+                if flips[b] < 0:
+                    flips[b] = want
+                    stack.append(b)
+                elif flips[b] != want:
+                    orientable = False
+        if (flips < 0).any():
             raise SurfaceError("triangulation is not connected")
-        if self.surface is not None and self.euler_characteristic != self.surface.chi:
-            raise SurfaceError(
-                f"Euler characteristic {self.euler_characteristic} does not match "
-                f"{self.surface.name} (chi={self.surface.chi})")
+        return flips.astype(bool) if orientable else None
 
     @property
     def n_flags(self) -> int:
@@ -143,35 +166,33 @@ class GluedTriangulation:
         return self.n_vertices - self.n_edges + self.n_triangles
 
     @property
-    def is_oriented(self) -> bool:
-        return bool(self.reversal.all())
+    def orientable(self) -> bool:
+        return self._flips is not None
 
-    def _connected(self) -> bool:
-        t = self.n_triangles
-        seen = [False] * t
-        stack = [0]
-        seen[0] = True
-        while stack:
-            tri = stack.pop()
-            for s in range(3):
-                other = int(self.pairing[3 * tri + s]) // 3
-                if not seen[other]:
-                    seen[other] = True
-                    stack.append(other)
-        return all(seen)
+    def oriented(self) -> "GluedTriangulation":
+        """The coherently oriented copy, with every reversal bit set."""
+        if not self.orientable:
+            raise SurfaceError(f"{self.surface.name} has no coherent orientation")
+        return _apply_flips(self, self._flips)
+
+    @property
+    def surface(self) -> SurfaceSpec:
+        chi = self.euler_characteristic
+        return SurfaceSpec(self.orientable, (2 - chi) // 2 if self.orientable else 2 - chi)
 
     def to_json(self) -> dict:
         return {
             "triangles": self.n_triangles,
             "pairing": self.pairing.tolist(),
             "reversal": self.reversal.astype(int).tolist(),
-            "surface": self.surface.name if self.surface else None,
+            "surface": self.surface.name,
             "name": self.name,
         }
 
     @classmethod
     def from_json(cls, data) -> "GluedTriangulation":
-        """Inverse of to_json.  Any other shape raises SurfaceError."""
+        """Inverse of to_json.  Any other shape raises SurfaceError, and so
+        does a "surface" label that is not the surface of the gluing."""
         if not isinstance(data, dict):
             raise SurfaceError(f"a triangulation must be a JSON object, not "
                                f"{type(data).__name__}")
@@ -184,44 +205,15 @@ class GluedTriangulation:
             if not isinstance(data[key], list) or any(type(x) not in (int, bool)
                                                       for x in data[key]):
                 raise SurfaceError(f"{key!r} must be a list of integers")
-        surface = data.get("surface")
-        if surface is not None and not isinstance(surface, str):
+        label = data.get("surface")
+        if label is not None and not isinstance(label, str):
             raise SurfaceError("'surface' must be a surface descriptor string")
-        return cls(data["triangles"], np.asarray(data["pairing"]),
-                   np.asarray(data["reversal"], dtype=bool),
-                   SurfaceSpec.parse(surface) if surface else None, data.get("name", ""))
-
-
-@dataclass(frozen=True)
-class OrientationResult:
-    orientable: bool
-    oriented: GluedTriangulation | None = None
-
-
-def orientability_and_orientation(tri: GluedTriangulation) -> OrientationResult:
-    """Try to flip triangles so that every pairing has opposite induced directions.
-
-    Succeeds exactly when the surface is orientable; the oriented copy has all
-    reversal bits set.  Self-glued pairs inside one triangle must already be
-    reversal-type, otherwise the surface is non-orientable.
-    """
-    t = tri.n_triangles
-    flips = np.full(t, -1, dtype=np.int64)
-    flips[0] = 0
-    stack = [0]
-    while stack:
-        a = stack.pop()
-        for s in range(3):
-            f = 3 * a + s
-            p = int(tri.pairing[f])
-            b = p // 3
-            want = flips[a] ^ (not tri.reversal[f])  # flip parity that makes the pair reversal-type
-            if flips[b] < 0:
-                flips[b] = want
-                stack.append(b)
-            elif flips[b] != want:
-                return OrientationResult(False)
-    return OrientationResult(True, _apply_flips(tri, flips.astype(bool)))
+        tri = cls(data["triangles"], np.asarray(data["pairing"]),
+                  np.asarray(data["reversal"], dtype=bool), name=data.get("name", ""))
+        if label and SurfaceSpec.parse(label) != tri.surface:
+            raise SurfaceError(f"the gluing is {tri.surface.name} "
+                               f"(chi={tri.euler_characteristic}), not the declared {label}")
+        return tri
 
 
 def flip_triangle(tri: GluedTriangulation, index: int) -> GluedTriangulation:
@@ -244,7 +236,7 @@ def _apply_flips(tri: GluedTriangulation, flips: np.ndarray) -> GluedTriangulati
         p = int(tri.pairing[f])
         pairing[flagmap[f]] = flagmap[p]
         reversal[flagmap[f]] = tri.reversal[f] ^ flips[f // 3] ^ flips[p // 3]
-    return GluedTriangulation(tri.n_triangles, pairing, reversal, tri.surface, tri.name)
+    return GluedTriangulation(tri.n_triangles, pairing, reversal, name=tri.name)
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +259,17 @@ def _standard_triangulation(spec: SurfaceSpec) -> GluedTriangulation:
     if spec.orientable and spec.genus == 0:
         pairing = np.array([3, 5, 4, 0, 2, 1])
         reversal = np.ones(6, dtype=bool)
-        return GluedTriangulation(2, pairing, reversal, spec, "sphere")
+        return GluedTriangulation(2, pairing, reversal, name="sphere")
     if not spec.orientable and spec.genus == 1:
         # square P0..P3 with word abab, cut along the diagonal P0-P2
         pairing = np.array([4, 5, 3, 2, 0, 1])
         reversal = np.array([False, False, True, True, False, False])
-        return GluedTriangulation(2, pairing, reversal, spec, "projective-plane")
+        return GluedTriangulation(2, pairing, reversal, name="projective-plane")
     name = f"genus{spec.genus}-fan" if spec.orientable else f"crosscap{spec.genus}-fan"
-    return _fan_polygon(relator_presentation(spec).word, spec, name)
+    return _fan_polygon(relator_presentation(spec).word, name)
 
 
-def _fan_polygon(word: tuple, spec: SurfaceSpec, name: str) -> GluedTriangulation:
+def _fan_polygon(word: tuple, name: str) -> GluedTriangulation:
     """Triangulate a polygon with identified sides by the fan from vertex P0.
 
     Side p of the polygon carries letter word[p]; the two sides with the same
@@ -313,7 +305,7 @@ def _fan_polygon(word: tuple, spec: SurfaceSpec, name: str) -> GluedTriangulatio
             raise SurfaceError(f"letter {letter} must occur exactly twice in the boundary word")
         (p, sp), (q, sq) = occ
         glue(side_flag(p), side_flag(q), sp != sq)
-    return GluedTriangulation(t, pairing, reversal, spec, name)
+    return GluedTriangulation(t, pairing, reversal, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +345,7 @@ def pachner_22(tri: GluedTriangulation, flag: int) -> GluedTriangulation:
     d1, d2 = 3 * t1 + 2, 3 * t2 + 2
     pairing[d1], pairing[d2] = d2, d1
     reversal[d1] = reversal[d2] = True
-    return GluedTriangulation(tri.n_triangles, pairing, reversal, tri.surface, tri.name)
+    return GluedTriangulation(tri.n_triangles, pairing, reversal, name=tri.name)
 
 
 def pachner_13(tri: GluedTriangulation, triangle: int) -> GluedTriangulation:
@@ -377,7 +369,7 @@ def pachner_13(tri: GluedTriangulation, triangle: int) -> GluedTriangulation:
     for f1, f2 in internal:
         pairing[f1], pairing[f2] = f2, f1
         reversal[f1] = reversal[f2] = True
-    return GluedTriangulation(t + 2, pairing, reversal, tri.surface, tri.name)
+    return GluedTriangulation(t + 2, pairing, reversal, name=tri.name)
 
 
 def pachner_variants(tri: GluedTriangulation, n_variants: int, seed: int = 0) -> list:
@@ -446,7 +438,8 @@ class SimplicialSurface:
         for (f1, fwd1), (f2, fwd2) in incidence.values():
             pairing[f1], pairing[f2] = f2, f1
             reversal[f1] = reversal[f2] = fwd1 != fwd2
-        return GluedTriangulation(len(self.triangles), pairing, reversal, None, "from-simplicial")
+        return GluedTriangulation(len(self.triangles), pairing, reversal,
+                                  name="from-simplicial")
 
 
 def tetrahedron_sphere() -> SimplicialSurface:

@@ -24,7 +24,6 @@ import numpy as np
 from dwsurf.algebra import AlgebraError
 from dwsurf.groups import conjugacy_classes
 from dwsurf.invariants import InvariantError
-from dwsurf.surfaces import orientability_and_orientation
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +129,8 @@ def dense_state_sum(C, tri) -> complex:
     """Literal tensor contraction of the state sum from structure constants:
     T(abc) on every triangle and the pairing vector on every edge of an
     orientable triangulation with at most 16 flags."""
-    result = orientability_and_orientation(tri)
-    assert result.orientable, "the dense contraction is for orientable surfaces"
-    tri = result.oriented
+    assert tri.orientable, "the dense contraction is for orientable surfaces"
+    tri = tri.oriented()
     assert tri.n_flags <= 16, "the dense contraction is for tiny triangulations"
     T3 = np.einsum("ijm,mkl,lnn->ijk", C, C, C)     # T(abc), T the trace form
     edges = tri.edge_flags()

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,27 @@ def test_compute_csv_output(capsys):
     assert [len(row) for row in rows] == [7, 7, 7]
     assert [(row[0], row[3], row[-1]) for row in rows] == [
         ("product(cyclic:2,cyclic:2)", method, "4") for method in ("direct", "statesum", "verlinde")]
+
+
+# sum over the blocks of symmetric:5 of (120/d)^(2g-2) at genus 76: past double range
+S5_GENUS76 = sum(Fraction(120, d) ** 150 for d in (1, 1, 4, 4, 5, 5, 6))
+
+
+def test_values_past_double_range_have_no_float_view(capsys):
+    argv = ("compute", "--group", "symmetric:5", "--surface", "orientable:76",
+            "--method", "verlinde")
+    code, out = run(capsys, *argv)
+    data = json.loads(out)
+    assert code == 0
+    assert data["values"] == {"verlinde": None}
+    assert data["exact"] == {"verlinde": str(S5_GENUS76)}
+    code, out = run(capsys, *argv, "--csv")
+    header, row = csv.reader(io.StringIO(out))
+    assert code == 0
+    assert row[3:] == ["verlinde", "", "", str(S5_GENUS76)]
+    code, out = run(capsys, "compute", "--group", "cyclic:2", "--surface", "nonorientable:1100",
+                    "--method", "verlinde")
+    assert code == 0 and json.loads(out)["values"] == {"verlinde": None}
 
 
 def test_compute_with_oracle(capsys):

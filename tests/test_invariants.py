@@ -18,7 +18,7 @@ from dwsurf.invariants import (InvariantError, boundary_hom_count, boundary_hom_
                                catalog_pairs, count_homs, cross_check, dw_direct,
                                dw_labeling_oracle, mednykh_count, sign_catalog_pairs, verlinde)
 from dwsurf.invariants import _direct_counts
-from dwsurf.state_sum import fhk_state_sum, run_state_sum, star_state_sum
+from dwsurf.state_sum import run_state_sum
 from dwsurf.surfaces import (RelatorPresentation, SurfaceSpec, relator_presentation,
                              seven_vertex_torus, standard_triangulation, tetrahedron_sphere)
 from oracles import enumerate_homs, relator_weight, weight_sum
@@ -306,8 +306,8 @@ def test_every_route_returns_a_fraction():
     dec = wedderburn_decompose(A)
     values = [dw_direct(G, c, KLEIN), verlinde(dec, KLEIN), verlinde(dec, SPHERE),
               dw_labeling_oracle(G, c, tetrahedron_sphere()),
-              fhk_state_sum(A, standard_triangulation(GENUS2)),
-              star_state_sum(A, standard_triangulation(KLEIN)),
+              run_state_sum(A, standard_triangulation(GENUS2)).value,
+              run_state_sum(A, standard_triangulation(KLEIN)).value,
               run_state_sum(A, standard_triangulation(TORUS)).value]
     assert all(type(v) is Fraction for v in values)
     assert values[:4] == [1, 1, Fraction(1, 4), Fraction(1, 4)]

@@ -10,8 +10,8 @@ from dwsurf import invariants, state_sum
 from dwsurf.algebra import AlgebraError, TwistedGroupAlgebra
 from dwsurf.cocycles import heisenberg_cocycle, sign_cocycles_catalog, trivial_cocycle, twist
 from dwsurf.groups import build_group, conjugacy_classes
-from dwsurf.state_sum import ContractionError, fhk_state_sum, run_state_sum, star_state_sum
-from dwsurf.surfaces import (SurfaceError, SurfaceSpec, flip_triangle, pachner_13, pachner_22,
+from dwsurf.state_sum import ContractionError, run_state_sum
+from dwsurf.surfaces import (SurfaceSpec, flip_triangle, pachner_13, pachner_22,
                              pachner_variants, standard_triangulation)
 from oracles import dense_state_sum, structure_constants
 
@@ -65,7 +65,7 @@ def test_estimate_bounds_actual_visits():
         spec = SurfaceSpec.parse(name)
         tri = standard_triangulation(spec)
         A = algebra("symmetric:3") if spec.orientable else algebra("cyclic:4")
-        res = run_state_sum(A, tri, star=not spec.orientable)
+        res = run_state_sum(A, tri)
         assert res.states_visited <= res.plan.estimate_nodes(A.group.order)
 
 
@@ -77,17 +77,17 @@ def test_estimate_bounds_actual_visits():
     (None, heisenberg_cocycle(2)), (None, heisenberg_cocycle(3))])
 def test_sphere_state_sum_is_algebra_dimension(gspec, c):
     A = TwistedGroupAlgebra(c.group, c) if c else algebra(gspec)
-    val = fhk_state_sum(A, standard_triangulation(SurfaceSpec(True, 0)))
+    val = run_state_sum(A, standard_triangulation(SurfaceSpec(True, 0))).value
     assert val == A.dim
 
 
 def test_torus_state_sum_counts_regular_classes():
     A = algebra("symmetric:3")
-    val = fhk_state_sum(A, standard_triangulation(SurfaceSpec(True, 1)))
+    val = run_state_sum(A, standard_triangulation(SurfaceSpec(True, 1))).value
     assert val == conjugacy_classes(A.group).count
     c = heisenberg_cocycle(2)
     A2 = TwistedGroupAlgebra(c.group, c)
-    assert fhk_state_sum(A2, standard_triangulation(SurfaceSpec(True, 1))) == 1
+    assert run_state_sum(A2, standard_triangulation(SurfaceSpec(True, 1))).value == 1
 
 
 def test_admissible_labelings_are_counted_exactly():
@@ -100,15 +100,15 @@ def test_admissible_labelings_are_counted_exactly():
 
 def test_projective_plane_star_values():
     A = algebra("cyclic:3")
-    assert star_state_sum(A, standard_triangulation(SurfaceSpec(False, 1))) == 1
+    assert run_state_sum(A, standard_triangulation(SurfaceSpec(False, 1))).value == 1
     A2 = algebra("cyclic:2")
-    assert star_state_sum(A2, standard_triangulation(SurfaceSpec(False, 1))) == 2
+    assert run_state_sum(A2, standard_triangulation(SurfaceSpec(False, 1))).value == 2
 
 
 def test_klein_bottle_heisenberg_value():
     c = heisenberg_cocycle(2)
     A = TwistedGroupAlgebra(c.group, c)
-    assert star_state_sum(A, standard_triangulation(SurfaceSpec(False, 2))) == 1
+    assert run_state_sum(A, standard_triangulation(SurfaceSpec(False, 2))).value == 1
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def test_dense_contraction_matches_sparse_engine(c):
     for name in ["orientable:0", "orientable:1"]:
         tri = standard_triangulation(SurfaceSpec.parse(name))
         dense = dense_state_sum(C, tri)
-        sparse = fhk_state_sum(A, tri)
+        sparse = run_state_sum(A, tri).value
         assert abs(dense - sparse) < 1e-8 * max(1.0, abs(sparse))
 
 
@@ -140,9 +140,9 @@ def test_dense_contraction_matches_sparse_engine(c):
 def test_pachner_invariance_on_spheres():
     sphere = standard_triangulation(SurfaceSpec(True, 0))
     for A in [algebra("symmetric:3"), TwistedGroupAlgebra(*(lambda c: (c.group, c))(heisenberg_cocycle(2)))]:
-        base = fhk_state_sum(A, sphere)
+        base = run_state_sum(A, sphere).value
         for tri in pachner_variants(sphere, 3, seed=11):
-            assert fhk_state_sum(A, tri) == base
+            assert run_state_sum(A, tri).value == base
 
 
 def test_seven_vertex_torus_gluing_matches_one_vertex_torus():
@@ -152,17 +152,17 @@ def test_seven_vertex_torus_gluing_matches_one_vertex_torus():
     for c in [trivial_cocycle(build_group("cyclic:2")), heisenberg_cocycle(2)]:
         A = TwistedGroupAlgebra(c.group, c)
         # the invariant scales by #G^chi = 1 on the torus, so raw sums agree
-        want = fhk_state_sum(A, small)
-        got = fhk_state_sum(A, big)
+        want = run_state_sum(A, small).value
+        got = run_state_sum(A, big).value
         assert got == want
 
 
 def test_pachner_invariance_on_torus():
     torus = standard_triangulation(SurfaceSpec(True, 1))
     A = algebra("dihedral:8")
-    base = fhk_state_sum(A, torus)
+    base = run_state_sum(A, torus).value
     for tri in pachner_variants(torus, 3, seed=5):
-        assert fhk_state_sum(A, tri) == base
+        assert run_state_sum(A, tri).value == base
 
 
 def test_orientation_flip_invariance():
@@ -171,9 +171,9 @@ def test_orientation_flip_invariance():
         G = build_group("product(cyclic:2,cyclic:2)")
         for c in sign_cocycles_catalog(G):
             A = TwistedGroupAlgebra(G, c)
-            base = star_state_sum(A, tri)
+            base = run_state_sum(A, tri).value
             for t in range(tri.n_triangles):
-                assert star_state_sum(A, flip_triangle(tri, t)) == base
+                assert run_state_sum(A, flip_triangle(tri, t)).value == base
 
 
 def test_star_agrees_with_plain_sum_on_orientable_surfaces():
@@ -182,9 +182,8 @@ def test_star_agrees_with_plain_sum_on_orientable_surfaces():
         A = TwistedGroupAlgebra(G, c)
         for name in ["orientable:0", "orientable:1"]:
             tri = standard_triangulation(SurfaceSpec.parse(name))
-            # feed the star engine a mixed orientation to make the test nontrivial
-            mixed = flip_triangle(tri, 0)
-            assert star_state_sum(A, mixed) == fhk_state_sum(A, tri)
+            # a mixed orientation of an orientable surface is oriented first
+            assert run_state_sum(A, flip_triangle(tri, 0)).value == run_state_sum(A, tri).value
 
 
 def test_coboundary_invariance_of_state_sums():
@@ -194,28 +193,22 @@ def test_coboundary_invariance_of_state_sums():
     rng = np.random.default_rng(8)
     torus = standard_triangulation(SurfaceSpec(True, 1))
     klein = standard_triangulation(SurfaceSpec(False, 2))
-    base_t, base_k = fhk_state_sum(A, torus), star_state_sum(A, klein)
+    base_t, base_k = run_state_sum(A, torus).value, run_state_sum(A, klein).value
     for _ in range(20):
         b = [0] + [int(rng.integers(2)) for _ in range(3)]
         At = TwistedGroupAlgebra(G, twist(c, b, 2))
-        assert fhk_state_sum(At, torus) == base_t
-        assert star_state_sum(At, klein) == base_k
+        assert run_state_sum(At, torus).value == base_t
+        assert run_state_sum(At, klein).value == base_k
 
 
 # ---------------------------------------------------------------------------
 # errors and bounds
 
-def test_plain_sum_rejects_nonorientable_input():
-    A = algebra("cyclic:2")
-    with pytest.raises(SurfaceError):
-        fhk_state_sum(A, standard_triangulation(SurfaceSpec(False, 2)))
-
-
 def test_star_rejects_complex_valued_cocycles():
     c = heisenberg_cocycle(3)
     A = TwistedGroupAlgebra(c.group, c)
     with pytest.raises(AlgebraError):
-        star_state_sum(A, standard_triangulation(SurfaceSpec(False, 2)))
+        run_state_sum(A, standard_triangulation(SurfaceSpec(False, 2)))
 
 
 def test_int64_overflow_is_refused_before_contracting():
@@ -238,7 +231,7 @@ def test_table_size_is_bounded():
     with pytest.raises(ContractionError, match=str(state_sum.MAX_TABLE_ROWS)):
         run_state_sum(algebra("quaternion:8"), tri)
     # the same surface fits for a smaller group, with the torus value
-    assert fhk_state_sum(algebra("cyclic:2"), tri) == 2
+    assert run_state_sum(algebra("cyclic:2"), tri).value == 2
 
 
 def test_symmetric5_genus2_state_sum():
@@ -300,9 +293,9 @@ def test_frontier_table_matches_backtracking(base, pair, moves):
     assume(spec.orientable or c.is_sign_valued)
     A = TwistedGroupAlgebra(G, c)
     tri = apply_moves(standard_triangulation(spec), moves)
-    table = run_state_sum(A, tri, star=not spec.orientable)
+    table = run_state_sum(A, tri)
     with mock.patch.object(state_sum, "exact_contraction", invariants.exact_contraction):
-        search = run_state_sum(A, tri, star=not spec.orientable)
+        search = run_state_sum(A, tri)
     assert table.counts.dtype == np.int64
     assert np.array_equal(table.counts, np.asarray(search.counts))
     assert Fraction(G.order) ** (-spec.chi) * table.value == invariants.dw_direct(G, c, spec)

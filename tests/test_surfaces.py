@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dwsurf.surfaces import (GluedTriangulation, RelatorPresentation, SurfaceError,
-                             SurfaceSpec, flip_triangle, orientability_and_orientation,
-                             pachner_13, pachner_22, pachner_variants, relator_presentation,
-                             seven_vertex_torus, standard_triangulation, tetrahedron_sphere)
+                             SurfaceSpec, flip_triangle, pachner_13, pachner_22, pachner_variants,
+                             relator_presentation, seven_vertex_torus, standard_triangulation,
+                             tetrahedron_sphere)
 
 
 def counts(tri):
@@ -41,6 +41,7 @@ def test_standard_triangulation_counts(name, expected):
     assert counts(tri) == expected
     assert 2 * tri.n_edges == 3 * tri.n_triangles
     assert tri.euler_characteristic == spec.chi
+    assert tri.surface == spec
 
 
 @pytest.mark.parametrize("name,orientable", [
@@ -49,17 +50,20 @@ def test_standard_triangulation_counts(name, expected):
 ])
 def test_orientability_verdicts(name, orientable):
     tri = standard_triangulation(SurfaceSpec.parse(name))
-    res = orientability_and_orientation(tri)
-    assert res.orientable == orientable
-    if orientable:
-        assert res.oriented.is_oriented
-        assert counts(res.oriented) == counts(tri)
+    for variant in (tri, flip_triangle(tri, 1)):
+        assert variant.orientable == orientable
+        if orientable:
+            assert variant.oriented().reversal.all()
+            assert counts(variant.oriented()) == counts(tri)
+        else:
+            with pytest.raises(SurfaceError, match="no coherent orientation"):
+                variant.oriented()
 
 
-def test_validator_rejects_chi_mismatch():
+def test_surface_is_not_a_constructor_argument():
     torus = standard_triangulation(SurfaceSpec(True, 1))
-    with pytest.raises(SurfaceError):
-        GluedTriangulation(2, torus.pairing, torus.reversal, SurfaceSpec(True, 0))
+    with pytest.raises(TypeError):
+        GluedTriangulation(2, torus.pairing, torus.reversal, SurfaceSpec(True, 1))
 
 
 def test_validator_rejects_fixed_points():
@@ -75,7 +79,7 @@ def test_flip_then_flip_back_restores_counts():
     flipped = pachner_22(tri, 0)
     back = pachner_22(flipped, 2)  # the new diagonal sits at slot 2 of the first triangle
     assert counts(back) == counts(tri)
-    assert orientability_and_orientation(back).orientable
+    assert back.orientable
 
 
 def test_torus_flip_preserves_everything():
@@ -83,7 +87,7 @@ def test_torus_flip_preserves_everything():
     for f, _ in tri.edge_flags():
         out = pachner_22(tri, f)
         assert counts(out) == counts(tri)
-        assert orientability_and_orientation(out).orientable
+        assert out.orientable
 
 
 def test_flip_rejects_self_glued_configuration():
@@ -101,7 +105,7 @@ def test_flip_preserves_nonorientability():
     for f in flippable:
         out = pachner_22(p2, f)
         assert counts(out) == counts(p2)
-        assert not orientability_and_orientation(out).orientable
+        assert not out.orientable
 
 
 def test_subdivision_bookkeeping():
@@ -116,9 +120,9 @@ def test_subdivision_bookkeeping():
 
 def test_subdivision_preserves_orientability_class():
     klein = standard_triangulation(SurfaceSpec(False, 2))
-    assert not orientability_and_orientation(pachner_13(klein, 1)).orientable
+    assert not pachner_13(klein, 1).orientable
     torus = standard_triangulation(SurfaceSpec(True, 1))
-    assert orientability_and_orientation(pachner_13(torus, 0)).orientable
+    assert pachner_13(torus, 0).orientable
 
 
 def test_subdividing_a_self_glued_triangle():
@@ -126,7 +130,7 @@ def test_subdividing_a_self_glued_triangle():
     self_glued = [f for f, p in klein.edge_flags() if f // 3 == p // 3][0]
     out = pachner_13(klein, self_glued // 3)
     assert counts(out) == (4, 6, 2, 0)
-    assert not orientability_and_orientation(out).orientable
+    assert not out.orientable
 
 
 def test_pachner_variants_are_deterministic():
@@ -163,6 +167,10 @@ TORUS_JSON = standard_triangulation(SurfaceSpec(True, 1)).to_json()
     (dict(TORUS_JSON, pairing={"0": 1}), "'pairing' must be a list of integers"),
     (dict(TORUS_JSON, reversal=[1.0] * 6), "'reversal' must be a list of integers"),
     (dict(TORUS_JSON, surface=1), "'surface' must be a surface descriptor"),
+    (dict(TORUS_JSON, surface="nonorientable:2"),
+     "the gluing is orientable:1 \\(chi=0\\), not the declared nonorientable:2"),
+    (dict(TORUS_JSON, surface="orientable:0"),
+     "the gluing is orientable:1 \\(chi=0\\), not the declared orientable:0"),
     # the range is checked before pairing[pairing] is read: 6 would overrun, -1 wrap
     (dict(TORUS_JSON, pairing=[3, 4, 5, 0, 1, 6]), "pairing entries must be flags 0..5"),
     (dict(TORUS_JSON, pairing=[3, 4, 5, 0, 1, -1]), "pairing entries must be flags 0..5"),
@@ -190,11 +198,11 @@ def test_seven_vertex_torus_counts():
 def test_simplicial_to_glued_matches():
     glued = tetrahedron_sphere().to_glued()
     assert counts(glued) == (4, 6, 4, 2)
-    assert orientability_and_orientation(glued).orientable
+    assert glued.surface == SurfaceSpec(True, 0)
     glued = seven_vertex_torus().to_glued()
     assert counts(glued) == (14, 21, 7, 0)
-    assert orientability_and_orientation(glued).orientable
-    assert glued.is_oriented   # builders are coherently oriented already
+    assert glued.surface == SurfaceSpec(True, 1)
+    assert glued.reversal.all()   # builders are coherently oriented already
 
 
 # ---------------------------------------------------------------------------
