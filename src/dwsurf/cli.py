@@ -1,5 +1,5 @@
-"""Command-line front end: compute single invariants, contract state sums,
-export decompositions, and run the validation suites.
+"""Command-line front end: compute single invariants, of a surface or of a
+triangulation file, export decompositions, and run the validation suites.
 
 `dw check` runs its rows in one run scope (memo.py), so each group,
 decomposition, class list, triangulation and plan is computed once per run;
@@ -28,8 +28,8 @@ from .invariants import (MAX_HOM_TUPLES, catalog_pairs, cross_check, boundary_ho
                          sign_catalog_pairs)
 from .memo import run_scope
 from .state_sum import run_state_sum
-from .surfaces import (GluedTriangulation, SurfaceError, SurfaceSpec, flip_triangle, pachner_13,
-                       pachner_22, pachner_variants, relator_presentation, seven_vertex_torus,
+from .surfaces import (SurfaceSpec, flip_triangle, pachner_13, pachner_22, pachner_variants,
+                       parse_surface, relator_presentation, seven_vertex_torus,
                        standard_triangulation, tetrahedron_sphere)
 
 
@@ -40,9 +40,8 @@ def _emit(data):
 def cmd_compute(args) -> int:
     G = build_group(args.group)
     c = parse_cocycle(args.cocycle, G)
-    spec = SurfaceSpec.parse(args.surface)
     methods = ("direct", "statesum", "verlinde") if args.method == "all" else (args.method,)
-    report = cross_check(G, c, spec, methods=methods, oracle=args.oracle)
+    report = cross_check(G, c, parse_surface(args.surface), methods=methods, oracle=args.oracle)
     if args.csv:
         out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(["group", "cocycle", "surface", "method", "re", "im", "exact"])
@@ -51,33 +50,7 @@ def cmd_compute(args) -> int:
                       for method, v in sorted(report.values.items()))
     else:
         _emit(report.to_json())
-    check_requested = len(report.values) > 1 or report.integrality is not None
-    return 0 if (report.passed or not check_requested) else 1
-
-
-def cmd_statesum(args) -> int:
-    G = build_group(args.group)
-    c = parse_cocycle(args.cocycle, G)
-    spec = SurfaceSpec.parse(args.surface)
-    if args.tri == "standard":
-        tri = standard_triangulation(spec)
-    elif args.tri.startswith("file:"):
-        path = args.tri.split(":", 1)[1]
-        with open(path, encoding="utf-8") as fh:
-            tri = GluedTriangulation.from_json(json.load(fh))
-        if tri.surface != spec:
-            raise SurfaceError(f"the triangulation in {path} is {tri.surface.name} "
-                               f"(chi={tri.euler_characteristic}), "
-                               f"not --surface {spec.name} (chi={spec.chi})")
-    else:
-        raise ValueError(f"cannot parse --tri {args.tri!r}")
-    A = TwistedGroupAlgebra(G, c)
-    res = run_state_sum(A, tri)
-    _emit({"value": float_view(res.value),
-           "exact": str(res.value),
-           "states_visited": res.states_visited,
-           "plan": res.plan.to_json()})
-    return 0
+    return 0 if report.passed else 1
 
 
 def cmd_decompose(args) -> int:
@@ -197,13 +170,13 @@ SUITES = {"theorems": _suite_theorems, "oracles": _suite_oracles, "invariance": 
 
 
 def _config_entries(path) -> list:
-    """The entries of a --config file, each an object with string "group" and
-    "surface" and an optional string "cocycle"; any other shape or key is
-    rejected by entry index."""
+    """The entries of a --config file, a non-empty list of objects with string
+    "group" and "surface" and an optional string "cocycle"; any other shape or
+    key is rejected by entry index."""
     with open(path, encoding="utf-8") as fh:
         entries = json.load(fh)
-    if not isinstance(entries, list):
-        raise ValueError("a --config file must hold a JSON list of entries")
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("a --config file must hold a non-empty JSON list of entries")
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"config entry {i} must be an object, got {entry!r}")
@@ -221,12 +194,16 @@ def _config_entries(path) -> list:
 def _check_rows(args) -> list:
     if args.config:
         rows = []
-        for entry in _config_entries(args.config):
-            G = build_group(entry["group"])
-            c = parse_cocycle(entry.get("cocycle", "trivial"), G)
-            spec = SurfaceSpec.parse(entry["surface"])
-            rep = cross_check(G, c, spec)
-            rows.append((f"{G.name}/{c.name}/{spec.name}", rep.passed, _values_detail(rep)))
+        for i, entry in enumerate(_config_entries(args.config)):
+            cocycle = entry.get("cocycle", "trivial")
+            try:
+                G = build_group(entry["group"])
+                c = parse_cocycle(cocycle, G)
+                rep = cross_check(G, c, parse_surface(entry["surface"]))
+            except (ValueError, OSError) as exc:
+                raise ValueError(f"config entry {i} ({entry['group']}/{cocycle}/"
+                                 f"{entry['surface']}): {type(exc).__name__}: {exc}") from exc
+            rows.append((f"{G.name}/{c.name}/{rep.surface}", rep.passed, _values_detail(rep)))
         return rows
     names = list(SUITES) if args.suite == "all" else [args.suite]
     return [row for name in names for row in SUITES[name](args.seed)]
@@ -253,20 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="evaluate one surface invariant")
     p.add_argument("--group", required=True)
     p.add_argument("--cocycle", default="trivial")
-    p.add_argument("--surface", required=True)
+    p.add_argument("--surface", required=True,
+                   help="orientable:<g>, nonorientable:<k> or file:<triangulation.json>")
     p.add_argument("--method", choices=["direct", "statesum", "verlinde", "all"], default="all")
     p.add_argument("--oracle", action="store_true", help="also run the labeling-sum oracle")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", default=True)
     group.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("statesum", help="contract a state sum over a triangulation")
-    p.add_argument("--group", required=True)
-    p.add_argument("--cocycle", default="trivial")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--tri", default="standard")
-    p.set_defaults(func=cmd_statesum)
 
     p = sub.add_parser("decompose", help="export the block decomposition as JSON")
     p.add_argument("--group", required=True)

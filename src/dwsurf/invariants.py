@@ -37,8 +37,8 @@ from .cocycles import (TwoCocycle, c_regular_count, cyclotomic_integer, parse_co
                        sign_cocycles_catalog, trivial_cocycle)
 from .groups import FiniteGroup, build_group, conjugacy_classes
 from .state_sum import TriangleTerm, plan_from_terms, run_state_sum
-from .surfaces import (RelatorPresentation, SimplicialSurface, SurfaceSpec, seven_vertex_torus,
-                       standard_triangulation, tetrahedron_sphere)
+from .surfaces import (GluedTriangulation, RelatorPresentation, SimplicialSurface, SurfaceSpec,
+                       seven_vertex_torus, standard_triangulation, tetrahedron_sphere)
 
 
 class InvariantError(ValueError):
@@ -462,7 +462,7 @@ class InvariantReport:
         }
 
 
-def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
+def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec | GluedTriangulation,
                 methods: tuple = ("direct", "statesum", "verlinde"),
                 oracle: bool = False, seed: int = 0, workers: int = 1) -> InvariantReport:
     """Run the requested routes and compare; disagreement yields a failing
@@ -472,7 +472,12 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
     and for chi <= 0 the value must be an integer, >= 1 on orientable
     surfaces and >= 0 on non-orientable ones.
 
-    A labeling oracle that refuses its input leaves its refusal in
+    ``spec`` may be a triangulation, which the state sum contracts; the
+    other routes take its surface.  The state sum's plan goes to
+    diagnostics["statesum_plan"].
+
+    The labeling oracle runs on orientable:0 and orientable:1 only; asked for
+    elsewhere, or refusing its input, it leaves the reason in
     diagnostics["labeling_oracle"], and the requested routes decide.
 
     ``seed`` and ``workers`` have no effect: the decomposition is a pure
@@ -482,24 +487,25 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
     values: dict = {}
     diagnostics: dict = {}
     states = None
+    tri = None
+    if isinstance(spec, GluedTriangulation):
+        tri, spec = spec, spec.surface
     if not spec.orientable and not c.is_sign_valued:
         raise InvariantError("non-orientable surfaces need a sign-valued cocycle")
     if "direct" in methods:
         values["direct"] = dw_direct(G, c, spec)
     A = TwistedGroupAlgebra(G, c)
     if "statesum" in methods:
-        tri = standard_triangulation(spec)
-        res = run_state_sum(A, tri)
+        res = run_state_sum(A, standard_triangulation(spec) if tri is None else tri)
         values["statesum"] = Fraction(G.order) ** (-spec.chi) * res.value
         states = res.states_visited
-        diagnostics["statesum_plan_free_edges"] = res.plan.free_count
+        diagnostics["statesum_plan"] = res.plan.to_json()
     if "verlinde" in methods:
         dec = wedderburn_decompose(A)
         values["verlinde"] = verlinde(dec, spec)
         r = c_regular_count(G, c)
         diagnostics["block_dims"] = list(dec.dims)
         diagnostics["fs"] = [b.fs for b in dec.blocks]
-        diagnostics["sum_d_squared_ok"] = sum(d * d for d in dec.dims) == G.order
         diagnostics["block_count_matches_regular_classes"] = dec.block_count() == r
         diagnostics.update(dec.diagnostics)
     if oracle and spec.orientable and spec.genus <= 1:
@@ -508,6 +514,8 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
             values["labeling_oracle"] = dw_labeling_oracle(G, c, surf)
         except InvariantError as exc:     # refused as too large; the routes still count
             diagnostics["labeling_oracle"] = str(exc)
+    elif oracle:
+        diagnostics["labeling_oracle"] = "runs on orientable:0 and orientable:1 only"
 
     vals = list(values.values())
     integrality = None
@@ -519,7 +527,6 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec,
                        "positive_ok": positive_ok}
         integrality_ok = v.denominator == 1 and positive_ok
     passed = (len(set(vals)) <= 1 and integrality_ok
-              and diagnostics.get("sum_d_squared_ok", True)
               and diagnostics.get("block_count_matches_regular_classes", True))
     return InvariantReport(G.name, c.name or "cocycle", spec.name, spec.chi, values,
                            integrality, diagnostics, passed, states)

@@ -24,6 +24,7 @@ unchanged.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
 
@@ -67,6 +68,16 @@ class SurfaceSpec:
         except ValueError:
             raise SurfaceError(f"bad genus in surface descriptor {text!r}") from None
         return cls(head == "orientable", genus)
+
+
+def parse_surface(text: str) -> SurfaceSpec | GluedTriangulation:
+    """orientable:<g> | nonorientable:<k> | file:<path>, the last a
+    triangulation JSON (GluedTriangulation.to_json)."""
+    head, _, path = text.strip().partition(":")
+    if head == "file":
+        with open(path, encoding="utf-8") as fh:
+            return GluedTriangulation.from_json(json.load(fh))
+    return SurfaceSpec.parse(text)
 
 
 @dataclass(frozen=True, eq=False)

@@ -134,6 +134,15 @@ def test_refused_labeling_oracle_keeps_the_route_values(capsys):
         "labeling sum needs 107816072 states, beyond the limit 100000000")
 
 
+def test_oracle_names_the_surfaces_it_runs_on(capsys):
+    code, out = run(capsys, "compute", "--group", "cyclic:2", "--surface", "orientable:2",
+                    "--oracle")
+    data = json.loads(out)
+    assert code == 0
+    assert "labeling_oracle" not in data["exact"]
+    assert data["diagnostics"]["labeling_oracle"] == "runs on orientable:0 and orientable:1 only"
+
+
 def test_compute_single_method(capsys):
     code, out = run(capsys, "compute", "--group", "cyclic:4", "--surface", "orientable:1",
                     "--method", "verlinde")
@@ -149,39 +158,46 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert first == second
 
 
-def test_statesum_reports_plan(capsys):
-    code, out = run(capsys, "statesum", "--group", "product(cyclic:2,cyclic:2)",
-                    "--cocycle", "heisenberg:2", "--surface", "orientable:1")
+def write_triangulation(tmp_path, tri):
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(tri.to_json()))
+    return f"file:{path}"
+
+
+def test_triangulation_file_reports_plan(capsys, tmp_path):
+    surface = write_triangulation(tmp_path, standard_triangulation(SurfaceSpec(True, 1)))
+    code, out = run(capsys, "compute", "--group", "product(cyclic:2,cyclic:2)",
+                    "--cocycle", "heisenberg:2", "--surface", surface, "--method", "statesum")
     data = json.loads(out)
     assert code == 0
-    assert data["exact"] == "1" and data["value"] == [1.0, 0.0]
-    assert data["plan"]["free_edges"] == 2
+    assert data["exact"] == {"statesum": "1"} and data["values"]["statesum"] == [1.0, 0.0]
+    assert data["surface"] == "orientable:1"
+    assert data["diagnostics"]["statesum_plan"]["free_edges"] == 2
     assert data["states_visited"] > 0
 
 
-def test_statesum_from_triangulation_file(capsys, tmp_path):
-    tri = standard_triangulation(SurfaceSpec(True, 1))
-    path = tmp_path / "torus.json"
-    path.write_text(json.dumps(tri.to_json()))
-    code, out = run(capsys, "statesum", "--group", "symmetric:3",
-                    "--surface", "orientable:1", "--tri", f"file:{path}")
+def test_compute_from_triangulation_file(capsys, tmp_path):
+    surface = write_triangulation(tmp_path, standard_triangulation(SurfaceSpec(True, 1)))
+    code, out = run(capsys, "compute", "--group", "symmetric:3", "--surface", surface)
     assert code == 0
-    assert json.loads(out)["exact"] == "3"
+    assert json.loads(out)["exact"] == {"direct": "3", "statesum": "3", "verlinde": "3"}
 
 
-@pytest.mark.parametrize("surface,chi", [("orientable:2", -2), ("orientable:0", 2),
-                                         ("nonorientable:2", 0)])
-def test_triangulation_file_must_match_the_surface(capsys, tmp_path, surface, chi):
-    path = tmp_path / "torus.json"
+def test_refined_torus_file_gives_the_torus_value(capsys, tmp_path):
     tri = pachner_13(standard_triangulation(SurfaceSpec(True, 1)), 0)
-    path.write_text(json.dumps(tri.to_json()))
-    argv = ("statesum", "--group", "quaternion:8", "--tri", f"file:{path}", "--surface")
-    code, out = run(capsys, *argv, "orientable:1")
-    assert code == 0 and json.loads(out)["exact"] == "5"
-    code, out = run(capsys, *argv, surface)
-    assert code == 1 and json.loads(out)["error"] == (
-        f"SurfaceError: the triangulation in {path} is orientable:1 (chi=0), "
-        f"not --surface {surface} (chi={chi})")
+    code, out = run(capsys, "compute", "--group", "quaternion:8", "--method", "statesum",
+                    "--surface", write_triangulation(tmp_path, tri))
+    assert code == 0 and json.loads(out)["exact"] == {"statesum": "5"}
+
+
+def test_refined_klein_bottle_file_passes_every_route(capsys, tmp_path):
+    tri = pachner_13(standard_triangulation(SurfaceSpec(False, 2)), 0)
+    code, out = run(capsys, "compute", "--group", "quaternion:8", "--method", "all",
+                    "--surface", write_triangulation(tmp_path, tri))
+    data = json.loads(out)
+    assert code == 0 and data["passed"]
+    assert data["surface"] == "nonorientable:2"
+    assert data["exact"] == {"direct": "5", "statesum": "5", "verlinde": "5"}
 
 
 @pytest.mark.parametrize("data,message", [
@@ -193,8 +209,7 @@ def test_triangulation_file_must_match_the_surface(capsys, tmp_path, surface, ch
 def test_malformed_triangulation_file_is_a_json_error(capsys, tmp_path, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    code, out = run(capsys, "statesum", "--group", "cyclic:2", "--surface", "orientable:0",
-                    "--tri", f"file:{path}")
+    code, out = run(capsys, "compute", "--group", "cyclic:2", "--surface", f"file:{path}")
     assert code == 1
     error = json.loads(out)["error"]
     assert error.startswith("SurfaceError") and message in error
@@ -208,17 +223,10 @@ def test_workers_flag_is_accepted_and_has_no_effect(capsys):
 @pytest.mark.parametrize("argv", [
     ("compute", "--group", "quaternion:8", "--surface", "orientable:1", "--workers", "1"),
     ("compute", "--group", "quaternion:8", "--surface", "orientable:1", "--seed", "0"),
-    ("statesum", "--group", "quaternion:8", "--surface", "orientable:1", "--seed", "0"),
     ("decompose", "--group", "quaternion:8", "--seed", "0"),
 ])
 def test_only_check_takes_seed_and_workers(capsys, argv):
     assert main(list(argv)) == 2
-    capsys.readouterr()
-
-
-def test_statesum_takes_no_workers(capsys):
-    assert main(["statesum", "--group", "quaternion:8", "--surface", "orientable:1",
-                 "--workers", "2"]) == 2
     capsys.readouterr()
 
 
@@ -306,15 +314,19 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_check_config_file(capsys, tmp_path):
+    klein = write_triangulation(tmp_path, standard_triangulation(SurfaceSpec(False, 2)))
     config = [{"group": "cyclic:2", "cocycle": "trivial", "surface": "orientable:1"},
-              {"group": "symmetric:3", "surface": "orientable:2"}]
+              {"group": "symmetric:3", "surface": "orientable:2"},
+              {"group": "quaternion:8", "surface": klein}]
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(config))
     code, out = run(capsys, "check", "--config", str(path), "--json")
     data = json.loads(out)
     assert code == 0
     assert data["passed"]
-    assert len(data["rows"]) == 2
+    assert [row["name"] for row in data["rows"]] == [
+        "cyclic:2/trivial/orientable:1", "symmetric:3/trivial/orientable:2",
+        "quaternion:8/trivial/nonorientable:2"]
 
 
 ENTRY = {"group": "cyclic:2", "surface": "orientable:1"}
@@ -330,13 +342,25 @@ ENTRY = {"group": "cyclic:2", "surface": "orientable:1"}
     (json.dumps([dict(ENTRY, cocycle=2)]), "entry 0: 'cocycle' must be a string"),
     (json.dumps([dict(ENTRY, seed=0)]), "entry 0 has an unknown key 'seed'"),
     ("[{", "JSONDecodeError"),
+    ("[]", "non-empty JSON list"),
 ])
 def test_malformed_config_is_a_json_error(capsys, tmp_path, text, message):
     path = tmp_path / "suite.json"
     path.write_text(text)
-    code, out = run(capsys, "check", "--config", str(path), "--json")
+    for mode in (("--json",), ()):
+        code, out = run(capsys, "check", "--config", str(path), *mode)
+        assert code == 1
+        assert message in json.loads(out)["error"]
+
+
+def test_refused_config_entry_is_named(capsys, tmp_path):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([ENTRY, {"group": "symmetric:5", "surface": "orientable:5"}]))
+    code, out = run(capsys, "check", "--config", str(path))
     assert code == 1
-    assert message in json.loads(out)["error"]
+    assert json.loads(out)["error"] == (
+        "ValueError: config entry 1 (symmetric:5/trivial/orientable:5): "
+        "InvariantError: 120^10 homomorphism candidates overflow int64 counts")
 
 
 def test_parse_cocycle_validates_group():
