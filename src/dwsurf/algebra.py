@@ -43,7 +43,14 @@ def _prime(modulus: int, above: int) -> int:
 def _root_powers(p: int, order: int) -> np.ndarray:
     """The images in F_p of zeta_order^k, k < order: powers of the least
     generator of the multiplicative group, so they agree for every order."""
-    primes = [q for q in range(2, p) if (p - 1) % q == 0 and all(q % f for f in range(2, q))]
+    primes, rest = [], p - 1
+    for q in range(2, math.isqrt(p - 1) + 1):       # trial division of p - 1
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+    if rest > 1:
+        primes.append(rest)
     root = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
     powers = np.array([pow(root, (p - 1) // order * k, p) for k in range(order)])
     powers.setflags(write=False)
@@ -181,7 +188,8 @@ class WedderburnDecomposition:
 def wedderburn_decompose(A: TwistedGroupAlgebra) -> WedderburnDecomposition:
     """Split A into blocks, sorted by dimension and residues, with indicators for
     sign-valued cocycles; the diagnostics are the prime and the splits made."""
-    dec = shared(("wedderburn_decompose", *cocycle_key(A.cocycle)), lambda: _decompose(A))
+    dec = shared(lambda: ("wedderburn_decompose", *cocycle_key(A.cocycle)),
+                 lambda: _decompose(A))
     return dec if dec.algebra is A else replace(dec, algebra=A)
 
 
@@ -218,7 +226,8 @@ def _primitive_idempotents(f: np.ndarray, M: np.ndarray, ranks: np.ndarray, p: i
     number of splits made (Dixon-Schneider).  rank(f) = f . ranks mod p is
     exact as r < p; f splits along the first z_b with f z_b not a multiple of
     f: a row reduction of the Krylov vectors f z_b^j gives the minimal
-    polynomial, whose roots l_k give the pieces V^-1 (f z_b^j)_j, V[j, k] = l_k^j."""
+    polynomial, whose roots l_i give the pieces f L_i(z_b), L_i the Lagrange
+    basis at the roots."""
     m = int(f @ ranks % p)
     if m == 1:
         return [f], 0
@@ -232,14 +241,28 @@ def _primitive_idempotents(f: np.ndarray, M: np.ndarray, ranks: np.ndarray, p: i
         U.append(U[-1] @ M[:, b] % p)
     red, pivots = _row_reduce(np.array(U).T, p)
     k = len(pivots)                       # f z_b^k = sum_{j<k} red[j, k] f z_b^j
-    roots = _roots(np.append(-red[:k, k] % p, 1), p)
+    mu = np.append(-red[:k, k] % p, 1)
+    roots = _roots(mu, p)
     if len(roots) < k:
         raise AlgebraError(f"{where}: a minimal polynomial of degree {k} has {len(roots)} "
                            "distinct roots; the prime does not split the center")
-    V = np.array([[pow(int(root), j, p) for root in roots] for j in range(k)])
-    split = [_primitive_idempotents(e, M, ranks, p, where)
-             for e in _row_reduce(np.hstack([V, U[:k]]), p)[0][:, k:]]
+    pieces = _lagrange_basis(mu, roots, p) @ np.array(U[:k]) % p
+    split = [_primitive_idempotents(e, M, ranks, p, where) for e in pieces]
     return [e for done, _ in split for e in done], 1 + sum(steps for _, steps in split)
+
+
+def _lagrange_basis(poly: np.ndarray, roots: np.ndarray, p: int) -> np.ndarray:
+    """Row i: the coefficients, lowest degree first, of L_i = Q_i / Q_i(l_i)
+    mod p, Q_i = poly / (x - l_i), for a monic poly with the distinct roots
+    l_i; one synthetic division by every root at once, with Q_i(l_i) =
+    poly'(l_i) by Horner's rule alongside."""
+    k = len(roots)
+    Q, value = np.zeros((k, k), dtype=np.int64), np.ones(k, dtype=np.int64)
+    Q[:, k - 1] = 1
+    for j in range(k - 1, 0, -1):
+        Q[:, j - 1] = (poly[j] + roots * Q[:, j]) % p
+        value = (value * roots + Q[:, j - 1]) % p
+    return Q * np.array([pow(v, -1, p) for v in value.tolist()])[:, None] % p
 
 
 def _row_reduce(a: np.ndarray, p: int) -> tuple:

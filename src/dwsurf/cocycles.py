@@ -243,21 +243,20 @@ def c_regular_count(G: FiniteGroup, c: TwoCocycle) -> int:
     Regularity is a class function for any true cocycle; a table that breaks
     this is rejected, since it signals corrupted input.
     """
-    return shared(("c_regular_count", *cocycle_key(c)), lambda: _c_regular_count(G, c))
+    return shared(lambda: ("c_regular_count", *cocycle_key(c)),
+                  lambda: _c_regular_count(G, c))
 
 
 def _c_regular_count(G: FiniteGroup, c: TwoCocycle) -> int:
-    regular = c_regular_elements(G, c)
     classes = conjugacy_classes(G)
-    count = 0
-    for cls in range(classes.count):
-        flags = regular[classes.members(cls)]
-        if flags.any() != flags.all():
-            raise CocycleError(
-                f"c-regularity is not constant on conjugacy class {cls}; "
-                "the cocycle table is inconsistent")
-        count += int(flags.all())
-    return count
+    sizes = np.array(classes.sizes)
+    hits = np.bincount(classes.class_of[c_regular_elements(G, c)], minlength=classes.count)
+    partial = np.flatnonzero((hits > 0) & (hits < sizes))
+    if len(partial):
+        raise CocycleError(
+            f"c-regularity is not constant on conjugacy class {partial[0]}; "
+            "the cocycle table is inconsistent")
+    return int((hits == sizes).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -132,20 +132,18 @@ class ConjugacyClasses:
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
-    return shared(("conjugacy_classes", *group_key(G)), lambda: _conjugacy_classes(G))
+    return shared(lambda: ("conjugacy_classes", *group_key(G)),
+                  lambda: _conjugacy_classes(G))
 
 
 def _conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
-    n, cay, inv, h = G.order, G.cayley, G.inverse, np.arange(G.order)
-    class_of, reps, sizes = np.full(n, -1, dtype=np.int64), [], []
-    for g in range(n):
-        if class_of[g] >= 0:
-            continue
-        class_of[cay[cay[h, g], inv[h]]] = len(reps)     # mark the orbit of g
-        sizes.append(int(np.count_nonzero(class_of == len(reps))))
-        reps.append(g)
+    cay, h = G.cayley, np.arange(G.order)
+    least = cay[cay[h[:, None], h], G.inverse[:, None]].min(axis=0)   # least h g h^-1
+    reps = least == h                                    # g is its class's least element
+    class_of = (np.cumsum(reps) - 1)[least]
     class_of.setflags(write=False)
-    return ConjugacyClasses(class_of, tuple(reps), tuple(sizes))
+    return ConjugacyClasses(class_of, tuple(np.flatnonzero(reps).tolist()),
+                            tuple(np.bincount(class_of).tolist()))
 
 
 def involution_set(G: FiniteGroup) -> np.ndarray:
@@ -225,7 +223,7 @@ def _check_cap(order: int) -> None:
 
 def build_group(spec: str) -> FiniteGroup:
     s = spec.replace(" ", "")
-    return shared(("build_group", s), lambda: _build_group(s, spec))
+    return shared(lambda: ("build_group", s), lambda: _build_group(s, spec))
 
 
 def _build_group(s: str, spec: str) -> FiniteGroup:

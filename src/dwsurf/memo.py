@@ -1,6 +1,7 @@
 """Run-scoped memo for the deterministic algebra of one validation run.
 
-`dw check` evaluates the same groups, cocycles and surfaces in many rows.
+`dw check` evaluates the same groups, cocycles and surfaces in many rows,
+and contracts the same state sums (a cocycle on one gluing) again and again.
 Inside ``run_scope()`` the pure functions that route through ``shared``
 compute each result once, keyed by the content of their inputs; outside it,
 ``shared`` calls ``compute`` every time.  The scope is a context variable, so
@@ -26,11 +27,13 @@ def run_scope():
         _results.reset(token)
 
 
-def shared(key: tuple, compute):
-    """compute(), or the result stored under key in the active scope."""
+def shared(key, compute):
+    """compute(), or the result stored under key() in the active scope.  The
+    key, which may copy whole tables, is built only inside a scope."""
     results = _results.get()
     if results is None:
         return compute()
+    key = key()
     if key not in results:
         results[key] = compute()
     return results[key]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .algebra import AlgebraError, TwistedGroupAlgebra
 from .cocycles import cyclotomic_integer
-from .memo import shared
+from .memo import cocycle_key, shared
 from .surfaces import GluedTriangulation
 
 # Rows a free edge may expand the contraction table to.  A row is a few
@@ -99,8 +99,8 @@ def plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
     """Greedy deterministic order: always take a forced edge when one exists,
     otherwise the edge touching the most nearly-complete triangles.  The plan
     depends on the terms' edge variables only."""
-    key = ("plan_from_terms", n_vars, tuple(term.vars for term in terms))
-    return shared(key, lambda: _plan_from_terms(n_vars, terms))
+    return shared(lambda: ("plan_from_terms", n_vars, tuple(term.vars for term in terms)),
+                  lambda: _plan_from_terms(n_vars, terms))
 
 
 def _plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
@@ -263,7 +263,14 @@ def _edge_terms(A: TwistedGroupAlgebra, tri: GluedTriangulation):
 
 def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> StateSumResult:
     """Contract the state sum of A over a glued triangulation of any closed
-    surface; a non-orientable one needs a sign-valued cocycle."""
+    surface; a non-orientable one needs a sign-valued cocycle.  Inside a run
+    scope (memo.py) each cocycle and gluing is contracted once."""
+    return shared(lambda: ("run_state_sum", *cocycle_key(A.cocycle), tri.pairing.tobytes(),
+                           tri.reversal.tobytes()),
+                  lambda: _run_state_sum(A, tri))
+
+
+def _run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> StateSumResult:
     if tri.orientable:
         tri = tri.oriented()
     elif not A.cocycle.is_sign_valued:
@@ -271,6 +278,7 @@ def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> StateSumRe
     n_vars, terms, modulus = _edge_terms(A, tri)
     plan = plan_from_terms(n_vars, terms)
     counts, rows = exact_contraction(A.group, modulus, n_vars, terms, plan)
+    counts.setflags(write=False)
     scale = Fraction(A.group.order) ** (tri.n_triangles - tri.n_edges)
     value = scale * cyclotomic_integer(counts, "state sum")
     return StateSumResult(value, rows, counts, modulus, plan)

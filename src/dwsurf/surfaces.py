@@ -263,7 +263,8 @@ def standard_triangulation(spec: SurfaceSpec) -> GluedTriangulation:
     genus g >= 1, the 2k-gon with word a_1^2...a_k^2 for non-orientable
     genus k >= 2.
     """
-    return shared(("standard_triangulation", spec), lambda: _standard_triangulation(spec))
+    return shared(lambda: ("standard_triangulation", spec),
+                  lambda: _standard_triangulation(spec))
 
 
 def _standard_triangulation(spec: SurfaceSpec) -> GluedTriangulation:

@@ -355,6 +355,33 @@ def test_split_rejects_an_idempotent_left_unsplit():
         algebra_module._primitive_idempotents(np.array([1, 0]), M, np.array([2, 0]), 7, "toy")
 
 
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([5, 7, 241, 1009, 737281]), data=st.data())
+def test_lagrange_basis_inverts_the_vandermonde_matrix(p, data):
+    # L_i(l_j) = [i == j] for the monic polynomial with the drawn distinct roots
+    roots = np.array(sorted(data.draw(st.sets(st.integers(0, p - 1), min_size=1,
+                                              max_size=min(p, 12)))))
+    mu = np.ones(1, dtype=np.int64)
+    for root in roots.tolist():                    # mu (x - root), lowest degree first
+        mu = (np.append(0, mu) - root * np.append(mu, 0)) % p
+    C = algebra_module._lagrange_basis(mu, roots, p)
+    V = np.array([[pow(int(root), j, p) for root in roots] for j in range(len(roots))])
+    assert np.array_equal(C @ V % p, np.eye(len(roots), dtype=np.int64))
+
+
+@pytest.mark.parametrize("p,order,generator,head", [
+    (7, 6, 3, [1, 3, 2, 6]), (13, 4, 2, [1, 8, 12, 5]), (23, 22, 5, [1, 5, 2, 10]),
+    (191, 190, 19, [1, 19, 170, 174]), (737281, 1024, 11, [1, 413939, 654040, 131236])])
+def test_root_powers_are_powers_of_the_least_generator(p, order, generator, head):
+    # 22 and 190 have a prime factor above their square root; missing 19, the
+    # search would take 7, of order 10, for a generator of F_191.  737281 is
+    # the prime of an order-1024 cocycle on symmetric:5
+    powers = algebra_module._root_powers(p, order)
+    assert powers[:4].tolist() == head
+    assert powers[1] == pow(generator, (p - 1) // order, p)
+    assert pow(int(powers[1]), order, p) == 1 and len(set(powers.tolist())) == order
+
+
 def test_block_count_matches_regular_classes_for_nontrivial_cocycles():
     for c in sign_cocycles_catalog(build_group("dihedral:8")):
         dec = wedderburn_decompose(TwistedGroupAlgebra(c.group, c))

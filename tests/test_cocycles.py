@@ -358,7 +358,8 @@ def test_regularity_scan_rejects_tables_breaking_class_invariance():
     G = build_group("quaternion:8")
     exps = np.zeros((8, 8), dtype=np.int64)
     exps[2, 1] = 1   # asymmetric on the commuting pair (i, -1); -i stays regular
-    with pytest.raises(CocycleError):
+    with pytest.raises(CocycleError, match=r"^c-regularity is not constant on conjugacy "
+                                           r"class 2; the cocycle table is inconsistent$"):
         c_regular_count(G, TwoCocycle(G, 2, exps))
 
 

@@ -254,6 +254,21 @@ def test_quaternion_class_count():
     assert conjugacy_classes(G).count == len(brute_classes(G)) == 5
 
 
+@pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:12", "dihedral:10", "dihedral:64",
+                                  "quaternion:8", "symmetric:4", "symmetric:5",
+                                  "product(symmetric:3,cyclic:4)", "product(quaternion:8,cyclic:2)"])
+def test_classes_match_the_brute_orbits(spec):
+    # brute_classes lists the orbits by least element; class ids follow that
+    # order and each representative is its class's least element
+    G = build_group(spec)
+    cc = conjugacy_classes(G)
+    orbits = brute_classes(G)
+    assert cc.representatives == tuple(min(orbit) for orbit in orbits)
+    assert cc.sizes == tuple(len(orbit) for orbit in orbits)
+    assert [set(cc.members(i).tolist()) for i in range(cc.count)] == orbits
+    assert cc.class_of.dtype == np.int64 and not cc.class_of.flags.writeable
+
+
 def test_involutions_of_odd_cyclic():
     assert list(involution_set(build_group("cyclic:3"))) == [0]
 

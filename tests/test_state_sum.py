@@ -10,6 +10,7 @@ from dwsurf import invariants, state_sum
 from dwsurf.algebra import AlgebraError, TwistedGroupAlgebra
 from dwsurf.cocycles import heisenberg_cocycle, sign_cocycles_catalog, trivial_cocycle, twist
 from dwsurf.groups import build_group, conjugacy_classes
+from dwsurf.memo import run_scope
 from dwsurf.state_sum import ContractionError, run_state_sum
 from dwsurf.surfaces import (SurfaceSpec, flip_triangle, pachner_13, pachner_22,
                              pachner_variants, standard_triangulation)
@@ -96,6 +97,26 @@ def test_admissible_labelings_are_counted_exactly():
     # one-vertex torus: admissible labelings = commuting pairs
     assert res.counts.sum() == 18
     assert res.modulus == 1
+
+
+def test_run_scope_contracts_each_state_sum_once(monkeypatch):
+    # keyed by the cocycle table and the gluing; the shared counts are frozen
+    calls = []
+    contract = state_sum.exact_contraction
+    monkeypatch.setattr(state_sum, "exact_contraction",
+                        lambda *args: calls.append(args[1]) or contract(*args))
+    c = heisenberg_cocycle(2)
+    twisted = twist(c, [0, 1, 0, 0], 2)
+    torus = standard_triangulation(SurfaceSpec(True, 1))
+    with run_scope():
+        results = [run_state_sum(TwistedGroupAlgebra(c.group, x), tri)
+                   for x, tri in ((c, torus), (c, torus), (twisted, torus),
+                                  (c, pachner_13(torus, 0)))]
+    assert len(calls) == 3 and results[1] is results[0]
+    assert results[2] is not results[0] and results[2].value == results[0].value
+    assert not results[0].counts.flags.writeable
+    run_state_sum(TwistedGroupAlgebra(c.group, c), torus)
+    assert len(calls) == 4    # outside the scope nothing is kept
 
 
 def test_projective_plane_star_values():
