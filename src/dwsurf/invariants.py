@@ -9,9 +9,10 @@ handle starts at the identity prefix and the last closes there, so genus
 <= 2 costs O(n^2 N + n N^2) and builds no general operator; genus g >= 3
 builds the handle operator once, O(n^3 + (g-2) n^2 N^2 + n N^2) in all, for
 order n and cocycle order N.  count_homs, the oracle of the dw check
-hom-count rows, enumerates all n^generators tuples and only counts those
-that satisfy the relator; the weighted brute force and the weight of a
-single homomorphism are test oracles (tests/oracles.py).  The state-sum
+hom-count rows, cuts the relator into two halves that share no generator,
+histograms each half's product over G and pairs the histograms, reading
+only the Cayley and inverse tables; the weighted brute force and the weight
+of a single homomorphism are test oracles (tests/oracles.py).  The state-sum
 route contracts the twisted group algebra over a triangulation.  The
 Verlinde route reads the invariant off the Wedderburn block dimensions (and,
 for non-orientable surfaces, the symmetric/skew indicators).  A separate
@@ -48,9 +49,9 @@ class InvariantError(ValueError):
 # ---------------------------------------------------------------------------
 # homomorphism enumeration
 
-# Entries of the largest temporary a blocked oracle loop builds at once: tuple
-# labels of count_homs, edge labels of the labeling enumeration.  The oracles
-# stay a few MB.
+# Entries of the largest temporary a blocked oracle loop builds at once:
+# generator labels of one half of count_homs, edge labels of the labeling
+# enumeration.  The oracles stay a few MB.
 _BLOCK_ENTRIES = 1 << 18
 
 # (row, a, b) entries of one block of the handle operator: each int64
@@ -58,41 +59,78 @@ _BLOCK_ENTRIES = 1 << 18
 # exists for the largest groups.
 _OPERATOR_BLOCK = 1 << 14
 
-# Work bounds of the enumerating oracles, refused before any work: count_homs
-# tuples (dw check skips rows past it), labeling states, brute boundary tuples.
+# Bounds of the oracles, refused before any work: count_homs generator tuples
+# n^generators (dw check skips rows past it; its work is far less, see
+# count_homs), labeling states, brute boundary tuples.
 MAX_HOM_TUPLES = 10 ** 8
 MAX_ORACLE_STATES = 10 ** 8
 MAX_BOUNDARY_TUPLES = 10 ** 7
 
 
 def count_homs(G: FiniteGroup, pres: RelatorPresentation) -> int:
-    """Brute-force |Hom(pi, G)| by vectorized enumeration, at most
-    MAX_HOM_TUPLES tuples.
+    """Exact |Hom(pi, G)| by meeting in the middle of the relator, for at
+    most MAX_HOM_TUPLES generator tuples.
 
-    The n^generators tuples are taken in blocks of consecutive indices: the
-    last generators run through all n^inner values as arrays, computed once,
-    with at most _BLOCK_ENTRIES labels, and the leading ones are fixed per
-    block.  Each letter of the relator is one flat gather from the Cayley
-    table, and a block counts the tuples whose product is the identity.
+    The relator is cut into a head and a tail that share no generator (see
+    _relator_cut), each half's product is histogrammed over G by
+    _product_histogram, and a homomorphism is a head and a tail with
+    inverse products: the count is sum_x head[x] tail[x^-1].  That is
+    n^j |W_1| + n^(m-j) |W_2| gathers for halves W_1, W_2 with j and m - j of
+    the m generators, instead of n^m |W| for every tuple.  Only the Cayley
+    and inverse tables are read.
     """
     n, m = G.order, pres.generators
     if n ** m > MAX_HOM_TUPLES:
         raise InvariantError(f"{n}^{m} tuples exceed the cap of {MAX_HOM_TUPLES}")
+    cut = _relator_cut(pres.word)
+    head = _product_histogram(G, pres.word[:cut])
+    tail = _product_histogram(G, pres.word[cut:])
+    return int(head @ tail[G.inverse])
+
+
+def _relator_cut(word: tuple) -> int:
+    """The most balanced cut of a word in which every generator occurs twice:
+    the position p nearest the middle such that word[:p] and word[p:] share
+    no generator, or the end of the word when no inner p does.  The standard
+    relators cut between two handles or two crosscaps; a single handle has no
+    inner cut.
+    """
+    best, unpaired = len(word), set()
+    for p, letter in enumerate(word[:-1], start=1):
+        unpaired ^= {abs(letter)}
+        if not unpaired and max(p, len(word) - p) < max(best, len(word) - best):
+            best = p
+    return best
+
+
+def _product_histogram(G: FiniteGroup, word: tuple) -> np.ndarray:
+    """hist[x]: the assignments of the generators of ``word`` under which it
+    multiplies to x.
+
+    The n^j assignments of its j generators are taken in blocks of
+    consecutive indices: the last generators run through all n^inner values
+    as arrays, computed once, with at most _BLOCK_ENTRIES labels, and the
+    leading ones are fixed per block.  Each letter is one flat gather from
+    the Cayley table.  The empty word has the single empty assignment.
+    """
+    n = G.order
+    slot = {g: i for i, g in enumerate(sorted({abs(letter) for letter in word}))}
+    m = len(slot)
     inner = 0
     while inner < m and n ** (inner + 1) * m <= _BLOCK_ENTRIES:
         inner += 1
     index = np.arange(n ** inner)
     trailing = [index // n ** (inner - 1 - j) % n for j in range(inner)]
     cay, inv = G.cayley.ravel(), G.inverse
-    count = 0
+    hist = np.zeros(n, dtype=np.int64)
     for lead in range(n ** (m - inner)):
         vals = [lead // n ** (m - inner - 1 - j) % n for j in range(m - inner)] + trailing
         h = 0
-        for letter in pres.word:
-            g = vals[abs(letter) - 1]
+        for letter in word:
+            g = vals[slot[abs(letter)]]
             h = cay.take(h * n + (g if letter > 0 else inv[g]))
-        count += int(np.count_nonzero(h == 0))
-    return count
+        hist += np.bincount(np.ravel(h), minlength=n)
+    return hist
 
 
 def _read_handle(G: FiniteGroup, c: TwoCocycle, prefix: np.ndarray, orientable: bool,

@@ -152,9 +152,7 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     generated.
     """
     n = group.order
-    if n ** plan.free_count >= 2 ** 63:
-        raise ContractionError(f"{n}^{plan.free_count} labelings reach the int64 bound 2^63; "
-                               "the exact counts would wrap around")
+    _refuse_overflow(n, plan.free_count)
     label = np.min_scalar_type(n - 1)
     cay, inv = group.cayley.astype(label), group.inverse.astype(label)
     terms_of = [[] for _ in range(n_vars)]
@@ -216,6 +214,13 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     return counts, rows
 
 
+def _refuse_overflow(n: int, free: int):
+    """Refuse n^free labelings, which reach the int64 bound of the counts."""
+    if n ** free >= 2 ** 63:
+        raise ContractionError(f"{n}^{free} labelings reach the int64 bound 2^63; "
+                               "the exact counts would wrap around")
+
+
 def _merge(cols: dict, expo: np.ndarray, mult: np.ndarray):
     """Sum the multiplicities of rows with equal labels and exponent."""
     order = np.lexsort([expo, *cols.values()])
@@ -275,6 +280,10 @@ def _run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> StateSumR
         tri = tri.oriented()
     elif not A.cocycle.is_sign_valued:
         raise AlgebraError("the non-orientable state sum needs a sign-valued cocycle")
+    # Each forced edge is forced by its own triangle, and the other triangle
+    # of the last forced edge forces none, so every plan has at least
+    # E - T + 1 free edges: refuse before planning, which costs O(E T).
+    _refuse_overflow(A.group.order, tri.n_edges - tri.n_triangles + 1)
     n_vars, terms, modulus = _edge_terms(A, tri)
     plan = plan_from_terms(n_vars, terms)
     counts, rows = exact_contraction(A.group, modulus, n_vars, terms, plan)

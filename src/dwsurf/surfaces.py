@@ -385,21 +385,31 @@ def pachner_13(tri: GluedTriangulation, triangle: int) -> GluedTriangulation:
 
 
 def pachner_variants(tri: GluedTriangulation, n_variants: int, seed: int = 0) -> list:
-    """Deterministic small perturbations of a triangulation by Pachner moves.
+    """Deterministic small perturbations of a triangulation by Pachner moves,
+    all distinct gluings.
 
     Variant k applies 1 + (k mod 2) moves, alternating subdivisions
-    and diagonal flips, with all choices drawn from random.Random(seed).
+    and diagonal flips, with all choices drawn from random.Random(seed).  A
+    variant whose gluing repeats the input or an earlier variant keeps
+    drawing moves, in the same alternation, until it is new; subdivisions
+    add triangles, so it ends.
     """
+    def gluing(t):
+        return t.pairing.tobytes(), t.reversal.tobytes()
+
     rng = random.Random(seed)
+    seen = {gluing(tri)}
     out = []
     for k in range(n_variants):
-        cur = tri
-        for step in range(1 + k % 2):
+        cur, step = tri, 0
+        while step <= k % 2 or gluing(cur) in seen:
             if step % 2 == 0:
                 cur = pachner_13(cur, rng.randrange(cur.n_triangles))
             else:
                 flips = [f for f, p in cur.edge_flags() if f // 3 != p // 3]
                 cur = pachner_22(cur, rng.choice(flips))
+            step += 1
+        seen.add(gluing(cur))
         out.append(cur)
     return out
 

@@ -216,11 +216,12 @@ def test_malformed_triangulation_file_is_a_json_error(capsys, tmp_path, data, me
 
 
 def test_sphere_refinement_counts_distinct_triangulations(capsys):
-    # seed 0 draws variants 1, 3 and 5 alike: the sphere and 3 distinct variants
-    code, out = run(capsys, "check", "--suite", "invariance", "--json", "--seed", "0")
-    rows = [r for r in json.loads(out)["rows"] if r["name"].startswith("sphere refinement")]
-    assert code == 0 and len(rows) == 11
-    assert all(r["passed"] and r["detail"] == "4 triangulations" for r in rows)
+    # the sphere and 5 variants, which redraw moves until their gluings differ
+    for seed in ("0", "1"):
+        code, out = run(capsys, "check", "--suite", "invariance", "--json", "--seed", seed)
+        rows = [r for r in json.loads(out)["rows"] if r["name"].startswith("sphere refinement")]
+        assert code == 0 and len(rows) == 11
+        assert all(r["passed"] and r["detail"] == "6 triangulations" for r in rows)
 
 
 def test_workers_flag_is_accepted_and_has_no_effect(capsys):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dwsurf import invariants
@@ -58,6 +58,22 @@ def test_vectorized_count_matches_streaming():
         G = build_group(gspec)
         pres = relator_presentation(spec)
         assert count_homs(G, pres) == len(list(enumerate_homs(G, pres)))
+
+
+def test_count_homs_pins_a_large_count():
+    """dihedral:20 at genus 3 has 20^6 tuples; cut between handles, the two
+    halves histogram 20^2 and 20^4 of them."""
+    G, spec = build_group("dihedral:20"), SurfaceSpec(True, 3)
+    assert count_homs(G, relator_presentation(spec)) == mednykh_count(G, spec) == 13600000
+
+
+@pytest.mark.parametrize("word,cut", [
+    ((), 0), ((1, 1), 2), ((1, -1), 2), ((1, 2, -1, -2), 4), ((1, 2, 1, 2), 4),
+    ((1, 1, 2, 2), 2), ((1, 1, 2, 2, 3, 3), 2), ((1, 2, -1, -2, 3, 4, -3, -4), 4),
+    ((1, 2, -1, -2, 3, 4, -3, -4, 5, 6, -5, -6), 4), ((1, 2, 3, -1, -2, -3, 4, 4), 6),
+])
+def test_relator_cut_is_the_most_balanced(word, cut):
+    assert invariants._relator_cut(word) == cut
 
 
 def test_count_homs_cap(monkeypatch):
@@ -234,6 +250,32 @@ def test_count_homs_equals_enumeration_for_any_block_size(gspec, orientable, gen
     limit that is mostly not a power of the order."""
     G = build_group(gspec)
     pres = relator_presentation(SurfaceSpec(orientable, genus if orientable else genus + 1))
+    with mock.patch.object(invariants, "_BLOCK_ENTRIES", block or invariants._BLOCK_ENTRIES):
+        assert count_homs(G, pres) == len(list(enumerate_homs(G, pres)))
+
+
+@st.composite
+def hom_inputs(draw):
+    """A small group and a relator with up to 3 generators (4 for order <= 4),
+    each occurring twice, in any order and with any signs."""
+    gspec = draw(st.sampled_from(SMALL_GROUPS))
+    m = draw(st.integers(0, 4 if build_group(gspec).order <= 4 else 3))
+    letters = draw(st.permutations([g for g in range(1, m + 1) for _ in range(2)]))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=2 * m, max_size=2 * m))
+    return gspec, RelatorPresentation(m, tuple(s * g for s, g in zip(signs, letters)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(inputs=hom_inputs(), block=st.one_of(st.none(), st.integers(1, 1 << 12)))
+@example(inputs=("symmetric:3", RelatorPresentation(2, (1, 2, -1, -2))), block=None)
+@example(inputs=("quaternion:8", RelatorPresentation(3, (1, 2, 3, 1, 2, 3))), block=5)
+@example(inputs=("dihedral:8", RelatorPresentation(3, (1, 1, -2, 3, 2, 3))), block=1)
+@example(inputs=("cyclic:4", RelatorPresentation(0, ())), block=None)
+def test_count_homs_equals_enumeration_on_any_word(inputs, block):
+    """Arbitrary relator words: with and without an inner cut, orientable
+    and not, with blocks of every size."""
+    gspec, pres = inputs
+    G = build_group(gspec)
     with mock.patch.object(invariants, "_BLOCK_ENTRIES", block or invariants._BLOCK_ENTRIES):
         assert count_homs(G, pres) == len(list(enumerate_homs(G, pres)))
 

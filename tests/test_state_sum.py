@@ -53,6 +53,17 @@ def test_sphere_plan_has_two_free_edges():
     assert plan.free_count == 2
 
 
+@pytest.mark.parametrize("orientable", [True, False])
+def test_standard_plans_have_the_fewest_free_edges(orientable):
+    """Every plan has at least E - T + 1 free edges, the bound the state sum
+    refuses by before planning; the standard fans meet it exactly."""
+    for genus in range(0 if orientable else 1, 9):
+        tri = standard_triangulation(SurfaceSpec(orientable, genus))
+        assert plan_of(tri).free_count == tri.n_edges - tri.n_triangles + 1, genus
+        for variant in pachner_variants(tri, 3, seed=genus):
+            assert plan_of(variant).free_count >= variant.n_edges - variant.n_triangles + 1
+
+
 def test_genus_two_plan_bound():
     tri = standard_triangulation(SurfaceSpec(True, 2))
     plan = plan_of(tri)
@@ -237,6 +248,22 @@ def test_int64_overflow_is_refused_before_contracting():
     A = algebra("symmetric:5")
     with pytest.raises(ContractionError, match="2\\^63"):
         run_state_sum(A, standard_triangulation(SurfaceSpec(True, 5)))
+
+
+def test_overflow_is_refused_before_planning(monkeypatch):
+    """2^(E - T + 1) already reaches 2^63 at genus 1000, whose plan would
+    take seconds to make."""
+    monkeypatch.setattr(state_sum, "plan_from_terms", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(ContractionError, match="2\\^2000 labelings reach the int64 bound"):
+        run_state_sum(algebra("cyclic:2"), standard_triangulation(SurfaceSpec(True, 1000)))
+
+
+def test_contraction_keeps_its_own_overflow_guard():
+    A = algebra("symmetric:5")
+    n_vars, terms, modulus = state_sum._edge_terms(A, standard_triangulation(SurfaceSpec(True, 5)))
+    plan = state_sum.plan_from_terms(n_vars, terms)
+    with pytest.raises(ContractionError, match="120\\^10 labelings"):
+        state_sum.exact_contraction(A.group, modulus, n_vars, terms, plan)
 
 
 def subdivided_torus():

@@ -141,6 +141,16 @@ def test_pachner_variants_are_deterministic():
     assert all(v.euler_characteristic == 2 for v in a)
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("spec", [SurfaceSpec(True, 0), SurfaceSpec(True, 1), SurfaceSpec(False, 1)])
+def test_pachner_variants_are_distinct_gluings(spec, seed):
+    tri = standard_triangulation(spec)
+    variants = pachner_variants(tri, 5, seed=seed)
+    keys = {(t.pairing.tobytes(), t.reversal.tobytes()) for t in [tri, *variants]}
+    assert len(keys) == 6
+    assert all(v.euler_characteristic == spec.chi for v in variants)
+
+
 def test_flip_triangle_is_involutive():
     p2 = standard_triangulation(SurfaceSpec(False, 1))
     twice = flip_triangle(flip_triangle(p2, 1), 1)
