@@ -6,8 +6,9 @@ indicators of the involution g* = c(g,g^-1) g^-1 are a pure function of the
 algebra, found over F_p, p the least prime = 1 (mod N #G) above 2 #G for a
 cocycle of order N (Dixon, Numer. Math. 1967; Haggarty-Humphreys, Proc. LMS
 1978), by equalities of integers mod p; characters are lifted to C on demand.
-Only class sums are multiplied (the reference product is in tests/oracles.py).
-Inside one `dw check` run (memo.py) each algebra is decomposed once.
+Only class sums are multiplied (the reference product is in tests/oracles.py),
+over the class representatives that the group keeps.  Inside one `dw check`
+run (memo.py) each algebra is decomposed once.
 """
 
 from __future__ import annotations

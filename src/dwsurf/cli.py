@@ -2,8 +2,8 @@
 triangulation file, export decompositions, and run the validation suites.
 
 `dw check` runs its rows in one run scope (memo.py), so each group,
-decomposition, class list, triangulation, plan and state sum is computed once
-per run; the other commands, like library calls, keep no state between calls.
+decomposition, triangulation, plan and state sum is computed once per run;
+the other commands, like library calls, keep no state between calls.
 
 Exit codes: 0 pass, 1 computational failure or disagreement, 2 usage error.
 Every command is deterministic.  The one random input is `dw check --seed`

@@ -8,7 +8,8 @@ exponent per element and one order.
 A histogram of exponents, sum_k counts[k] zeta_N^k, reduces to an exact
 integer modulo the cyclotomic polynomial Phi_N (cyclotomic_integer); the
 direct, state-sum and labeling routes end there.  Complex embeddings happen
-only in the algebra layer.
+only in the algebra layer.  A cocycle is immutable and keeps what it alone
+determines: whether it is sign-valued and its count of c-regular classes.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, build_group, conjugacy_classes
-from .memo import cocycle_key, shared
+from .groups import FiniteGroup, build_group
 
 
 class CocycleError(ValueError):
@@ -103,6 +103,23 @@ class TwoCocycle:
     def is_sign_valued(self) -> bool:
         """True when every value is +1 or -1; read once per cocycle."""
         return bool(np.all((2 * self.exps) % self.order == 0))
+
+    @cached_property
+    def regular_class_count(self) -> int:
+        """Number of conjugacy classes of c-regular elements g, with
+        c(g,h) = c(h,g) for every commuting h; counted once per cocycle.
+        Regularity is a class function for any true cocycle; a table that
+        breaks this is rejected, since it signals corrupted input."""
+        cay, e, classes = self.group.cayley, self.exps, self.group.classes
+        regular = ~np.any((cay == cay.T) & ((e - e.T) % self.order != 0), axis=1)
+        sizes = np.array(classes.sizes)
+        hits = np.bincount(classes.class_of[regular], minlength=classes.count)
+        partial = np.flatnonzero((hits > 0) & (hits < sizes))
+        if len(partial):
+            raise CocycleError(
+                f"c-regularity is not constant on conjugacy class {partial[0]}; "
+                "the cocycle table is inconsistent")
+        return int((hits == sizes).sum())
 
 
 def verify_cocycle(c: TwoCocycle) -> CocycleCheck:
@@ -188,10 +205,18 @@ def heisenberg_cocycle(n: int) -> TwoCocycle:
 def sign_cocycles_catalog(G: FiniteGroup) -> list[TwoCocycle]:
     """Trivial plus hand-curated {+1,-1}-valued cocycles for small groups.
 
-    Supported: Z/2, Z/4, (Z/2)^2, the dihedral group of order 8, and the
-    quaternion group.  Unsupported groups get a warning and an empty list.
+    Supported: Z/2 (z2:sign), Z/4 (z4:carry), (Z/2)^2 (heisenberg:2,
+    klein4:diag), the dihedral group of order 8 (d8:lift), and the quaternion
+    group (q8:cup).  Unsupported groups get a warning and an empty list.
     """
-    n = G.order
+    out = _sign_catalog(G)
+    if not out:
+        warnings.warn(f"no sign-valued cocycle catalog for group {G.name!r}", stacklevel=2)
+    return out
+
+
+def _sign_catalog(G: FiniteGroup) -> list[TwoCocycle]:
+    """The catalog of G, verified, or an empty list when G has none."""
     tables: list[tuple[str, np.ndarray]] = []
     if G.name == "cyclic:2":
         e = np.zeros((2, 2), dtype=np.int64)
@@ -202,7 +227,7 @@ def sign_cocycles_catalog(G: FiniteGroup) -> list[TwoCocycle]:
         tables.append(("z4:carry", ((i[:, None] + i[None, :]) >= 4).astype(np.int64)))
     elif G.name == "product(cyclic:2,cyclic:2)":
         i = np.arange(4)
-        tables.append(("heisenberg:2", ((i % 2)[:, None] * (i // 2)[None, :]) % 2))
+        tables.append(("heisenberg:2", heisenberg_cocycle(2).exps))
         tables.append(("klein4:diag", ((i // 2)[:, None] * (i // 2)[None, :]) % 2))
     elif G.name == "dihedral:8":
         rot, ref = np.arange(8) % 4, np.arange(8) // 4
@@ -214,7 +239,6 @@ def sign_cocycles_catalog(G: FiniteGroup) -> list[TwoCocycle]:
         y = np.isin(np.arange(8), (2, 3, 6, 7)).astype(np.int64)  # kernel {1,-1,j,-j}
         tables.append(("q8:cup", (x[:, None] * y[None, :]) % 2))
     else:
-        warnings.warn(f"no sign-valued cocycle catalog for group {G.name!r}", stacklevel=2)
         return []
     out = [trivial_cocycle(G)]
     for name, exps in tables:
@@ -229,34 +253,11 @@ def sign_cocycles_catalog(G: FiniteGroup) -> list[TwoCocycle]:
 # ---------------------------------------------------------------------------
 # c-regularity
 
-def c_regular_elements(G: FiniteGroup, c: TwoCocycle) -> np.ndarray:
-    """Boolean mask of elements g with c(g,h) = c(h,g) for every commuting h."""
-    cay = G.cayley
-    commutes = cay == cay.T
-    symmetric = (c.exps - c.exps.T) % c.order == 0
-    return ~np.any(commutes & ~symmetric, axis=1)
-
-
 def c_regular_count(G: FiniteGroup, c: TwoCocycle) -> int:
-    """Number of conjugacy classes consisting of c-regular elements.
-
-    Regularity is a class function for any true cocycle; a table that breaks
-    this is rejected, since it signals corrupted input.
-    """
-    return shared(lambda: ("c_regular_count", *cocycle_key(c)),
-                  lambda: _c_regular_count(G, c))
-
-
-def _c_regular_count(G: FiniteGroup, c: TwoCocycle) -> int:
-    classes = conjugacy_classes(G)
-    sizes = np.array(classes.sizes)
-    hits = np.bincount(classes.class_of[c_regular_elements(G, c)], minlength=classes.count)
-    partial = np.flatnonzero((hits > 0) & (hits < sizes))
-    if len(partial):
-        raise CocycleError(
-            f"c-regularity is not constant on conjugacy class {partial[0]}; "
-            "the cocycle table is inconsistent")
-    return int((hits == sizes).sum())
+    """c.regular_class_count, the number of c-regular classes of G = c.group."""
+    if c.group != G:
+        raise CocycleError(f"cocycle is defined on {c.group.name}, not on {G.name}")
+    return c.regular_class_count
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,8 @@ def read_cocycle_file(path, G: FiniteGroup, name: str = "") -> TwoCocycle:
 
 
 def parse_cocycle(spec: str, G: FiniteGroup) -> TwoCocycle:
-    """trivial | heisenberg:<n> | file:<path>, as a cocycle on G."""
+    """trivial | heisenberg:<n> | file:<path> | a name in G's sign-valued
+    catalog (sign_cocycles_catalog), as a cocycle on G."""
     s = spec.strip()
     if s == "trivial":
         return trivial_cocycle(G)
@@ -325,4 +327,7 @@ def parse_cocycle(spec: str, G: FiniteGroup) -> TwoCocycle:
         return TwoCocycle(G, c.order, c.exps, c.name)
     if s.startswith("file:"):
         return read_cocycle_file(s.split(":", 1)[1], G)
+    for c in _sign_catalog(G):
+        if c.name == s:
+            return c
     raise ValueError(f"cannot parse cocycle descriptor {spec!r}")

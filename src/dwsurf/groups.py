@@ -1,9 +1,10 @@
 """Finite groups as dense multiplication tables over element indices.
 
 A group is its Cayley table alone: ``FiniteGroup(name, cayley)`` derives the
-order, the inverse table and a generating set and verifies the group axioms.  The builders are
-table formulas (addition mod n, the r^i s^j rule, the quaternion axes and
-signs, composition of permutations), and descriptor strings such as
+order, the inverse table, a generating set and, on first use, its conjugacy
+classes, and verifies the group axioms.  The builders are table formulas
+(addition mod n, the r^i s^j rule, the quaternion axes and signs,
+composition of permutations), and descriptor strings such as
 ``product(dihedral:8,cyclic:3)`` name them.
 """
 
@@ -12,10 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .memo import group_key, shared
+from .memo import shared
 
 # Everything downstream is cubic-to-exponential in the order, so the cap keeps
 # all validation suites at desk scale.  The cyclic and dihedral builders and
@@ -80,6 +82,18 @@ class FiniteGroup:
         object.__setattr__(self, "inverse", inv)
         object.__setattr__(self, "generators", gens)
 
+    @cached_property
+    def classes(self) -> ConjugacyClasses:
+        """The conjugacy classes, built once per group: each g goes to the
+        least element h g h^-1 of its class, read off the table in one gather."""
+        cay, h = self.cayley, np.arange(self.order)
+        least = cay[cay[h[:, None], h], self.inverse[:, None]].min(axis=0)
+        reps = least == h                                # g is its class's least element
+        class_of = (np.cumsum(reps) - 1)[least]
+        class_of.setflags(write=False)
+        return ConjugacyClasses(class_of, tuple(np.flatnonzero(reps).tolist()),
+                                tuple(np.bincount(class_of).tolist()))
+
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
@@ -132,18 +146,7 @@ class ConjugacyClasses:
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
-    return shared(lambda: ("conjugacy_classes", *group_key(G)),
-                  lambda: _conjugacy_classes(G))
-
-
-def _conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
-    cay, h = G.cayley, np.arange(G.order)
-    least = cay[cay[h[:, None], h], G.inverse[:, None]].min(axis=0)   # least h g h^-1
-    reps = least == h                                    # g is its class's least element
-    class_of = (np.cumsum(reps) - 1)[least]
-    class_of.setflags(write=False)
-    return ConjugacyClasses(class_of, tuple(np.flatnonzero(reps).tolist()),
-                            tuple(np.bincount(class_of).tolist()))
+    return G.classes
 
 
 def involution_set(G: FiniteGroup) -> np.ndarray:

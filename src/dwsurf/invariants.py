@@ -11,22 +11,23 @@ builds the handle operator once, O(n^3 + (g-2) n^2 N^2 + n N^2) in all, for
 order n and cocycle order N.  count_homs, the oracle of the dw check
 hom-count rows, cuts the relator into two halves that share no generator,
 histograms each half's product over G and pairs the histograms, reading
-only the Cayley and inverse tables; the weighted brute force and the weight
-of a single homomorphism are test oracles (tests/oracles.py).  The state-sum
-route contracts the twisted group algebra over a triangulation.  The
-Verlinde route reads the invariant off the Wedderburn block dimensions (and,
-for non-orientable surfaces, the symmetric/skew indicators).  A separate
-labeling sum over a simplicial triangulation, enumerated labeling by
-labeling in blocks, serves as a fidelity oracle for small inputs.  Every route
-returns an exact Fraction: the direct, state-sum and labeling routes reduce
-their exponent histograms modulo the cyclotomic polynomial, and the Verlinde
-route sums powers of its integer block dimensions.  cross_check runs the
-routes side by side and decides agreement and integrality by exact equality.
+only the Cayley and inverse tables; boundary_hom_count_brute pairs the
+same histogram of the commutators with one of the boundary products.  The
+weighted brute force and the weight of a single homomorphism are test
+oracles (tests/oracles.py).  The state-sum route contracts the twisted
+group algebra over a triangulation.  The Verlinde route reads the invariant
+off the Wedderburn block dimensions (and, for non-orientable surfaces, the
+symmetric/skew indicators).  A separate labeling sum over a simplicial
+triangulation, enumerated labeling by labeling in blocks, serves as a
+fidelity oracle for small inputs.  Every route returns an exact Fraction:
+the direct, state-sum and labeling routes reduce their exponent histograms
+modulo the cyclotomic polynomial, and the Verlinde route sums powers of its
+integer block dimensions.  cross_check runs the routes side by side and
+decides agreement and integrality by exact equality.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +40,8 @@ from .cocycles import (TwoCocycle, c_regular_count, cyclotomic_integer, parse_co
 from .groups import FiniteGroup, build_group, conjugacy_classes
 from .state_sum import TriangleTerm, plan_from_terms, run_state_sum
 from .surfaces import (GluedTriangulation, RelatorPresentation, SimplicialSurface, SurfaceSpec,
-                       seven_vertex_torus, standard_triangulation, tetrahedron_sphere)
+                       relator_presentation, seven_vertex_torus, standard_triangulation,
+                       tetrahedron_sphere)
 
 
 class InvariantError(ValueError):
@@ -59,12 +61,11 @@ _BLOCK_ENTRIES = 1 << 18
 # exists for the largest groups.
 _OPERATOR_BLOCK = 1 << 14
 
-# Bounds of the oracles, refused before any work: count_homs generator tuples
-# n^generators (dw check skips rows past it; its work is far less, see
-# count_homs), labeling states, brute boundary tuples.
+# Bounds of the oracles, refused before any work: generator tuples n^generators
+# of count_homs and boundary_hom_count_brute (dw check skips hom-count rows
+# past it; their work is far less, see count_homs), labeling states.
 MAX_HOM_TUPLES = 10 ** 8
 MAX_ORACLE_STATES = 10 ** 8
-MAX_BOUNDARY_TUPLES = 10 ** 7
 
 
 def count_homs(G: FiniteGroup, pres: RelatorPresentation) -> int:
@@ -186,16 +187,11 @@ def _closing_counts(G: FiniteGroup, c: TwoCocycle, orientable: bool) -> np.ndarr
     relator prefix h to the identity with cocycle exponent d mod N.
 
     Only h = [a, b]^-1 (h = (x^2)^-1) closes, so each of the n^2 handles (n
-    crosscaps) is read once, from that prefix.
+    crosscaps) is read twice by _read_handle: from the identity, whose result
+    inverted is that prefix, and from that prefix, for its exponent.
     """
     n, N = G.order, c.order
-    cay, inv = G.cayley, G.inverse
-    idx = np.arange(n)
-    if orientable:
-        a, b = idx[:, None], idx[None, :]
-        prefix = inv[cay[cay[cay[a, b], inv[a]], inv[b]]]
-    else:
-        prefix = inv[cay[idx, idx]]
+    prefix = G.inverse[_read_handle(G, c, 0, orientable)[0]]
     _, k = _read_handle(G, c, prefix, orientable)
     return np.bincount((prefix * N + np.mod(k, N)).ravel(), minlength=n * N).reshape(n, N)
 
@@ -434,29 +430,24 @@ def boundary_hom_count(G: FiniteGroup, genus: int, boundary: tuple) -> int:
 
 def boundary_hom_count_brute(G: FiniteGroup, genus: int, boundary: tuple) -> int:
     """Direct count of tuples (a_1,b_1,..,a_g,b_g,c_1,..,c_k) with
-    prod [a_i,b_i] prod c_j = 1 and c_j conjugate to boundary[j]."""
-    classes = conjugacy_classes(G)
-    members = [classes.members(classes.class_of[g]).tolist() for g in boundary]
+    prod [a_i,b_i] prod c_j = 1 and c_j conjugate to boundary[j], for at most
+    MAX_HOM_TUPLES tuples (a_i, b_i).
+
+    The commutator word is histogrammed over G by _product_histogram, the
+    products c_1..c_k over the classes by one int64 np.add.at step per class,
+    and the two are paired as in count_homs: sum_x head[x] tail[x^-1].
+    """
     n = G.order
-    work = n ** (2 * genus) * int(np.prod([len(mem) for mem in members]))
-    if work > MAX_BOUNDARY_TUPLES:
-        raise InvariantError(
-            f"brute force needs {work} tuples, beyond the cap {MAX_BOUNDARY_TUPLES}")
-    cay = [list(map(int, row)) for row in G.cayley]
-    inv = list(map(int, G.inverse))
-    count = 0
-    for ab in itertools.product(range(n), repeat=2 * genus):
-        h = 0
-        for i in range(genus):
-            a, b = ab[2 * i], ab[2 * i + 1]
-            h = cay[cay[cay[cay[h][a]][b]][inv[a]]][inv[b]]
-        for cs in itertools.product(*members):
-            x = h
-            for cj in cs:
-                x = cay[x][cj]
-            if x == 0:
-                count += 1
-    return count
+    if n ** (2 * genus) > MAX_HOM_TUPLES:
+        raise InvariantError(f"{n}^{2 * genus} tuples exceed the cap of {MAX_HOM_TUPLES}")
+    head = _product_histogram(G, relator_presentation(SurfaceSpec(True, genus)).word)
+    classes = conjugacy_classes(G)
+    tail = np.eye(1, n, dtype=np.int64)[0]
+    for g in boundary:
+        step = np.zeros(n, dtype=np.int64)
+        np.add.at(step, G.cayley[:, classes.members(classes.class_of[g])], tail[:, None])
+        tail = step
+    return int(head @ tail[G.inverse])
 
 
 # ---------------------------------------------------------------------------

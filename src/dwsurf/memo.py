@@ -6,7 +6,9 @@ Inside ``run_scope()`` the pure functions that route through ``shared``
 compute each result once, keyed by the content of their inputs; outside it,
 ``shared`` calls ``compute`` every time.  The scope is a context variable, so
 nothing is carried from one run to the next, and library callers holding the
-same objects across calls never read a stored result.
+same objects across calls never read a stored result.  What derives from one
+immutable object alone (a group's conjugacy classes, a cocycle's c-regular
+class count) is kept on that object instead.
 """
 
 from __future__ import annotations
@@ -39,9 +41,5 @@ def shared(key, compute):
     return results[key]
 
 
-def group_key(G) -> tuple:
-    return (G.name, G.cayley.tobytes())
-
-
 def cocycle_key(c) -> tuple:
-    return group_key(c.group) + (c.order, c.exps.tobytes())
+    return (c.group.name, c.group.cayley.tobytes(), c.order, c.exps.tobytes())

@@ -22,6 +22,7 @@ involution g* = c(g, g^-1) g^-1, which needs a sign-valued cocycle.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,44 +97,43 @@ class TriangleTerm:
 
 
 def plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
-    """Greedy deterministic order: always take a forced edge when one exists,
-    otherwise the edge touching the most nearly-complete triangles.  The plan
-    depends on the terms' edge variables only."""
+    """Greedy deterministic order: the last edge of the lowest term with two
+    labeled slots (forced) when there is one, else the lowest edge of a term
+    with one, else the lowest edge.  The plan depends on the terms' edge
+    variables only; one heap makes it in O((E + T) log(E + T))."""
     return shared(lambda: ("plan_from_terms", n_vars, tuple(term.vars for term in terms)),
                   lambda: _plan_from_terms(n_vars, terms))
 
 
 def _plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
-    slots_of = [[] for _ in range(n_vars)]
+    terms_of = [[] for _ in range(n_vars)]     # one entry per slot
     for ti, term in enumerate(terms):
-        for s, v in enumerate(term.vars):
-            slots_of[v].append((ti, s))
+        for v in term.vars:
+            terms_of[v].append(ti)
     filled = [0] * len(terms)
     done = [False] * n_vars
+    # (0, term) once it has two labeled slots, (1, edge) of a term with one,
+    # (2, edge) for every edge; the least live entry is the pick
+    heap = [(2, v) for v in range(n_vars)]
     order, kinds = [], []
-    for _ in range(n_vars):
-        pick, kind = None, None
-        for ti, term in enumerate(terms):
-            if filled[ti] == 2:
-                missing = [v for v in term.vars if not done[v]]
-                if missing:
-                    pick, kind = min(missing), "forced"
-                    break
-        if pick is None:
-            best = None
-            for v in range(n_vars):
-                if done[v]:
-                    continue
-                score = (max((filled[ti] for ti, _ in slots_of[v]), default=0),
-                         len(slots_of[v]), -v)
-                if best is None or score > best[0]:
-                    best = (score, v)
-            pick, kind = best[1], "free"
+    while heap:
+        rank, x = heapq.heappop(heap)
+        if rank == 0 and filled[x] == 2:
+            pick = next(v for v in terms[x].vars if not done[v])
+        elif rank and not done[x]:
+            pick = x
+        else:
+            continue
         done[pick] = True
         order.append(pick)
-        kinds.append(kind)
-        for ti, _ in slots_of[pick]:
+        kinds.append("free" if rank else "forced")
+        for ti in terms_of[pick]:
             filled[ti] += 1
+            if filled[ti] == 1:
+                for v in terms[ti].vars:
+                    heapq.heappush(heap, (1, v))
+            elif filled[ti] == 2:
+                heapq.heappush(heap, (0, ti))
     return ContractionPlan(tuple(order), tuple(kinds))
 
 
@@ -282,7 +282,7 @@ def _run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> StateSumR
         raise AlgebraError("the non-orientable state sum needs a sign-valued cocycle")
     # Each forced edge is forced by its own triangle, and the other triangle
     # of the last forced edge forces none, so every plan has at least
-    # E - T + 1 free edges: refuse before planning, which costs O(E T).
+    # E - T + 1 free edges: refuse before building the terms and the plan.
     _refuse_overflow(A.group.order, tri.n_edges - tri.n_triangles + 1)
     n_vars, terms, modulus = _edge_terms(A, tri)
     plan = plan_from_terms(n_vars, terms)

@@ -10,7 +10,9 @@ Fukuma-Hosono-Kawai contraction checks the sparse state-sum engine.
 Homomorphisms are enumerated one tuple at a time, and one relator
 weight serves orientable and non-orientable words alike, for any table of
 exponents; histogrammed over the homomorphisms, these weights check the
-direct route's transfer operators.  The group tables of the dihedral,
+direct route's transfer operators; the boundary tuples of a surface with
+boundary are counted one by one.  The greedy contraction plan is found by a
+full rescan of the terms at every step.  The group tables of the dihedral,
 quaternion, symmetric and product builders are rebuilt pair by pair from the
 defining rules.  The group axioms and the cocycle identity are checked on
 every triple.  All of them are literal and slow, meant for groups of order
@@ -185,6 +187,67 @@ def weight_sum(c, pres) -> complex:
     """Sum of the embedded relator weights over every homomorphism."""
     return sum(np.exp(2j * np.pi * relator_weight(c, pres, hom) / c.order)
                for hom in enumerate_homs(c.group, pres))
+
+
+def boundary_tuples(G, genus, boundary):
+    """The tuples (a_1,b_1,..,a_g,b_g,c_1,..,c_k) with prod [a_i,b_i]
+    prod c_j = 1 and c_j conjugate to boundary[j], counted one at a time."""
+    classes = conjugacy_classes(G)
+    members = [classes.members(classes.class_of[g]).tolist() for g in boundary]
+    cay, inv = G.cayley, G.inverse
+    count = 0
+    for ab in itertools.product(range(G.order), repeat=2 * genus):
+        h = 0
+        for i in range(genus):
+            a, b = ab[2 * i], ab[2 * i + 1]
+            h = cay[cay[cay[cay[h, a], b], inv[a]], inv[b]]
+        for cs in itertools.product(*members):
+            x = h
+            for cj in cs:
+                x = cay[x, cj]
+            count += x == 0
+    return int(count)
+
+
+# ---------------------------------------------------------------------------
+# contraction plans
+
+def rescan_plan(n_vars, terms):
+    """The greedy contraction order by a full rescan at every step: a forced
+    edge of the first term with two labeled slots when there is one, else the
+    free edge of highest (most labeled slots of one of its terms, slots, -edge).
+    O(E T) for E edges and T terms."""
+    slots_of = [[] for _ in range(n_vars)]
+    for ti, term in enumerate(terms):
+        for s, v in enumerate(term.vars):
+            slots_of[v].append((ti, s))
+    filled = [0] * len(terms)
+    done = [False] * n_vars
+    order, kinds = [], []
+    for _ in range(n_vars):
+        pick, kind = None, None
+        for ti, term in enumerate(terms):
+            if filled[ti] == 2:
+                missing = [v for v in term.vars if not done[v]]
+                if missing:
+                    pick, kind = min(missing), "forced"
+                    break
+        if pick is None:
+            best = None
+            for v in range(n_vars):
+                if done[v]:
+                    continue
+                score = (max((filled[ti] for ti, _ in slots_of[v]), default=0),
+                         len(slots_of[v]), -v)
+                if best is None or score > best[0]:
+                    best = (score, v)
+            pick, kind = best[1], "free"
+        done[pick] = True
+        order.append(pick)
+        kinds.append(kind)
+        for ti, _ in slots_of[pick]:
+            filled[ti] += 1
+    return tuple(order), tuple(kinds)
 
 
 # ---------------------------------------------------------------------------

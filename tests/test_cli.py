@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 from dwsurf import algebra
 from dwsurf.algebra import TwistedGroupAlgebra, wedderburn_decompose
 from dwsurf.cli import build_parser, cmd_check, main, parse_cocycle
-from dwsurf.cocycles import heisenberg_cocycle, trivial_cocycle, twist, write_cocycle_file
+from dwsurf.cocycles import (heisenberg_cocycle, sign_cocycles_catalog, trivial_cocycle, twist,
+                             write_cocycle_file)
 from dwsurf.groups import build_group
 from dwsurf.invariants import cross_check
 from dwsurf.memo import run_scope
@@ -370,6 +372,39 @@ def test_refused_config_entry_is_named(capsys, tmp_path):
     assert json.loads(out)["error"] == (
         "ValueError: config entry 1 (symmetric:5/trivial/orientable:5): "
         "InvariantError: 120^10 homomorphism candidates overflow int64 counts")
+
+
+@pytest.mark.parametrize("gspec", ["cyclic:2", "cyclic:4", "product(cyclic:2,cyclic:2)",
+                                   "dihedral:8", "quaternion:8"])
+def test_parse_cocycle_reads_catalog_names(gspec):
+    G = build_group(gspec)
+    for c in sign_cocycles_catalog(G):
+        parsed = parse_cocycle(c.name, G)
+        assert parsed.name == c.name and parsed.group == G
+        assert parsed.order == c.order and np.array_equal(parsed.exps, c.exps)
+
+
+def test_unknown_cocycle_name_keeps_its_error_without_catalog_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gspec, name in [("cyclic:5", "q8:cup"), ("quaternion:8", "z2:sign"),
+                            ("quaternion:8", "q8:cap")]:
+            with pytest.raises(ValueError, match="^cannot parse cocycle descriptor"):
+                parse_cocycle(name, build_group(gspec))
+
+
+def test_catalog_cocycle_from_the_command_line(capsys, tmp_path):
+    code, out = run(capsys, "compute", "--group", "quaternion:8", "--cocycle", "q8:cup",
+                    "--surface", "nonorientable:6", "--method", "all")
+    data = json.loads(out)
+    assert code == 0 and data["cocycle"] == "q8:cup"
+    assert data["exact"] == {"direct": "256", "statesum": "256", "verlinde": "256"}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"group": "dihedral:8", "cocycle": "d8:lift",
+                                 "surface": "nonorientable:2"}]))
+    code, out = run(capsys, "check", "--config", str(path), "--json")
+    assert code == 0
+    assert [r["name"] for r in json.loads(out)["rows"]] == ["dihedral:8/d8:lift/nonorientable:2"]
 
 
 def test_parse_cocycle_validates_group():

@@ -352,6 +352,13 @@ def test_d8_lift_has_two_regular_classes():
     assert c_regular_count(G, c) == 2
 
 
+def test_regular_count_refuses_another_group():
+    c = trivial_cocycle(build_group("cyclic:2"))
+    with pytest.raises(CocycleError, match="defined on cyclic:2, not on cyclic:4"):
+        c_regular_count(build_group("cyclic:4"), c)
+    assert c_regular_count(build_group("cyclic:2"), c) == 2    # an equal table is the group
+
+
 def test_regularity_scan_rejects_tables_breaking_class_invariance():
     # a fake table (not a cocycle) that makes one element of a class regular
     # and another not: the scan must refuse rather than return a count

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dwsurf import invariants
+from dwsurf import groups, invariants
 from dwsurf.algebra import TwistedGroupAlgebra, wedderburn_decompose
 from dwsurf.cli import main
-from dwsurf.cocycles import (TwoCocycle, heisenberg_cocycle,
+from dwsurf.cocycles import (TwoCocycle, c_regular_count, heisenberg_cocycle,
                              sign_cocycles_catalog, trivial_cocycle, twist)
 from dwsurf.groups import build_group, conjugacy_classes, involution_set
 from dwsurf.invariants import (InvariantError, boundary_hom_count, boundary_hom_count_brute,
@@ -21,7 +21,7 @@ from dwsurf.invariants import _direct_counts
 from dwsurf.state_sum import run_state_sum
 from dwsurf.surfaces import (RelatorPresentation, SurfaceSpec, relator_presentation,
                              seven_vertex_torus, standard_triangulation, tetrahedron_sphere)
-from oracles import enumerate_homs, relator_weight, weight_sum
+from oracles import boundary_tuples, enumerate_homs, relator_weight, weight_sum
 
 TORUS = SurfaceSpec(True, 1)
 SPHERE = SurfaceSpec(True, 0)
@@ -551,6 +551,46 @@ def test_boundary_formula_genus_one_two_holes():
     for r1 in reps:
         assert (boundary_hom_count(S3, 1, (r1, reps[1]))
                 == boundary_hom_count_brute(S3, 1, (r1, reps[1])))
+
+
+def test_classes_and_regular_count_are_built_once(monkeypatch):
+    built = []
+    make = groups.ConjugacyClasses
+    monkeypatch.setattr(groups, "ConjugacyClasses", lambda *a: built.append(a) or make(*a))
+    G = build_group("dihedral:8")
+    c = sign_cocycles_catalog(G)[1]
+    assert conjugacy_classes(G) is conjugacy_classes(G)
+    assert c_regular_count(G, c) == 2
+    # a second count returns the stored one and does not scan the table again
+    object.__setattr__(c, "exps", np.zeros((8, 8), dtype=np.int64))
+    assert c_regular_count(G, c) == 2
+    assert c_regular_count(G, TwoCocycle(G, 2, c.exps)) == conjugacy_classes(G).count == 5
+    assert len(built) == 1
+    # one Verlinde cross_check reads the classes of its group once
+    Q = build_group("quaternion:8")
+    assert cross_check(Q, trivial_cocycle(Q), TORUS, methods=("verlinde",)).passed
+    assert len(built) == 2
+
+
+SMALL_GROUPS = ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6", "cyclic:8",
+                "symmetric:3", "dihedral:8", "quaternion:8", "product(cyclic:2,cyclic:2)",
+                "product(cyclic:2,cyclic:4)"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.integers(0, 1), st.data())
+def test_boundary_brute_force_matches_tuple_enumeration(gspec, genus, data):
+    G = build_group(gspec)
+    boundary = tuple(data.draw(st.lists(st.integers(0, G.order - 1), max_size=2)))
+    assert boundary_hom_count_brute(G, genus, boundary) == boundary_tuples(G, genus, boundary)
+
+
+def test_boundary_brute_force_cap(monkeypatch):
+    G = build_group("quaternion:8")
+    monkeypatch.setattr(invariants, "MAX_HOM_TUPLES", 10 ** 4)
+    with pytest.raises(InvariantError, match="exceed the cap of 10000"):
+        boundary_hom_count_brute(G, 3, (0,))
+    assert boundary_hom_count_brute(G, 2, (0,)) == count_homs(G, relator_presentation(GENUS2))
 
 
 def test_larger_bilinear_cocycles_keep_routes_in_step():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -11,10 +12,12 @@ from dwsurf.algebra import AlgebraError, TwistedGroupAlgebra
 from dwsurf.cocycles import heisenberg_cocycle, sign_cocycles_catalog, trivial_cocycle, twist
 from dwsurf.groups import build_group, conjugacy_classes
 from dwsurf.memo import run_scope
-from dwsurf.state_sum import ContractionError, run_state_sum
+from dwsurf.invariants import dw_labeling_oracle
+from dwsurf.state_sum import ContractionError, plan_from_terms, run_state_sum
 from dwsurf.surfaces import (SurfaceSpec, flip_triangle, pachner_13, pachner_22,
-                             pachner_variants, standard_triangulation)
-from oracles import dense_state_sum, structure_constants
+                             pachner_variants, seven_vertex_torus, standard_triangulation,
+                             tetrahedron_sphere)
+from oracles import dense_state_sum, rescan_plan, structure_constants
 
 
 def algebra(gspec, c=None):
@@ -62,6 +65,48 @@ def test_standard_plans_have_the_fewest_free_edges(orientable):
         assert plan_of(tri).free_count == tri.n_edges - tri.n_triangles + 1, genus
         for variant in pachner_variants(tri, 3, seed=genus):
             assert plan_of(variant).free_count >= variant.n_edges - variant.n_triangles + 1
+
+
+def _plan_inputs(tri):
+    """(n_vars, terms) of the state sum on tri, oriented first as the engine does."""
+    tri = tri.oriented() if tri.orientable else tri
+    return state_sum._edge_terms(algebra("cyclic:1"), tri)[:2]
+
+
+def test_plans_match_the_rescan_reference(monkeypatch):
+    """The heap planner picks what a rescan of every term at every step picks:
+    on the standard triangulations, Pachner variants and one-triangle flips
+    of seven bases, and on the labeling oracle's two simplicial surfaces."""
+    tris = [standard_triangulation(SurfaceSpec(True, g)) for g in range(13)]
+    tris += [standard_triangulation(SurfaceSpec(False, g)) for g in range(1, 13)]
+    for orientable, genus in [(True, 0), (True, 1), (True, 2), (True, 3),
+                              (False, 1), (False, 2), (False, 3)]:
+        base = standard_triangulation(SurfaceSpec(orientable, genus))
+        for seed in range(20):
+            tris += pachner_variants(base, 4, seed)
+        tris += [flip_triangle(base, t) for t in range(base.n_triangles)]
+    inputs = [_plan_inputs(tri) for tri in tris]
+    plan = invariants.plan_from_terms
+    monkeypatch.setattr(invariants, "plan_from_terms",
+                        lambda n, terms: inputs.append((n, terms)) or plan(n, terms))
+    G = build_group("cyclic:1")
+    for surf in (tetrahedron_sphere(), seven_vertex_torus()):
+        dw_labeling_oracle(G, trivial_cocycle(G), surf)
+    assert len(inputs) == 613 + 2
+    for n_vars, terms in inputs:
+        got = plan_from_terms(n_vars, terms)
+        assert (got.order, got.kinds) == rescan_plan(n_vars, terms)
+
+
+def test_planning_is_near_linear_at_large_genus():
+    # a rescan of every term at every step needs O(E T), tens of seconds at this genus;
+    # the heap planner needs O((E + T) log(E + T)), hundredths of a second
+    tri = standard_triangulation(SurfaceSpec(True, 3000))
+    n_vars, terms = _plan_inputs(tri)
+    start = time.perf_counter()
+    plan = plan_from_terms(n_vars, terms)
+    assert time.perf_counter() - start < 2
+    assert plan.free_count == tri.n_edges - tri.n_triangles + 1
 
 
 def test_genus_two_plan_bound():
@@ -251,8 +296,8 @@ def test_int64_overflow_is_refused_before_contracting():
 
 
 def test_overflow_is_refused_before_planning(monkeypatch):
-    """2^(E - T + 1) already reaches 2^63 at genus 1000, whose plan would
-    take seconds to make."""
+    """2^(E - T + 1) already reaches 2^63 at genus 1000; the refusal comes
+    before the terms and the plan are built."""
     monkeypatch.setattr(state_sum, "plan_from_terms", mock.Mock(side_effect=AssertionError))
     with pytest.raises(ContractionError, match="2\\^2000 labelings reach the int64 bound"):
         run_state_sum(algebra("cyclic:2"), standard_triangulation(SurfaceSpec(True, 1000)))
