@@ -164,6 +164,12 @@ def coboundary(G: FiniteGroup, b: Sequence[int], order: int,
     A normalized cocycle by construction once b(1) = 1, so the table is not
     verified again.
     """
+    return TwoCocycle(G, order, _coboundary_exps(G, b, order), name)
+
+
+def _coboundary_exps(G: FiniteGroup, b: Sequence[int], order: int) -> np.ndarray:
+    """The exponent table of db, after checking that b is a normalized
+    function on G with a positive root order."""
     b = np.asarray(b, dtype=np.int64)
     if b.shape != (G.order,):
         raise CocycleError("b must assign an exponent to every group element")
@@ -171,16 +177,15 @@ def coboundary(G: FiniteGroup, b: Sequence[int], order: int,
         raise CocycleError(f"root order must be positive, got {order}")
     if b[0] % order:
         raise CocycleError("b(1) must equal 1")
-    exps = (b[:, None] + b[None, :] - b[G.cayley]) % order
-    return TwoCocycle(G, order, exps, name)
+    return (b[:, None] + b[None, :] - b[G.cayley]) % order
 
 
 def twist(c: TwoCocycle, b: Sequence[int], order: int) -> TwoCocycle:
     """Pointwise product c * (db), b(g) = exp(2*pi*i*b[g]/order); represents
     the same cohomology class as c, with values of order lcm(c.order, order)."""
-    db = coboundary(c.group, b, order)
+    db = _coboundary_exps(c.group, b, order)
     n = math.lcm(c.order, order)
-    exps = (c.exps * (n // c.order) + db.exps * (n // order)) % n
+    exps = (c.exps * (n // c.order) + db * (n // order)) % n
     return TwoCocycle(c.group, n, exps, f"{c.name}*db" if c.name else "twisted")
 
 
@@ -215,39 +220,54 @@ def sign_cocycles_catalog(G: FiniteGroup) -> list[TwoCocycle]:
     return out
 
 
+# The named cocycles of the sign catalog, in catalog order, and the group
+# each lives on.
+_SIGN_CATALOG = {
+    "z2:sign": "cyclic:2",
+    "z4:carry": "cyclic:4",
+    "heisenberg:2": "product(cyclic:2,cyclic:2)",
+    "klein4:diag": "product(cyclic:2,cyclic:2)",
+    "d8:lift": "dihedral:8",
+    "q8:cup": "quaternion:8",
+}
+
+
 def _sign_catalog(G: FiniteGroup) -> list[TwoCocycle]:
     """The catalog of G, verified, or an empty list when G has none."""
-    tables: list[tuple[str, np.ndarray]] = []
-    if G.name == "cyclic:2":
-        e = np.zeros((2, 2), dtype=np.int64)
-        e[1, 1] = 1
-        tables.append(("z2:sign", e))
-    elif G.name == "cyclic:4":
-        i = np.arange(4)
-        tables.append(("z4:carry", ((i[:, None] + i[None, :]) >= 4).astype(np.int64)))
-    elif G.name == "product(cyclic:2,cyclic:2)":
-        i = np.arange(4)
-        tables.append(("heisenberg:2", heisenberg_cocycle(2).exps))
-        tables.append(("klein4:diag", ((i // 2)[:, None] * (i // 2)[None, :]) % 2))
-    elif G.name == "dihedral:8":
-        rot, ref = np.arange(8) % 4, np.arange(8) // 4
-        minus = ((ref[:, None] == 0) & (rot[:, None] + rot[None, :] >= 4)) | (
-            (ref[:, None] == 1) & (rot[:, None] < rot[None, :]))
-        tables.append(("d8:lift", minus.astype(np.int64)))
-    elif G.name == "quaternion:8":
-        x = (np.arange(8) >= 4).astype(np.int64)          # kernel {1,-1,i,-i}
-        y = np.isin(np.arange(8), (2, 3, 6, 7)).astype(np.int64)  # kernel {1,-1,j,-j}
-        tables.append(("q8:cup", (x[:, None] * y[None, :]) % 2))
-    else:
+    names = [name for name, home in _SIGN_CATALOG.items() if home == G.name]
+    if not names:
         return []
     out = [trivial_cocycle(G)]
-    for name, exps in tables:
-        c = TwoCocycle(G, 2, exps, name)
+    for name in names:
+        c = TwoCocycle(G, 2, _sign_table(name), name)
         check = verify_cocycle(c)
         if not check.ok:
             raise CocycleError(f"catalog cocycle {name} failed verification: {check}")
         out.append(c)
     return out
+
+
+def _sign_table(name: str) -> np.ndarray:
+    """The exponent table (mod 2) of a sign-catalog cocycle."""
+    if name == "z2:sign":
+        return np.array([[0, 0], [0, 1]])
+    if name == "z4:carry":
+        i = np.arange(4)
+        return ((i[:, None] + i[None, :]) >= 4).astype(np.int64)
+    if name == "heisenberg:2":
+        return heisenberg_cocycle(2).exps
+    if name == "klein4:diag":
+        i = np.arange(4)
+        return ((i // 2)[:, None] * (i // 2)[None, :]) % 2
+    if name == "d8:lift":
+        rot, ref = np.arange(8) % 4, np.arange(8) // 4
+        minus = ((ref[:, None] == 0) & (rot[:, None] + rot[None, :] >= 4)) | (
+            (ref[:, None] == 1) & (rot[:, None] < rot[None, :]))
+        return minus.astype(np.int64)
+    # q8:cup
+    x = (np.arange(8) >= 4).astype(np.int64)          # kernel {1,-1,i,-i}
+    y = np.isin(np.arange(8), (2, 3, 6, 7)).astype(np.int64)  # kernel {1,-1,j,-j}
+    return (x[:, None] * y[None, :]) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +347,9 @@ def parse_cocycle(spec: str, G: FiniteGroup) -> TwoCocycle:
         return TwoCocycle(G, c.order, c.exps, c.name)
     if s.startswith("file:"):
         return read_cocycle_file(s.split(":", 1)[1], G)
-    for c in _sign_catalog(G):
-        if c.name == s:
-            return c
-    raise ValueError(f"cannot parse cocycle descriptor {spec!r}")
+    home = _SIGN_CATALOG.get(s)
+    if home is None:
+        raise ValueError(f"cannot parse cocycle descriptor {spec!r}")
+    if home != G.name:
+        raise ValueError(f"cocycle {s} lives on {home}, not on {G.name}")
+    return next(c for c in _sign_catalog(G) if c.name == s)

@@ -267,24 +267,27 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     table so that the two stay independent checks of each other: a row is one
     partial labeling, rows are never merged, every labeled edge is kept and
     nothing is gauge-fixed.  The edges are labeled in plan.order, one level at
-    a time.  A term is checked at the level of its last edge and adds exp2 of
-    its slots 0 and 1 there (edges carry no weight of their own); a term that
-    closes there and holds that edge once forces its label,
-    l_s = (l_{s+1} l_{s+2})^-1, by one gather, and otherwise the edge is free
-    and every row repeats #G times.  A block of rows goes through the levels
-    breadth-first; one that would outgrow _BLOCK_ENTRIES labels is split and
-    its parts are taken depth-first, so the live table stays bounded.
+    a time, and the labels are stored by edge, one contiguous array of all
+    rows per level, so a slot reads one array.  A term is checked at the
+    level of its last edge: l_0 l_1, gathered from the flat Cayley table, must
+    be the inverse of l_2, and exp2 at the same flat index joins the
+    exponent (edges carry no weight of their own).  A term that closes there
+    and holds that edge once forces its label, l_s = (l_{s+1} l_{s+2})^-1,
+    by one gather, and otherwise the edge is free and every row repeats #G
+    times.  A block of rows goes through the levels breadth-first; one that
+    would outgrow _BLOCK_ENTRIES labels is split and its parts are taken
+    depth-first, so the live table stays bounded.
     Returns (counts, states_visited) with counts[k] the number of admissible
     labelings of total exponent k mod modulus and states_visited the rows
     generated, the nodes of the equivalent backtracking search.
     """
     n = group.order
-    label = np.min_scalar_type(n - 1)
-    cay, inv = group.cayley.astype(label), group.inverse.astype(label)
+    label, pair = np.min_scalar_type(n - 1), np.min_scalar_type(n * n - 1)
+    cay, inv = group.cayley.astype(label).ravel(), group.inverse.astype(label)
     order = plan.order
     position = {var: pos for pos, var in enumerate(order)}
-    closing = [[] for _ in order]    # per level: (slot columns, term) completed there
-    forcing = [None] * len(order)    # per level: (slot columns, slot) fixing its label
+    closing = [[] for _ in order]    # per level: (slot rows, term) completed there
+    forcing = [None] * len(order)    # per level: (slot rows, slot) fixing its label
     for term in terms:
         last = max(position[v] for v in term.vars)
         slots = [(position[v], flip) for v, flip in zip(term.vars, term.inverted)]
@@ -294,38 +297,45 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
             forcing[last] = (slots, term.vars.index(var))
 
     def slot_label(lab, slot):
-        col = lab[:, slot[0]]
-        return inv[col] if slot[1] else col
+        row = lab[slot[0]]
+        return inv.take(row) if slot[1] else row
+
+    def flat(a, b):   # index of (a, b) in a flattened n x n table
+        return a.astype(pair) * n + b
 
     # rows a block may hold when a free edge repeats them; one row always may
     step = max(1, _BLOCK_ENTRIES // (max(1, n_vars) * n))
     counts = np.zeros(modulus, dtype=np.int64)
     visited = 0
-    stack = [(0, np.zeros((1, n_vars), dtype=label), np.zeros(1, dtype=np.int64))]
+    # labels by edge: lab[pos] holds the label of edge order[pos] in every row
+    stack = [(0, np.zeros((n_vars, 1), dtype=label), np.zeros(1, dtype=np.int64))]
     while stack:
         pos, lab, expo = stack.pop()
         while pos < n_vars and len(expo):
             if forcing[pos] is None:
                 if len(expo) > step:
-                    stack.extend((pos, lab[i:i + step], expo[i:i + step])
+                    stack.extend((pos, lab[:, i:i + step], expo[i:i + step])
                                  for i in reversed(range(0, len(expo), step)))
                     break
-                lab = np.repeat(lab, n, axis=0)
-                lab[:, pos] = np.tile(np.arange(n, dtype=label), len(expo))
+                lab = np.repeat(lab, n, axis=1)
+                lab[pos] = np.tile(np.arange(n, dtype=label), len(expo))
                 expo = np.repeat(expo, n)
             else:
                 slots, s = forcing[pos]
-                x = cay[slot_label(lab, slots[(s + 1) % 3]), slot_label(lab, slots[(s + 2) % 3])]
-                lab[:, pos] = x if slots[s][1] else inv[x]
+                x = cay.take(flat(slot_label(lab, slots[(s + 1) % 3]),
+                                  slot_label(lab, slots[(s + 2) % 3])))
+                lab[pos] = x if slots[s][1] else inv.take(x)
             visited += len(expo)
             keep = None
             for slots, term in closing[pos]:
-                l = [slot_label(lab, slot) for slot in slots]
-                ok = cay[cay[l[0], l[1]], l[2]] == 0
+                index = flat(slot_label(lab, slots[0]), slot_label(lab, slots[1]))
+                # l_0 l_1 l_2 = 1: l_0 l_1 is l_2^-1, slot 2 read with its flip negated
+                row, flip = slots[2]
+                ok = cay.take(index) == slot_label(lab, (row, not flip))
                 keep = ok if keep is None else keep & ok
-                expo = expo + term.exp2[l[0], l[1]]
+                expo = expo + term.exp2.take(index)
             if keep is not None and not keep.all():
-                lab, expo = lab[keep], expo[keep]
+                lab, expo = lab.compress(keep, axis=1), expo[keep]
             pos += 1
         if pos == n_vars:
             counts += np.bincount(expo % modulus, minlength=modulus)

@@ -23,7 +23,7 @@ involution g* = c(g, g^-1) g^-1, which needs a sign-valued cocycle.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -49,10 +49,14 @@ class ContractionPlan:
 
     ``kinds[i]`` is 'forced' when, with all earlier edges labeled, some
     triangle determines edge ``order[i]``, and 'free' otherwise.
+    ``steps[i]`` is the frontier table's schedule at that edge, fixed by the
+    terms' edges alone: the (term, slot) that forces it (None when free),
+    the terms it completes and the edges that then leave the frontier.
     """
 
     order: tuple
     kinds: tuple
+    steps: tuple = field(compare=False, repr=False)
 
     @property
     def free_count(self) -> int:
@@ -99,8 +103,9 @@ class TriangleTerm:
 def plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
     """Greedy deterministic order: the last edge of the lowest term with two
     labeled slots (forced) when there is one, else the lowest edge of a term
-    with one, else the lowest edge.  The plan depends on the terms' edge
-    variables only; one heap makes it in O((E + T) log(E + T))."""
+    with one, else the lowest edge.  The plan and its schedule depend on the
+    terms' edge variables only; one heap makes them in O((E + T) log(E + T)),
+    once per run scope (memo.py)."""
     return shared(lambda: ("plan_from_terms", n_vars, tuple(term.vars for term in terms)),
                   lambda: _plan_from_terms(n_vars, terms))
 
@@ -111,11 +116,12 @@ def _plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
         for v in term.vars:
             terms_of[v].append(ti)
     filled = [0] * len(terms)
+    open_slots = [len(ts) for ts in terms_of]   # per edge, slots of incomplete terms
     done = [False] * n_vars
     # (0, term) once it has two labeled slots, (1, edge) of a term with one,
     # (2, edge) for every edge; the least live entry is the pick
     heap = [(2, v) for v in range(n_vars)]
-    order, kinds = [], []
+    order, kinds, steps = [], [], []
     while heap:
         rank, x = heapq.heappop(heap)
         if rank == 0 and filled[x] == 2:
@@ -127,6 +133,8 @@ def _plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
         done[pick] = True
         order.append(pick)
         kinds.append("free" if rank else "forced")
+        closing = []
+        leaving = [] if open_slots[pick] else [pick]   # an edge in no term leaves at once
         for ti in terms_of[pick]:
             filled[ti] += 1
             if filled[ti] == 1:
@@ -134,7 +142,15 @@ def _plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
                     heapq.heappush(heap, (1, v))
             elif filled[ti] == 2:
                 heapq.heappush(heap, (0, ti))
-    return ContractionPlan(tuple(order), tuple(kinds))
+            elif filled[ti] == 3:
+                closing.append(ti)
+                for v in terms[ti].vars:
+                    open_slots[v] -= 1
+                    if not open_slots[v]:
+                        leaving.append(v)
+        forcing = None if rank else (x, terms[x].vars.index(pick))
+        steps.append((forcing, tuple(closing), tuple(leaving)))
+    return ContractionPlan(tuple(order), tuple(kinds), tuple(steps))
 
 
 def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
@@ -145,7 +161,9 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     every row #G times; a forced edge is one gather from the Cayley and
     inverse tables.  A completed triangle filters rows by its boundary product
     and adds its exp2 entry.  An edge whose triangles are all complete
-    leaves the frontier, and rows with equal keys merge.
+    leaves the frontier, and rows with equal keys merge.  Which term forces,
+    which close and which edges leave at each step is read from plan.steps,
+    so the work here is array work.
 
     Returns (counts, rows) with counts[k] the number of admissible labelings
     of total exponent k mod modulus and rows the number of table rows
@@ -153,60 +171,49 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     """
     n = group.order
     _refuse_overflow(n, plan.free_count)
-    label = np.min_scalar_type(n - 1)
-    cay, inv = group.cayley.astype(label), group.inverse.astype(label)
-    terms_of = [[] for _ in range(n_vars)]
-    for ti, term in enumerate(terms):
-        for v in set(term.vars):
-            terms_of[v].append(ti)
-    unlabeled = [len(set(term.vars)) for term in terms]   # per term, distinct edges
-    open_terms = [len(ts) for ts in terms_of]               # per edge, incomplete terms
+    label, pair = np.min_scalar_type(n - 1), np.min_scalar_type(n * n - 1)
+    cay, inv = group.cayley.astype(label).ravel(), group.inverse.astype(label)
     cols = {}   # frontier edge -> label column
     expo = np.zeros(1, dtype=np.int64)
     mult = np.ones(1, dtype=np.int64)
     rows = 0
 
-    def slot_label(term, s):
+    def slot_label(term, s, flip=False):
         col = cols[term.vars[s]]
-        return inv[col] if term.inverted[s] else col
+        return inv.take(col) if term.inverted[s] != flip else col
 
-    for var, kind in zip(plan.order, plan.kinds):
-        if kind == "free":
+    def product_index(term, s, t):   # of (l_s, l_t) in a flattened n x n table
+        return slot_label(term, s).astype(pair) * n + slot_label(term, t)
+
+    for var, (forcing, closing, leaving) in zip(plan.order, plan.steps):
+        if forcing is None:
             if len(mult) * n > MAX_TABLE_ROWS:
                 raise ContractionError(f"the contraction table would grow to {len(mult) * n} "
                                        f"rows, beyond the bound of {MAX_TABLE_ROWS}")
-            cols = {u: np.repeat(col, n) for u, col in cols.items()}
+            cols = {u: col.repeat(n) for u, col in cols.items()}
             cols[var] = np.tile(np.arange(n, dtype=label), len(mult))
-            expo, mult = np.repeat(expo, n), np.repeat(mult, n)
+            expo, mult = expo.repeat(n), mult.repeat(n)
         else:
-            term, s = next((terms[ti], terms[ti].vars.index(var)) for ti in terms_of[var]
-                           if unlabeled[ti] == 1 and terms[ti].vars.count(var) == 1)
+            ti, s = forcing
+            term = terms[ti]
             # l_s = (l_{s+1} l_{s+2})^-1, read cyclically
-            prod = cay[slot_label(term, (s + 1) % 3), slot_label(term, (s + 2) % 3)]
-            cols[var] = prod if term.inverted[s] else inv[prod]
+            prod = cay.take(product_index(term, (s + 1) % 3, (s + 2) % 3))
+            cols[var] = prod if term.inverted[s] else inv.take(prod)
         rows += len(mult)
         keep = None
-        closed = [] if open_terms[var] else [var]
-        for ti in terms_of[var]:
-            unlabeled[ti] -= 1
-            if unlabeled[ti]:
-                continue
+        for ti in closing:
             term = terms[ti]
-            l = [slot_label(term, s) for s in range(3)]
-            ok = cay[cay[l[0], l[1]], l[2]] == 0
+            index = product_index(term, 0, 1)
+            ok = cay.take(index) == slot_label(term, 2, flip=True)   # l_0 l_1 = l_2^-1
             keep = ok if keep is None else keep & ok
-            expo = (expo + term.exp2[l[0], l[1]]) % modulus
-            for u in set(term.vars):
-                open_terms[u] -= 1
-                if not open_terms[u]:
-                    closed.append(u)
+            expo = (expo + term.exp2.take(index)) % modulus
         if keep is not None and not keep.all():
             cols = {u: col[keep] for u, col in cols.items()}
             expo, mult = expo[keep], mult[keep]
         if not len(mult):
             break
-        if closed:
-            for u in closed:
+        if leaving:
+            for u in leaving:
                 del cols[u]
             cols, expo, mult = _merge(cols, expo, mult)
     counts = np.zeros(modulus, dtype=np.int64)
@@ -240,7 +247,8 @@ def _merge(cols: dict, expo: np.ndarray, mult: np.ndarray):
 # engine inputs for twisted group algebras
 
 def _edge_terms(A: TwistedGroupAlgebra, tri: GluedTriangulation):
-    """The edge variables and triangle terms of the state sum of A.
+    """The edge variables and triangle terms of the state sum of A on tri,
+    oriented first when it is orientable.
 
     A triangle with labels (a, b, l_2), l_2 = (ab)^-1, weighs c(a, b)
     c(l_2, l_2^-1).  An edge of reversal type weighs c(g, g^-1)^-1 at its label
@@ -251,19 +259,34 @@ def _edge_terms(A: TwistedGroupAlgebra, tri: GluedTriangulation):
     closer = c.exps[np.arange(A.group.order), inv]   # c(g, g^-1)
     # c(l_s, l_s^-1), s = 0, 1, 2, as tables of (l_0, l_1), with l_2 = (l_0 l_1)^-1
     weights = (closer[:, None], closer, closer[inv[A.group.cayley]])
-    tables = {}
-    edges = tri.edge_flags()
-    edge_of_flag = {flag: e for e, pair in enumerate(edges) for flag in pair}
-    terms = []
-    for t in range(tri.n_triangles):
-        flags = range(3 * t, 3 * t + 3)
-        paying = tuple(s for s, f in enumerate(flags) if f < tri.pairing[f] and tri.reversal[f])
-        if paying not in tables:
-            tables[paying] = (c.exps + weights[2] - sum(weights[s] for s in paying)) % c.order
-        terms.append(TriangleTerm(tuple(edge_of_flag[f] for f in flags),
-                                  tuple(bool(f > tri.pairing[f] and tri.reversal[f])
-                                        for f in flags), tables[paying]))
-    return len(edges), terms, c.order
+    n_vars, slots = _gluing_slots(tri)
+    tables = {paying: (c.exps + weights[2] - sum(weights[s] for s in paying)) % c.order
+              for paying in {paying for _, _, paying in slots}}
+    terms = [TriangleTerm(edges, inverted, tables[paying]) for edges, inverted, paying in slots]
+    return n_vars, terms, c.order
+
+
+def _gluing_slots(tri: GluedTriangulation):
+    """(edge count, per triangle (edge variables, inverted slots, paying
+    slots)) of tri, oriented first when it is orientable: all the state sum
+    reads off the gluing, derived once per gluing inside a run scope.  An
+    edge is numbered by its smaller flag; a reversal-type edge's smaller flag
+    pays its weight and its larger flag reads the inverse label."""
+    return shared(lambda: ("gluing_slots", tri.pairing.tobytes(), tri.reversal.tobytes()),
+                  lambda: _derive_gluing_slots(tri))
+
+
+def _derive_gluing_slots(tri: GluedTriangulation):
+    if tri.orientable:
+        tri = tri.oriented()
+    flag = np.arange(tri.n_flags)
+    first = flag < tri.pairing
+    edge = (np.cumsum(first) - 1)[np.minimum(flag, tri.pairing)].reshape(-1, 3).tolist()
+    inverted = (~first & tri.reversal).reshape(-1, 3).tolist()
+    paying = (first & tri.reversal).reshape(-1, 3).tolist()
+    return int(first.sum()), tuple(
+        (tuple(e), tuple(i), tuple(s for s in range(3) if p[s]))
+        for e, i, p in zip(edge, inverted, paying))
 
 
 def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> StateSumResult:
@@ -276,9 +299,7 @@ def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> StateSumRe
 
 
 def _run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> StateSumResult:
-    if tri.orientable:
-        tri = tri.oriented()
-    elif not A.cocycle.is_sign_valued:
+    if not (tri.orientable or A.cocycle.is_sign_valued):
         raise AlgebraError("the non-orientable state sum needs a sign-valued cocycle")
     # Each forced edge is forced by its own triangle, and the other triangle
     # of the last forced edge forces none, so every plan has at least

@@ -448,21 +448,6 @@ class SimplicialSurface:
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self._edges) + len(self.triangles)
 
-    def to_glued(self) -> GluedTriangulation:
-        incidence = {}
-        for ti, tr in enumerate(self.triangles):
-            for s in range(3):
-                u, v = tr[s], tr[(s + 1) % 3]
-                incidence.setdefault(tuple(sorted((u, v))), []).append((3 * ti + s, u < v))
-        nf = 3 * len(self.triangles)
-        pairing = np.empty(nf, dtype=np.int64)
-        reversal = np.empty(nf, dtype=bool)
-        for (f1, fwd1), (f2, fwd2) in incidence.values():
-            pairing[f1], pairing[f2] = f2, f1
-            reversal[f1] = reversal[f2] = fwd1 != fwd2
-        return GluedTriangulation(len(self.triangles), pairing, reversal,
-                                  name="from-simplicial")
-
 
 def tetrahedron_sphere() -> SimplicialSurface:
     """Boundary of the tetrahedron, coherently oriented: (V,E,T) = (4,6,4)."""

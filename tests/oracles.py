@@ -12,7 +12,8 @@ weight serves orientable and non-orientable words alike, for any table of
 exponents; histogrammed over the homomorphisms, these weights check the
 direct route's transfer operators; the boundary tuples of a surface with
 boundary are counted one by one.  The greedy contraction plan is found by a
-full rescan of the terms at every step.  The group tables of the dihedral,
+full rescan of the terms at every step, and a simplicial surface is glued
+from its triangles edge by edge.  The group tables of the dihedral,
 quaternion, symmetric and product builders are rebuilt pair by pair from the
 defining rules.  The group axioms and the cocycle identity are checked on
 every triple.  All of them are literal and slow, meant for groups of order
@@ -26,6 +27,7 @@ import numpy as np
 from dwsurf.algebra import AlgebraError
 from dwsurf.groups import conjugacy_classes
 from dwsurf.invariants import InvariantError
+from dwsurf.surfaces import GluedTriangulation
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +212,24 @@ def boundary_tuples(G, genus, boundary):
 
 
 # ---------------------------------------------------------------------------
-# contraction plans
+# surfaces and contraction plans
+
+def simplicial_to_glued(surf):
+    """The gluing of a simplicial surface's triangles along their shared
+    edges, with the triangles' own orientations."""
+    incidence = {}
+    for ti, tr in enumerate(surf.triangles):
+        for s in range(3):
+            u, v = tr[s], tr[(s + 1) % 3]
+            incidence.setdefault(tuple(sorted((u, v))), []).append((3 * ti + s, u < v))
+    nf = 3 * len(surf.triangles)
+    pairing = np.empty(nf, dtype=np.int64)
+    reversal = np.empty(nf, dtype=bool)
+    for (f1, fwd1), (f2, fwd2) in incidence.values():
+        pairing[f1], pairing[f2] = f2, f1
+        reversal[f1] = reversal[f2] = fwd1 != fwd2
+    return GluedTriangulation(len(surf.triangles), pairing, reversal, name="from-simplicial")
+
 
 def rescan_plan(n_vars, terms):
     """The greedy contraction order by a full rescan at every step: a forced

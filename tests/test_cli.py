@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -387,10 +388,29 @@ def test_parse_cocycle_reads_catalog_names(gspec):
 def test_unknown_cocycle_name_keeps_its_error_without_catalog_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for gspec, name in [("cyclic:5", "q8:cup"), ("quaternion:8", "z2:sign"),
-                            ("quaternion:8", "q8:cap")]:
+        for gspec, name in [("cyclic:5", "q8:cap"), ("quaternion:8", "q8:cap")]:
             with pytest.raises(ValueError, match="^cannot parse cocycle descriptor"):
                 parse_cocycle(name, build_group(gspec))
+
+
+@pytest.mark.parametrize("gspec,name,home", [("cyclic:5", "q8:cup", "quaternion:8"),
+                                             ("quaternion:8", "z2:sign", "cyclic:2"),
+                                             ("cyclic:2", "klein4:diag",
+                                              "product(cyclic:2,cyclic:2)")])
+def test_catalog_name_on_another_group_names_its_group(gspec, name, home):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^cocycle {name} lives on {re.escape(home)}, "
+                                             f"not on {gspec}$"):
+            parse_cocycle(name, build_group(gspec))
+
+
+def test_catalog_cocycle_on_another_group_from_the_command_line(capsys):
+    code, out = run(capsys, "compute", "--group", "cyclic:2", "--cocycle", "z4:carry",
+                    "--surface", "orientable:1")
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        "ValueError: cocycle z4:carry lives on cyclic:4, not on cyclic:2")
 
 
 def test_catalog_cocycle_from_the_command_line(capsys, tmp_path):

@@ -211,6 +211,26 @@ def test_coboundary_rejects_a_nonpositive_order(order):
         coboundary(build_group("cyclic:2"), [0, 1], order)
 
 
+@pytest.mark.parametrize("b,order,message", [([1, 0], 2, "b\\(1\\)"),
+                                             ([0, 1, 1], 2, "every group element"),
+                                             ([0, 1], -2, "positive")])
+def test_twist_rejects_what_coboundary_rejects(b, order, message):
+    with pytest.raises(CocycleError, match=message):
+        twist(trivial_cocycle(build_group("cyclic:2")), b, order)
+
+
+def test_twist_builds_one_cocycle(monkeypatch):
+    """The coboundary's exponents feed the twisted table directly: one
+    table is checked per twist, not an intermediate coboundary as well."""
+    c = heisenberg_cocycle(2)
+    built = []
+    check = TwoCocycle.__post_init__
+    monkeypatch.setattr(TwoCocycle, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    t = twist(c, [0, 1, 0, 0], 4)
+    assert built == [t] and t.order == 4
+
+
 def test_twist_by_one_is_identity():
     c = heisenberg_cocycle(2)
     t = twist(c, [0] * 4, 1)

@@ -14,10 +14,10 @@ from dwsurf.groups import build_group, conjugacy_classes
 from dwsurf.memo import run_scope
 from dwsurf.invariants import dw_labeling_oracle
 from dwsurf.state_sum import ContractionError, plan_from_terms, run_state_sum
-from dwsurf.surfaces import (SurfaceSpec, flip_triangle, pachner_13, pachner_22,
-                             pachner_variants, seven_vertex_torus, standard_triangulation,
-                             tetrahedron_sphere)
-from oracles import dense_state_sum, rescan_plan, structure_constants
+from dwsurf.surfaces import (GluedTriangulation, SurfaceSpec, flip_triangle, pachner_13,
+                             pachner_22, pachner_variants, seven_vertex_torus,
+                             standard_triangulation, tetrahedron_sphere)
+from oracles import dense_state_sum, rescan_plan, simplicial_to_glued, structure_constants
 
 
 def algebra(gspec, c=None):
@@ -175,6 +175,31 @@ def test_run_scope_contracts_each_state_sum_once(monkeypatch):
     assert len(calls) == 4    # outside the scope nothing is kept
 
 
+def test_run_scope_derives_each_gluing_once(monkeypatch):
+    """A gluing's terms, plan and schedule are derived once inside a run
+    scope, whichever cocycle is contracted on it and whichever object holds
+    the gluing; outside the scope every call derives them again."""
+    derived, planned = [], []
+    derive, plan = state_sum._derive_gluing_slots, state_sum._plan_from_terms
+    monkeypatch.setattr(state_sum, "_derive_gluing_slots",
+                        lambda tri: derived.append(tri) or derive(tri))
+    monkeypatch.setattr(state_sum, "_plan_from_terms",
+                        lambda n, terms: planned.append(n) or plan(n, terms))
+    c = heisenberg_cocycle(2)
+    twisted = twist(c, [0, 1, 0, 0], 2)
+    torus = standard_triangulation(SurfaceSpec(True, 1))
+    copy = GluedTriangulation(torus.n_triangles, torus.pairing.copy(), torus.reversal.copy())
+    with run_scope():
+        results = [run_state_sum(TwistedGroupAlgebra(c.group, x), tri)
+                   for x, tri in ((c, torus), (twisted, copy))]
+    assert len(derived) == len(planned) == 1
+    assert results[1] is not results[0] and results[1].value == results[0].value
+    assert results[1].plan.steps is results[0].plan.steps
+    for x in (c, twisted):
+        run_state_sum(TwistedGroupAlgebra(c.group, x), torus)
+    assert len(derived) == len(planned) == 3    # outside the scope nothing is kept
+
+
 def test_projective_plane_star_values():
     A = algebra("cyclic:3")
     assert run_state_sum(A, standard_triangulation(SurfaceSpec(False, 1))).value == 1
@@ -224,7 +249,7 @@ def test_pachner_invariance_on_spheres():
 
 def test_seven_vertex_torus_gluing_matches_one_vertex_torus():
     from dwsurf.surfaces import seven_vertex_torus
-    big = seven_vertex_torus().to_glued()
+    big = simplicial_to_glued(seven_vertex_torus())
     small = standard_triangulation(SurfaceSpec(True, 1))
     for c in [trivial_cocycle(build_group("cyclic:2")), heisenberg_cocycle(2)]:
         A = TwistedGroupAlgebra(c.group, c)
@@ -393,3 +418,20 @@ def test_frontier_table_matches_backtracking(base, pair, moves):
     assert np.array_equal(table.counts, np.asarray(search.counts))
     assert Fraction(G.order) ** (-spec.chi) * table.value == invariants.dw_direct(G, c, spec)
     assert table.states_visited <= table.plan.estimate_nodes(G.order)
+
+
+def test_engines_index_products_past_the_label_type():
+    """Order 20: a label fits one byte but the flat index of a product of
+    two labels does not, so both engines must widen it before they gather."""
+    G = build_group("dihedral:20")
+    b = [0] + [(5 * g) % 12 for g in range(1, G.order)]
+    c = twist(trivial_cocycle(G), b, 12)
+    A = TwistedGroupAlgebra(G, c)
+    torus = SurfaceSpec(True, 1)
+    table = run_state_sum(A, standard_triangulation(torus))
+    with mock.patch.object(state_sum, "exact_contraction", invariants.exact_contraction):
+        search = run_state_sum(A, standard_triangulation(torus))
+    assert np.array_equal(table.counts, search.counts)
+    assert table.value == invariants.dw_direct(G, c, torus)
+    sphere = SurfaceSpec(True, 0)
+    assert dw_labeling_oracle(G, c, tetrahedron_sphere()) == invariants.dw_direct(G, c, sphere)

@@ -5,6 +5,7 @@ from dwsurf.surfaces import (GluedTriangulation, RelatorPresentation, SurfaceErr
                              SurfaceSpec, flip_triangle, pachner_13, pachner_22, pachner_variants,
                              relator_presentation, seven_vertex_torus, standard_triangulation,
                              tetrahedron_sphere)
+from oracles import simplicial_to_glued
 
 
 def counts(tri):
@@ -206,10 +207,10 @@ def test_seven_vertex_torus_counts():
 
 
 def test_simplicial_to_glued_matches():
-    glued = tetrahedron_sphere().to_glued()
+    glued = simplicial_to_glued(tetrahedron_sphere())
     assert counts(glued) == (4, 6, 4, 2)
     assert glued.surface == SurfaceSpec(True, 0)
-    glued = seven_vertex_torus().to_glued()
+    glued = simplicial_to_glued(seven_vertex_torus())
     assert counts(glued) == (14, 21, 7, 0)
     assert glued.surface == SurfaceSpec(True, 1)
     assert glued.reversal.all()   # builders are coherently oriented already
