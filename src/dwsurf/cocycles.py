@@ -214,60 +214,55 @@ def sign_cocycles_catalog(G: FiniteGroup) -> list[TwoCocycle]:
     klein4:diag), the dihedral group of order 8 (d8:lift), and the quaternion
     group (q8:cup).  Unsupported groups get a warning and an empty list.
     """
-    out = _sign_catalog(G)
-    if not out:
-        warnings.warn(f"no sign-valued cocycle catalog for group {G.name!r}", stacklevel=2)
-    return out
-
-
-# The named cocycles of the sign catalog, in catalog order, and the group
-# each lives on.
-_SIGN_CATALOG = {
-    "z2:sign": "cyclic:2",
-    "z4:carry": "cyclic:4",
-    "heisenberg:2": "product(cyclic:2,cyclic:2)",
-    "klein4:diag": "product(cyclic:2,cyclic:2)",
-    "d8:lift": "dihedral:8",
-    "q8:cup": "quaternion:8",
-}
-
-
-def _sign_catalog(G: FiniteGroup) -> list[TwoCocycle]:
-    """The catalog of G, verified, or an empty list when G has none."""
-    names = [name for name, home in _SIGN_CATALOG.items() if home == G.name]
+    names = [name for name, (home, _) in _SIGN_CATALOG.items() if home == G.name]
     if not names:
+        warnings.warn(f"no sign-valued cocycle catalog for group {G.name!r}", stacklevel=2)
         return []
-    out = [trivial_cocycle(G)]
-    for name in names:
-        c = TwoCocycle(G, 2, _sign_table(name), name)
-        check = verify_cocycle(c)
-        if not check.ok:
-            raise CocycleError(f"catalog cocycle {name} failed verification: {check}")
-        out.append(c)
-    return out
+    return [trivial_cocycle(G)] + [_sign_cocycle(name, G) for name in names]
 
 
-def _sign_table(name: str) -> np.ndarray:
-    """The exponent table (mod 2) of a sign-catalog cocycle."""
-    if name == "z2:sign":
-        return np.array([[0, 0], [0, 1]])
-    if name == "z4:carry":
-        i = np.arange(4)
-        return ((i[:, None] + i[None, :]) >= 4).astype(np.int64)
-    if name == "heisenberg:2":
-        return heisenberg_cocycle(2).exps
-    if name == "klein4:diag":
-        i = np.arange(4)
-        return ((i // 2)[:, None] * (i // 2)[None, :]) % 2
-    if name == "d8:lift":
-        rot, ref = np.arange(8) % 4, np.arange(8) // 4
-        minus = ((ref[:, None] == 0) & (rot[:, None] + rot[None, :] >= 4)) | (
-            (ref[:, None] == 1) & (rot[:, None] < rot[None, :]))
-        return minus.astype(np.int64)
-    # q8:cup
+def _sign_cocycle(name: str, G: FiniteGroup) -> TwoCocycle:
+    """The named sign-catalog cocycle on its home group G, verified."""
+    c = TwoCocycle(G, 2, _SIGN_CATALOG[name][1](), name)
+    check = verify_cocycle(c)
+    if not check.ok:
+        raise CocycleError(f"catalog cocycle {name} failed verification: {check}")
+    return c
+
+
+def _z4_carry() -> np.ndarray:
+    i = np.arange(4)
+    return ((i[:, None] + i[None, :]) >= 4).astype(np.int64)
+
+
+def _klein4_diag() -> np.ndarray:
+    i = np.arange(4) // 2
+    return (i[:, None] * i[None, :]) % 2
+
+
+def _d8_lift() -> np.ndarray:
+    rot, ref = np.arange(8) % 4, np.arange(8) // 4
+    minus = ((ref[:, None] == 0) & (rot[:, None] + rot[None, :] >= 4)) | (
+        (ref[:, None] == 1) & (rot[:, None] < rot[None, :]))
+    return minus.astype(np.int64)
+
+
+def _q8_cup() -> np.ndarray:
     x = (np.arange(8) >= 4).astype(np.int64)          # kernel {1,-1,i,-i}
     y = np.isin(np.arange(8), (2, 3, 6, 7)).astype(np.int64)  # kernel {1,-1,j,-j}
     return (x[:, None] * y[None, :]) % 2
+
+
+# The named cocycles of the sign catalog, in catalog order: the group each
+# lives on and its exponent table (mod 2), built when the cocycle is.
+_SIGN_CATALOG = {
+    "z2:sign": ("cyclic:2", lambda: np.array([[0, 0], [0, 1]])),
+    "z4:carry": ("cyclic:4", _z4_carry),
+    "heisenberg:2": ("product(cyclic:2,cyclic:2)", lambda: heisenberg_cocycle(2).exps),
+    "klein4:diag": ("product(cyclic:2,cyclic:2)", _klein4_diag),
+    "d8:lift": ("dihedral:8", _d8_lift),
+    "q8:cup": ("quaternion:8", _q8_cup),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +342,9 @@ def parse_cocycle(spec: str, G: FiniteGroup) -> TwoCocycle:
         return TwoCocycle(G, c.order, c.exps, c.name)
     if s.startswith("file:"):
         return read_cocycle_file(s.split(":", 1)[1], G)
-    home = _SIGN_CATALOG.get(s)
-    if home is None:
+    if s not in _SIGN_CATALOG:
         raise ValueError(f"cannot parse cocycle descriptor {spec!r}")
+    home = _SIGN_CATALOG[s][0]
     if home != G.name:
         raise ValueError(f"cocycle {s} lives on {home}, not on {G.name}")
-    return next(c for c in _sign_catalog(G) if c.name == s)
+    return _sign_cocycle(s, G)

@@ -38,7 +38,7 @@ from .algebra import TwistedGroupAlgebra, WedderburnDecomposition, wedderburn_de
 from .cocycles import (TwoCocycle, c_regular_count, cyclotomic_integer, parse_cocycle,
                        sign_cocycles_catalog, trivial_cocycle)
 from .groups import FiniteGroup, build_group, conjugacy_classes
-from .state_sum import TriangleTerm, plan_from_terms, run_state_sum
+from .state_sum import TriangleTerm, plan_from_terms, refuse_overflow, run_state_sum
 from .surfaces import (GluedTriangulation, RelatorPresentation, SimplicialSurface, SurfaceSpec,
                        relator_presentation, seven_vertex_torus, standard_triangulation,
                        tetrahedron_sphere)
@@ -267,16 +267,17 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     table so that the two stay independent checks of each other: a row is one
     partial labeling, rows are never merged, every labeled edge is kept and
     nothing is gauge-fixed.  The edges are labeled in plan.order, one level at
-    a time, and the labels are stored by edge, one contiguous array of all
-    rows per level, so a slot reads one array.  A term is checked at the
-    level of its last edge: l_0 l_1, gathered from the flat Cayley table, must
-    be the inverse of l_2, and exp2 at the same flat index joins the
-    exponent (edges carry no weight of their own).  A term that closes there
-    and holds that edge once forces its label, l_s = (l_{s+1} l_{s+2})^-1,
-    by one gather, and otherwise the edge is free and every row repeats #G
-    times.  A block of rows goes through the levels breadth-first; one that
-    would outgrow _BLOCK_ENTRIES labels is split and its parts are taken
-    depth-first, so the live table stays bounded.
+    a time, and the labels are stored by edge variable, one contiguous array
+    of all rows per edge, so a slot reads one array.  Each level reads its
+    step of plan.steps: the term that forces the edge, which holds it once,
+    sets its label by one gather, l_s = (l_{s+1} l_{s+2})^-1, and otherwise
+    the edge is free and every row repeats #G times.  Each term that closes
+    there is checked: l_0 l_1, gathered from the flat Cayley table, must be
+    the inverse of l_2, and exp2 at the same flat index joins the exponent
+    (edges carry no weight of their own).  A block of rows goes through the
+    levels breadth-first; one that would outgrow _BLOCK_ENTRIES labels is
+    split and its parts are taken depth-first, so the live table stays
+    bounded.
     Returns (counts, states_visited) with counts[k] the number of admissible
     labelings of total exponent k mod modulus and states_visited the rows
     generated, the nodes of the equivalent backtracking search.
@@ -284,21 +285,10 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     n = group.order
     label, pair = np.min_scalar_type(n - 1), np.min_scalar_type(n * n - 1)
     cay, inv = group.cayley.astype(label).ravel(), group.inverse.astype(label)
-    order = plan.order
-    position = {var: pos for pos, var in enumerate(order)}
-    closing = [[] for _ in order]    # per level: (slot rows, term) completed there
-    forcing = [None] * len(order)    # per level: (slot rows, slot) fixing its label
-    for term in terms:
-        last = max(position[v] for v in term.vars)
-        slots = [(position[v], flip) for v, flip in zip(term.vars, term.inverted)]
-        closing[last].append((slots, term))
-        var = order[last]
-        if forcing[last] is None and term.vars.count(var) == 1:
-            forcing[last] = (slots, term.vars.index(var))
 
-    def slot_label(lab, slot):
-        row = lab[slot[0]]
-        return inv.take(row) if slot[1] else row
+    def slot_label(lab, term, s, flip=False):
+        row = lab[term.vars[s]]
+        return inv.take(row) if term.inverted[s] != flip else row
 
     def flat(a, b):   # index of (a, b) in a flattened n x n table
         return a.astype(pair) * n + b
@@ -307,31 +297,33 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     step = max(1, _BLOCK_ENTRIES // (max(1, n_vars) * n))
     counts = np.zeros(modulus, dtype=np.int64)
     visited = 0
-    # labels by edge: lab[pos] holds the label of edge order[pos] in every row
+    # labels by edge: lab[var] holds the label of edge var in every row
     stack = [(0, np.zeros((n_vars, 1), dtype=label), np.zeros(1, dtype=np.int64))]
     while stack:
         pos, lab, expo = stack.pop()
         while pos < n_vars and len(expo):
-            if forcing[pos] is None:
+            var, (forcing, closing, _) = plan.order[pos], plan.steps[pos]
+            if forcing is None:
                 if len(expo) > step:
                     stack.extend((pos, lab[:, i:i + step], expo[i:i + step])
                                  for i in reversed(range(0, len(expo), step)))
                     break
                 lab = np.repeat(lab, n, axis=1)
-                lab[pos] = np.tile(np.arange(n, dtype=label), len(expo))
+                lab[var] = np.tile(np.arange(n, dtype=label), len(expo))
                 expo = np.repeat(expo, n)
             else:
-                slots, s = forcing[pos]
-                x = cay.take(flat(slot_label(lab, slots[(s + 1) % 3]),
-                                  slot_label(lab, slots[(s + 2) % 3])))
-                lab[pos] = x if slots[s][1] else inv.take(x)
+                ti, s = forcing
+                term = terms[ti]
+                x = cay.take(flat(slot_label(lab, term, (s + 1) % 3),
+                                  slot_label(lab, term, (s + 2) % 3)))
+                lab[var] = x if term.inverted[s] else inv.take(x)
             visited += len(expo)
             keep = None
-            for slots, term in closing[pos]:
-                index = flat(slot_label(lab, slots[0]), slot_label(lab, slots[1]))
+            for ti in closing:
+                term = terms[ti]
+                index = flat(slot_label(lab, term, 0), slot_label(lab, term, 1))
                 # l_0 l_1 l_2 = 1: l_0 l_1 is l_2^-1, slot 2 read with its flip negated
-                row, flip = slots[2]
-                ok = cay.take(index) == slot_label(lab, (row, not flip))
+                ok = cay.take(index) == slot_label(lab, term, 2, flip=True)
                 keep = ok if keep is None else keep & ok
                 expo = expo + term.exp2.take(index)
             if keep is not None and not keep.all():
@@ -369,7 +361,7 @@ def dw_labeling_oracle(G: FiniteGroup, c: TwoCocycle, surf: SimplicialSurface) -
         sides = [(tr[s % 3], tr[(s + 1) % 3]) for s in range(first, first + 3)]
         terms.append(TriangleTerm(tuple(edge_index[(min(u, v), max(u, v))] for u, v in sides),
                                   tuple(u > v for u, v in sides), table))
-    plan = plan_from_terms(len(edges), terms)
+    plan = plan_from_terms(len(edges), [term.vars for term in terms])
     estimate = plan.estimate_nodes(n)
     if estimate > MAX_ORACLE_STATES:
         raise InvariantError(
@@ -535,7 +527,12 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec | GluedTriangul
         values["direct"] = dw_direct(G, c, spec)
     A = TwistedGroupAlgebra(G, c)
     if "statesum" in methods:
-        res = run_state_sum(A, standard_triangulation(spec) if tri is None else tri)
+        if tri is None:
+            # every triangulation of the surface has at least 2 - chi free
+            # edges (E - T + 1 = V + 1 - chi): refuse before building one
+            refuse_overflow(G.order, 2 - spec.chi)
+            tri = standard_triangulation(spec)
+        res = run_state_sum(A, tri)
         values["statesum"] = Fraction(G.order) ** (-spec.chi) * res.value
         states = res.states_visited
         diagnostics["statesum_plan"] = res.plan.to_json()

@@ -6,11 +6,11 @@ Inside ``run_scope()`` the pure functions that route through ``shared``
 compute each result once, keyed by the content of their inputs; outside it,
 ``shared`` calls ``compute`` every time.  The scope is a context variable, so
 nothing is carried from one run to the next, and library callers holding the
-same objects across calls never read a stored result.  The six sites are
-``build_group``, ``wedderburn_decompose``, ``standard_triangulation``, the
-terms a gluing alone determines (``state_sum._gluing_slots``: edge
-variables, inverted and paying slots, after orienting), ``plan_from_terms``
-with its step schedule, and ``run_state_sum``.  What derives from one
+same objects across calls never read a stored result.  The five sites are
+``build_group``, ``wedderburn_decompose``, ``standard_triangulation``, what
+a gluing alone determines (``state_sum._gluing_slots``: edge variables,
+inverted and paying slots, after orienting, and the contraction plan with
+its step schedule), and ``run_state_sum``.  What derives from one
 immutable object alone (a group's conjugacy classes, a cocycle's c-regular
 class count) is kept on that object instead.
 """

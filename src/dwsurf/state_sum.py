@@ -45,18 +45,21 @@ class ContractionError(ValueError):
 
 @dataclass(frozen=True)
 class ContractionPlan:
-    """Static edge-processing order with per-edge branch kinds.
+    """Static edge-processing order and the schedule both engines read.
 
-    ``kinds[i]`` is 'forced' when, with all earlier edges labeled, some
-    triangle determines edge ``order[i]``, and 'free' otherwise.
-    ``steps[i]`` is the frontier table's schedule at that edge, fixed by the
-    terms' edges alone: the (term, slot) that forces it (None when free),
-    the terms it completes and the edges that then leave the frontier.
+    ``steps[i]`` belongs to edge ``order[i]``, fixed by the terms' edges
+    alone: the (term, slot) that forces it, or None when it is free; the
+    terms it completes; and the edges that then leave the frontier.  An edge
+    is forced when, with all earlier edges labeled, some term holding it
+    once has its other two edges labeled.
     """
 
     order: tuple
-    kinds: tuple
-    steps: tuple = field(compare=False, repr=False)
+    steps: tuple = field(repr=False)
+
+    @property
+    def kinds(self) -> tuple:
+        return tuple("free" if forcing is None else "forced" for forcing, _, _ in self.steps)
 
     @property
     def free_count(self) -> int:
@@ -100,57 +103,50 @@ class TriangleTerm:
     exp2: np.ndarray   # exponent by the labels of slots 0 and 1
 
 
-def plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
-    """Greedy deterministic order: the last edge of the lowest term with two
-    labeled slots (forced) when there is one, else the lowest edge of a term
-    with one, else the lowest edge.  The plan and its schedule depend on the
-    terms' edge variables only; one heap makes them in O((E + T) log(E + T)),
-    once per run scope (memo.py)."""
-    return shared(lambda: ("plan_from_terms", n_vars, tuple(term.vars for term in terms)),
-                  lambda: _plan_from_terms(n_vars, terms))
-
-
-def _plan_from_terms(n_vars: int, terms: list) -> ContractionPlan:
+def plan_from_terms(n_vars: int, term_vars) -> ContractionPlan:
+    """Greedy deterministic order over the terms' edge-variable triples: the
+    last edge of the lowest term with two labeled slots (forced) when there
+    is one, else the lowest edge of a term with one, else the lowest edge.
+    One heap makes the plan and its schedule in O((E + T) log(E + T))."""
     terms_of = [[] for _ in range(n_vars)]     # one entry per slot
-    for ti, term in enumerate(terms):
-        for v in term.vars:
+    for ti, edges in enumerate(term_vars):
+        for v in edges:
             terms_of[v].append(ti)
-    filled = [0] * len(terms)
+    filled = [0] * len(term_vars)
     open_slots = [len(ts) for ts in terms_of]   # per edge, slots of incomplete terms
     done = [False] * n_vars
     # (0, term) once it has two labeled slots, (1, edge) of a term with one,
     # (2, edge) for every edge; the least live entry is the pick
     heap = [(2, v) for v in range(n_vars)]
-    order, kinds, steps = [], [], []
+    order, steps = [], []
     while heap:
         rank, x = heapq.heappop(heap)
         if rank == 0 and filled[x] == 2:
-            pick = next(v for v in terms[x].vars if not done[v])
+            pick = next(v for v in term_vars[x] if not done[v])
         elif rank and not done[x]:
             pick = x
         else:
             continue
         done[pick] = True
         order.append(pick)
-        kinds.append("free" if rank else "forced")
         closing = []
         leaving = [] if open_slots[pick] else [pick]   # an edge in no term leaves at once
         for ti in terms_of[pick]:
             filled[ti] += 1
             if filled[ti] == 1:
-                for v in terms[ti].vars:
+                for v in term_vars[ti]:
                     heapq.heappush(heap, (1, v))
             elif filled[ti] == 2:
                 heapq.heappush(heap, (0, ti))
             elif filled[ti] == 3:
                 closing.append(ti)
-                for v in terms[ti].vars:
+                for v in term_vars[ti]:
                     open_slots[v] -= 1
                     if not open_slots[v]:
                         leaving.append(v)
-        forcing = None if rank else (x, terms[x].vars.index(pick))
+        forcing = None if rank else (x, term_vars[x].index(pick))
         steps.append((forcing, tuple(closing), tuple(leaving)))
-    return ContractionPlan(tuple(order), tuple(kinds), tuple(steps))
+    return ContractionPlan(tuple(order), tuple(steps))
 
 
 def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
@@ -161,16 +157,17 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     every row #G times; a forced edge is one gather from the Cayley and
     inverse tables.  A completed triangle filters rows by its boundary product
     and adds its exp2 entry.  An edge whose triangles are all complete
-    leaves the frontier, and rows with equal keys merge.  Which term forces,
-    which close and which edges leave at each step is read from plan.steps,
-    so the work here is array work.
+    leaves the frontier, and rows with equal keys merge.  The plan's steps
+    are the one schedule: the term that forces each edge, the terms that
+    close and the edges that leave are read from them, so the work here is
+    array work.
 
     Returns (counts, rows) with counts[k] the number of admissible labelings
     of total exponent k mod modulus and rows the number of table rows
     generated.
     """
     n = group.order
-    _refuse_overflow(n, plan.free_count)
+    refuse_overflow(n, plan.free_count)
     label, pair = np.min_scalar_type(n - 1), np.min_scalar_type(n * n - 1)
     cay, inv = group.cayley.astype(label).ravel(), group.inverse.astype(label)
     cols = {}   # frontier edge -> label column
@@ -221,9 +218,9 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     return counts, rows
 
 
-def _refuse_overflow(n: int, free: int):
+def refuse_overflow(n: int, free: int):
     """Refuse n^free labelings, which reach the int64 bound of the counts."""
-    if n ** free >= 2 ** 63:
+    if (n > 1 and free >= 63) or n ** free >= 2 ** 63:
         raise ContractionError(f"{n}^{free} labelings reach the int64 bound 2^63; "
                                "the exact counts would wrap around")
 
@@ -247,7 +244,7 @@ def _merge(cols: dict, expo: np.ndarray, mult: np.ndarray):
 # engine inputs for twisted group algebras
 
 def _edge_terms(A: TwistedGroupAlgebra, tri: GluedTriangulation):
-    """The edge variables and triangle terms of the state sum of A on tri,
+    """The edge count, triangle terms and plan of the state sum of A on tri,
     oriented first when it is orientable.
 
     A triangle with labels (a, b, l_2), l_2 = (ab)^-1, weighs c(a, b)
@@ -259,19 +256,20 @@ def _edge_terms(A: TwistedGroupAlgebra, tri: GluedTriangulation):
     closer = c.exps[np.arange(A.group.order), inv]   # c(g, g^-1)
     # c(l_s, l_s^-1), s = 0, 1, 2, as tables of (l_0, l_1), with l_2 = (l_0 l_1)^-1
     weights = (closer[:, None], closer, closer[inv[A.group.cayley]])
-    n_vars, slots = _gluing_slots(tri)
+    n_vars, slots, plan = _gluing_slots(tri)
     tables = {paying: (c.exps + weights[2] - sum(weights[s] for s in paying)) % c.order
               for paying in {paying for _, _, paying in slots}}
     terms = [TriangleTerm(edges, inverted, tables[paying]) for edges, inverted, paying in slots]
-    return n_vars, terms, c.order
+    return n_vars, terms, plan
 
 
 def _gluing_slots(tri: GluedTriangulation):
     """(edge count, per triangle (edge variables, inverted slots, paying
-    slots)) of tri, oriented first when it is orientable: all the state sum
-    reads off the gluing, derived once per gluing inside a run scope.  An
-    edge is numbered by its smaller flag; a reversal-type edge's smaller flag
-    pays its weight and its larger flag reads the inverse label."""
+    slots), contraction plan) of tri, oriented first when it is orientable:
+    all the state sum reads off the gluing, derived once per gluing inside a
+    run scope.  An edge is numbered by its smaller flag; a reversal-type
+    edge's smaller flag pays its weight and its larger flag reads the
+    inverse label."""
     return shared(lambda: ("gluing_slots", tri.pairing.tobytes(), tri.reversal.tobytes()),
                   lambda: _derive_gluing_slots(tri))
 
@@ -284,9 +282,10 @@ def _derive_gluing_slots(tri: GluedTriangulation):
     edge = (np.cumsum(first) - 1)[np.minimum(flag, tri.pairing)].reshape(-1, 3).tolist()
     inverted = (~first & tri.reversal).reshape(-1, 3).tolist()
     paying = (first & tri.reversal).reshape(-1, 3).tolist()
-    return int(first.sum()), tuple(
-        (tuple(e), tuple(i), tuple(s for s in range(3) if p[s]))
-        for e, i, p in zip(edge, inverted, paying))
+    n_vars, edges = int(first.sum()), [tuple(e) for e in edge]
+    slots = tuple((e, tuple(i), tuple(s for s in range(3) if p[s]))
+                  for e, i, p in zip(edges, inverted, paying))
+    return n_vars, slots, plan_from_terms(n_vars, edges)
 
 
 def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> StateSumResult:
@@ -304,11 +303,10 @@ def _run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> StateSumR
     # Each forced edge is forced by its own triangle, and the other triangle
     # of the last forced edge forces none, so every plan has at least
     # E - T + 1 free edges: refuse before building the terms and the plan.
-    _refuse_overflow(A.group.order, tri.n_edges - tri.n_triangles + 1)
-    n_vars, terms, modulus = _edge_terms(A, tri)
-    plan = plan_from_terms(n_vars, terms)
-    counts, rows = exact_contraction(A.group, modulus, n_vars, terms, plan)
+    refuse_overflow(A.group.order, tri.n_edges - tri.n_triangles + 1)
+    n_vars, terms, plan = _edge_terms(A, tri)
+    counts, rows = exact_contraction(A.group, A.cocycle.order, n_vars, terms, plan)
     counts.setflags(write=False)
     scale = Fraction(A.group.order) ** (tri.n_triangles - tri.n_edges)
     value = scale * cyclotomic_integer(counts, "state sum")
-    return StateSumResult(value, rows, counts, modulus, plan)
+    return StateSumResult(value, rows, counts, A.cocycle.order, plan)

@@ -231,23 +231,23 @@ def simplicial_to_glued(surf):
     return GluedTriangulation(len(surf.triangles), pairing, reversal, name="from-simplicial")
 
 
-def rescan_plan(n_vars, terms):
+def rescan_plan(n_vars, term_vars):
     """The greedy contraction order by a full rescan at every step: a forced
     edge of the first term with two labeled slots when there is one, else the
     free edge of highest (most labeled slots of one of its terms, slots, -edge).
-    O(E T) for E edges and T terms."""
+    O(E T) for E edges and T terms, given by their edge-variable triples."""
     slots_of = [[] for _ in range(n_vars)]
-    for ti, term in enumerate(terms):
-        for s, v in enumerate(term.vars):
+    for ti, edges in enumerate(term_vars):
+        for s, v in enumerate(edges):
             slots_of[v].append((ti, s))
-    filled = [0] * len(terms)
+    filled = [0] * len(term_vars)
     done = [False] * n_vars
     order, kinds = [], []
     for _ in range(n_vars):
         pick, kind = None, None
-        for ti, term in enumerate(terms):
+        for ti, edges in enumerate(term_vars):
             if filled[ti] == 2:
-                missing = [v for v in term.vars if not done[v]]
+                missing = [v for v in edges if not done[v]]
                 if missing:
                     pick, kind = min(missing), "forced"
                     break

@@ -8,11 +8,12 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dwsurf import algebra
+from dwsurf import algebra, cocycles, invariants
 from dwsurf.algebra import TwistedGroupAlgebra, wedderburn_decompose
 from dwsurf.cli import build_parser, cmd_check, main, parse_cocycle
 from dwsurf.cocycles import (heisenberg_cocycle, sign_cocycles_catalog, trivial_cocycle, twist,
@@ -20,6 +21,7 @@ from dwsurf.cocycles import (heisenberg_cocycle, sign_cocycles_catalog, trivial_
 from dwsurf.groups import build_group
 from dwsurf.invariants import cross_check
 from dwsurf.memo import run_scope
+from dwsurf.state_sum import ContractionError
 from dwsurf.surfaces import SurfaceSpec, pachner_13, standard_triangulation
 
 
@@ -249,6 +251,36 @@ def test_statesum_overflow_is_a_computation_error(capsys):
     assert json.loads(out)["error"].startswith("ContractionError")
 
 
+def test_statesum_bound_is_refused_before_triangulating(capsys, monkeypatch):
+    """#G^(2 - chi) >= 2^63 is refused before the standard triangulation is
+    built: every triangulation has at least 2 - chi free edges."""
+    monkeypatch.setattr(invariants, "standard_triangulation",
+                        mock.Mock(side_effect=AssertionError("triangulated")))
+    G = build_group("cyclic:2")
+    with pytest.raises(ContractionError, match="2\\^200000 labelings reach the int64 bound 2\\^63"):
+        cross_check(G, trivial_cocycle(G), SurfaceSpec(True, 100000), methods=("statesum",))
+    # the bound is decided without the power itself: 120^20000000 would take minutes
+    for group, order in (("cyclic:2", 2), ("symmetric:5", 120)):
+        code, out = run(capsys, "compute", "--group", group, "--surface", "orientable:10000000",
+                        "--method", "statesum")
+        assert code == 1
+        assert json.loads(out)["error"].startswith(f"ContractionError: {order}^20000000 labelings")
+
+
+@pytest.mark.parametrize("surface, kinds", [
+    ("orientable:1", ["free", "free", "forced"]),
+    ("orientable:2", ["free", "free", "forced", "forced", "forced", "free", "forced", "free",
+                      "forced"]),
+    ("nonorientable:2", ["free", "forced", "free"]),
+])
+def test_statesum_plan_diagnostics_are_pinned(capsys, surface, kinds):
+    code, out = run(capsys, "compute", "--group", "cyclic:2", "--surface", surface,
+                    "--method", "statesum")
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["statesum_plan"] == {
+        "free_edges": kinds.count("free"), "kinds": kinds, "order": list(range(len(kinds)))}
+
+
 def test_decompose_output(capsys):
     code, out = run(capsys, "decompose", "--group", "symmetric:3")
     data = json.loads(out)
@@ -383,6 +415,17 @@ def test_parse_cocycle_reads_catalog_names(gspec):
         parsed = parse_cocycle(c.name, G)
         assert parsed.name == c.name and parsed.group == G
         assert parsed.order == c.order and np.array_equal(parsed.exps, c.exps)
+
+
+def test_parse_cocycle_builds_only_the_named_cocycle(monkeypatch):
+    """klein4:diag shares its group with heisenberg:2, which is neither built
+    nor verified when klein4:diag is parsed."""
+    verified, verify = [], cocycles.verify_cocycle
+    monkeypatch.setattr(cocycles, "verify_cocycle", lambda c: verified.append(c.name) or verify(c))
+    monkeypatch.setattr(cocycles, "heisenberg_cocycle", mock.Mock(side_effect=AssertionError))
+    G = build_group("product(cyclic:2,cyclic:2)")
+    assert parse_cocycle("klein4:diag", G).name == "klein4:diag"
+    assert verified == ["klein4:diag"]
 
 
 def test_unknown_cocycle_name_keeps_its_error_without_catalog_warning():

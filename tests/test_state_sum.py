@@ -68,9 +68,10 @@ def test_standard_plans_have_the_fewest_free_edges(orientable):
 
 
 def _plan_inputs(tri):
-    """(n_vars, terms) of the state sum on tri, oriented first as the engine does."""
-    tri = tri.oriented() if tri.orientable else tri
-    return state_sum._edge_terms(algebra("cyclic:1"), tri)[:2]
+    """(n_vars, edge-variable triples) of the state sum on tri, oriented first
+    as the engine does."""
+    n_vars, slots, _ = state_sum._gluing_slots(tri)
+    return n_vars, [edges for edges, _, _ in slots]
 
 
 def test_plans_match_the_rescan_reference(monkeypatch):
@@ -88,23 +89,23 @@ def test_plans_match_the_rescan_reference(monkeypatch):
     inputs = [_plan_inputs(tri) for tri in tris]
     plan = invariants.plan_from_terms
     monkeypatch.setattr(invariants, "plan_from_terms",
-                        lambda n, terms: inputs.append((n, terms)) or plan(n, terms))
+                        lambda n, term_vars: inputs.append((n, term_vars)) or plan(n, term_vars))
     G = build_group("cyclic:1")
     for surf in (tetrahedron_sphere(), seven_vertex_torus()):
         dw_labeling_oracle(G, trivial_cocycle(G), surf)
     assert len(inputs) == 613 + 2
-    for n_vars, terms in inputs:
-        got = plan_from_terms(n_vars, terms)
-        assert (got.order, got.kinds) == rescan_plan(n_vars, terms)
+    for n_vars, term_vars in inputs:
+        got = plan_from_terms(n_vars, term_vars)
+        assert (got.order, got.kinds) == rescan_plan(n_vars, term_vars)
 
 
 def test_planning_is_near_linear_at_large_genus():
     # a rescan of every term at every step needs O(E T), tens of seconds at this genus;
     # the heap planner needs O((E + T) log(E + T)), hundredths of a second
     tri = standard_triangulation(SurfaceSpec(True, 3000))
-    n_vars, terms = _plan_inputs(tri)
+    n_vars, term_vars = _plan_inputs(tri)
     start = time.perf_counter()
-    plan = plan_from_terms(n_vars, terms)
+    plan = plan_from_terms(n_vars, term_vars)
     assert time.perf_counter() - start < 2
     assert plan.free_count == tri.n_edges - tri.n_triangles + 1
 
@@ -176,15 +177,18 @@ def test_run_scope_contracts_each_state_sum_once(monkeypatch):
 
 
 def test_run_scope_derives_each_gluing_once(monkeypatch):
-    """A gluing's terms, plan and schedule are derived once inside a run
-    scope, whichever cocycle is contracted on it and whichever object holds
-    the gluing; outside the scope every call derives them again."""
-    derived, planned = [], []
-    derive, plan = state_sum._derive_gluing_slots, state_sum._plan_from_terms
+    """A gluing's slots and plan, with its schedule, are derived once inside
+    a run scope, whichever cocycle is contracted on it and whichever object
+    holds the gluing; outside the scope every call derives them again.  The
+    labeling oracle plans its surface on every call, in a scope or not."""
+    derived, planned, oracle_planned = [], [], []
+    derive, plan = state_sum._derive_gluing_slots, state_sum.plan_from_terms
     monkeypatch.setattr(state_sum, "_derive_gluing_slots",
                         lambda tri: derived.append(tri) or derive(tri))
-    monkeypatch.setattr(state_sum, "_plan_from_terms",
-                        lambda n, terms: planned.append(n) or plan(n, terms))
+    monkeypatch.setattr(state_sum, "plan_from_terms",
+                        lambda n, term_vars: planned.append(n) or plan(n, term_vars))
+    monkeypatch.setattr(invariants, "plan_from_terms",
+                        lambda n, term_vars: oracle_planned.append(n) or plan(n, term_vars))
     c = heisenberg_cocycle(2)
     twisted = twist(c, [0, 1, 0, 0], 2)
     torus = standard_triangulation(SurfaceSpec(True, 1))
@@ -192,8 +196,11 @@ def test_run_scope_derives_each_gluing_once(monkeypatch):
     with run_scope():
         results = [run_state_sum(TwistedGroupAlgebra(c.group, x), tri)
                    for x, tri in ((c, torus), (twisted, copy))]
+        oracle = [dw_labeling_oracle(c.group, x, seven_vertex_torus()) for x in (c, twisted)]
     assert len(derived) == len(planned) == 1
+    assert len(oracle_planned) == 2 and oracle[0] == oracle[1] == results[0].value
     assert results[1] is not results[0] and results[1].value == results[0].value
+    assert results[1].plan is results[0].plan
     assert results[1].plan.steps is results[0].plan.steps
     for x in (c, twisted):
         run_state_sum(TwistedGroupAlgebra(c.group, x), torus)
@@ -330,10 +337,9 @@ def test_overflow_is_refused_before_planning(monkeypatch):
 
 def test_contraction_keeps_its_own_overflow_guard():
     A = algebra("symmetric:5")
-    n_vars, terms, modulus = state_sum._edge_terms(A, standard_triangulation(SurfaceSpec(True, 5)))
-    plan = state_sum.plan_from_terms(n_vars, terms)
+    n_vars, terms, plan = state_sum._edge_terms(A, standard_triangulation(SurfaceSpec(True, 5)))
     with pytest.raises(ContractionError, match="120\\^10 labelings"):
-        state_sum.exact_contraction(A.group, modulus, n_vars, terms, plan)
+        state_sum.exact_contraction(A.group, A.cocycle.order, n_vars, terms, plan)
 
 
 def subdivided_torus():
