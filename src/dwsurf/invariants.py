@@ -4,15 +4,16 @@ The direct route sums over homomorphisms from the surface group to G, each
 weighted by an exact root-of-unity evaluation of the 2-cocycle on the
 fundamental cycle of the standard polygon.  It cuts the polygon along its
 handles (crosscaps), so the sum becomes a product of transfer operators on
-(relator prefix, exponent) counts, and genus is a loop count.  The first
-handle starts at the identity prefix and the last closes there, so genus
-<= 2 costs O(n^2 N + n N^2) and builds no general operator; genus g >= 3
-builds the handle operator once, O(n^3 + (g-2) n^2 N^2 + n N^2) in all, for
-order n and cocycle order N.  count_homs, the oracle of the dw check
-hom-count rows, cuts the relator into two halves that share no generator,
-histograms each half's product over G and pairs the histograms, reading
-only the Cayley and inverse tables; boundary_hom_count_brute pairs the
-same histogram of the commutators with one of the boundary products.  The
+(relator prefix, exponent) counts, and genus is a loop count.  Every step
+is read off one histogram of the handles from the identity, shifted by
+c(prefix, handle product): genus <= 2 costs O(n^2 + n N^2) and builds no
+operator; genus g >= 3 builds the handle operator once,
+O(N n^2 + (g-2) n^2 N^2 + n N^2) in all, for order n and cocycle order N.
+count_homs, the oracle of the dw check hom-count rows, cuts the relator
+into two halves that share no generator, histograms each half's product
+over G and pairs the histograms, reading only the Cayley and inverse
+tables; boundary_hom_count_brute pairs the same histogram of the
+commutators with one of the boundary products.  The
 weighted brute force and the weight of a single homomorphism are test
 oracles (tests/oracles.py).  The state-sum route contracts the twisted
 group algebra over a triangulation.  The Verlinde route reads the invariant
@@ -55,11 +56,6 @@ class InvariantError(ValueError):
 # generator labels of one half of count_homs, edge labels of the labeling
 # enumeration.  The oracles stay a few MB.
 _BLOCK_ENTRIES = 1 << 18
-
-# (row, a, b) entries of one block of the handle operator: each int64
-# temporary is at most 128 KiB, so it stays in cache and no n^3-sized table
-# exists for the largest groups.
-_OPERATOR_BLOCK = 1 << 14
 
 # Bounds of the oracles, refused before any work: generator tuples n^generators
 # of count_homs and boundary_hom_count_brute (dw check skips hom-count rows
@@ -134,107 +130,78 @@ def _product_histogram(G: FiniteGroup, word: tuple) -> np.ndarray:
     return hist
 
 
-def _read_handle(G: FiniteGroup, c: TwoCocycle, prefix: np.ndarray, orientable: bool,
-                 first: bool = False) -> tuple:
-    """Read one handle (a, b), or one crosscap x, after the relator prefixes
-    in ``prefix``; returns (prefix after it, cocycle exponent it adds).
+def _handle_histogram(G: FiniteGroup, c: TwoCocycle, orientable: bool) -> np.ndarray:
+    """H[y, k]: the handles (a, b) with [a, b] = y, or the crosscaps x with
+    x^2 = y, whose cocycle exponent is k mod N.
 
-    ``prefix`` broadcasts against the letters, which run over a on the
-    next-to-last axis and b on the last (handle) or x on the last axis
-    (crosscap).  A handle reads a, b, a^-1, b^-1 and pays c(x, x^-1) back for
-    x = a, b; a crosscap reads x, x.  Each letter adds exps[prefix, letter],
-    except the first letter of the whole relator (first=True, prefix the
-    identity), which carries no c(1, g) term.  The exponents are not reduced
-    mod N.
+    Each is read letter by letter from the identity: a handle reads a, b,
+    a^-1, b^-1 and pays c(x, x^-1) back for x = a, b; a crosscap reads x, x.
+    Each letter after the first adds exps[prefix, letter]; the first carries
+    no c(1, g) term.
     """
-    n = G.order
+    n, N = G.order, c.order
     cay, inv, exps = G.cayley.ravel(), G.inverse, c.exps.ravel()
     idx = np.arange(n)
     if orientable:
         a, b = idx[:, None], idx[None, :]
-        letters = (a, b, inv[a], inv[b])
         pay_back = exps.take(idx * n + inv)
-        k = -(pay_back[a] + pay_back[b])
+        h, k, letters = a, -(pay_back[a] + pay_back[b]), (b, inv[a], inv[b])
     else:
-        letters = (idx,) * 2
-        k = 0
-    h = prefix
-    for pos, e in enumerate(letters):
+        h, k, letters = idx, 0, (idx,)
+    for e in letters:
         at = h * n + e    # flat (prefix, letter) index into both tables
-        if pos or not first:
-            k = k + exps.take(at)
+        k += exps.take(at)
         h = cay.take(at)
-    return h, k
+    k %= N
+    k += h * N
+    return np.bincount(k.ravel(), minlength=n * N).reshape(n, N)
 
 
-def _operator_rows(G: FiniteGroup, c: TwoCocycle, rows: np.ndarray, orientable: bool,
-                   first: bool = False) -> np.ndarray:
-    """Transfer operator rows T[i, h, k]: the number of handles (a, b), or of
-    crosscaps x, that take the relator prefix rows[i] to h with cocycle
-    exponent k mod N.  first=True (rows = [0]) reads the first handle of the
-    whole relator, as in _read_handle.
+def _handle_operator(G: FiniteGroup, c: TwoCocycle, H: np.ndarray) -> np.ndarray:
+    """T[d, h y, h] = H[y, d - c(h, y)]: the handles (crosscaps) that take the
+    relator prefix h to h y with exponent d mod N, transposed for the
+    matmuls.  Filled one d at a time, so no temporary exceeds n^2 entries.
     """
-    n, N = G.order, c.order
-    lead = (-1,) + (1,) * (2 if orientable else 1)
-    h, k = _read_handle(G, c, np.asarray(rows).reshape(lead), orientable, first)
-    row = np.arange(len(rows)).reshape(lead)
-    slot = (row * n + h) * N + np.mod(k, N)
-    return np.bincount(slot.ravel(), minlength=len(rows) * n * N).reshape(len(rows), n, N)
-
-
-def _closing_counts(G: FiniteGroup, c: TwoCocycle, orientable: bool) -> np.ndarray:
-    """C[h, d]: the number of handles (a, b), or of crosscaps x, that take the
-    relator prefix h to the identity with cocycle exponent d mod N.
-
-    Only h = [a, b]^-1 (h = (x^2)^-1) closes, so each of the n^2 handles (n
-    crosscaps) is read twice by _read_handle: from the identity, whose result
-    inverted is that prefix, and from that prefix, for its exponent.
-    """
-    n, N = G.order, c.order
-    prefix = G.inverse[_read_handle(G, c, 0, orientable)[0]]
-    _, k = _read_handle(G, c, prefix, orientable)
-    return np.bincount((prefix * N + np.mod(k, N)).ravel(), minlength=n * N).reshape(n, N)
+    n, N = H.shape
+    T = np.empty((N, n, n), dtype=np.int64)
+    y, h = np.arange(n), np.arange(n)[:, None]
+    for d in range(N):
+        T[d][G.cayley, h] = H[y, (d - c.exps) % N]
+    return T
 
 
 def _direct_counts(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> np.ndarray:
     """Histogram over k of homomorphisms pi_1(surface) -> G of weight zeta_N^k.
 
     The state v[h, k] counts partial assignments of relator prefix h and
-    exponent k.  The first handle or crosscap starts at the identity prefix
-    (one operator row, O(n^2) work) and the last one must end there: at
-    genus 1 the answer is that row's identity entry, and otherwise the last
-    one is the closing histogram C[h, d] (O(n^2) work), contracted with v as
-    sum_d roll(C[:, d] @ v, d) in O(n N^2).  So genus <= 2 costs
-    O(n^2 N + n N^2) and builds no general operator.  Each handle or
-    crosscap in between applies the general operator, built once in O(n^3)
-    (handle) or O(n^2) (crosscap) work, as N int64 matmuls with a cyclic
-    shift in k, O(n^2 N^2) per step: O(n^3 + (g-2) n^2 N^2 + n N^2) at genus
-    g >= 3.  The operator is built in blocks of whole rows, at most
-    _OPERATOR_BLOCK (row, a, b) entries each (2^14, one row when n^2 is
-    larger), so its temporaries stay under 128 KiB for every order up to
-    128; the operator itself holds N n^2 counts.
+    exponent k.  A handle (crosscap) of product y read after the prefix h
+    adds c(h, y) to its exponent from the identity (see dw_direct), so the
+    one histogram H of _handle_histogram, O(n^2) work (O(n) for crosscaps),
+    gives every step.  The first handle is H itself, and at genus 1 the
+    answer is its identity entry.  The last handle must close at the
+    identity: C[h, d] = H[h^-1, d - c(h, h^-1)], contracted with v as
+    sum_d roll(C[:, d] @ v, d) in O(n N^2), so genus <= 2 builds no operator.
+    Each handle in between applies the operator T of _handle_operator, built
+    once in O(N n^2), as N int64 matmuls with a cyclic shift in k,
+    O(n^2 N^2) per step.
     """
     n, N = G.order, c.order
     steps = spec.genus
     if steps == 0:
         return np.eye(1, N, dtype=np.int64)[0]
     generators = 2 * steps if spec.orientable else steps
-    if n ** generators >= 2 ** 63:
+    if (n > 1 and generators >= 63) or n ** generators >= 2 ** 63:
         raise InvariantError(f"{n}^{generators} homomorphism candidates overflow int64 counts")
-    v = _operator_rows(G, c, np.zeros(1, dtype=np.int64), spec.orientable, first=True)[0]
+    H = v = _handle_histogram(G, c, spec.orientable)
     if steps == 1:
-        return v[0]
+        return H[0]
     if steps > 2:
-        block = max(1, _OPERATOR_BLOCK // (n * n if spec.orientable else n))
-        T = np.empty((N, n, n), dtype=np.int64)   # T[d, h', h], transposed for the matmuls
-        for start in range(0, n, block):
-            stop = min(n, start + block)
-            rows = _operator_rows(G, c, np.arange(start, stop), spec.orientable)
-            T[:, :, start:stop] = rows.transpose(2, 1, 0)
+        T = _handle_operator(G, c, H)
         for _ in range(steps - 2):
             v = sum(np.roll(T[d] @ v, d, axis=1) for d in range(N))
-    M = _closing_counts(G, c, spec.orientable).T @ v   # M[d, k]: closed with d after k
-    shift = np.arange(N)
+    inv, shift = G.inverse, np.arange(N)
+    C = H[inv[:, None], (shift - c.exps[np.arange(n), inv][:, None]) % N]   # C[h, d]
+    M = C.T @ v   # M[d, k]: closed with d after k
     return M[shift[:, None], shift[None, :] - shift[:, None]].sum(axis=0)
 
 
@@ -243,13 +210,19 @@ def dw_direct(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> Fraction:
 
     The homomorphism sum is cut along the handles (crosscaps) of the standard
     relator into a product of transfer operators (see _direct_counts): for
-    order n and cocycle order N, O(n^2 N + n N^2) work up to genus 2, with no
-    operator held, and O(n^3 + (g-2) n^2 N^2 + n N^2) work and an operator of
-    n^2 N int64 counts at genus g >= 3.
+    order n and cocycle order N, O(n^2 + n N^2) work up to genus 2, with no
+    operator held, and O(N n^2 + (g-2) n^2 N^2 + n N^2) work and an operator
+    of N n^2 int64 counts at genus g >= 3.
+    In the twisted group algebra a handle's word equals zeta^k e_y whatever
+    precedes it, so after the prefix h it adds exactly c(h, y) to the
+    exponent it has from the identity.  That step uses associativity, so
+    from genus 2 on the cocycle must be normalized, as every verified or
+    constructed cocycle is; genus 0 and 1 read the definition letter by
+    letter and are exact on any table.
     Counts are exact and reduce to an exact integer modulo Phi_N;
-    #G^generators >= 2^63 is refused with InvariantError.  The sphere
-    contributes the single trivial homomorphism, giving 1/#G for every
-    cocycle.
+    #G^generators >= 2^63 is refused with InvariantError, decided on the
+    exponent before any power is taken.  The sphere contributes the single
+    trivial homomorphism, giving 1/#G for every cocycle.
     """
     if not spec.orientable and not c.is_sign_valued:
         raise InvariantError("non-orientable surfaces need a sign-valued cocycle")
@@ -439,9 +412,9 @@ def boundary_hom_count_brute(G: FiniteGroup, genus: int, boundary: tuple) -> int
     products c_1..c_k over the classes by one int64 np.add.at step per class,
     and the two are paired as in count_homs: sum_x head[x] tail[x^-1].
     """
-    n = G.order
-    if n ** (2 * genus) > MAX_HOM_TUPLES:
-        raise InvariantError(f"{n}^{2 * genus} tuples exceed the cap of {MAX_HOM_TUPLES}")
+    n, m = G.order, 2 * genus
+    if (n > 1 and m >= MAX_HOM_TUPLES.bit_length()) or n ** m > MAX_HOM_TUPLES:
+        raise InvariantError(f"{n}^{m} tuples exceed the cap of {MAX_HOM_TUPLES}")
     head = _product_histogram(G, relator_presentation(SurfaceSpec(True, genus)).word)
     classes = conjugacy_classes(G)
     tail = np.eye(1, n, dtype=np.int64)[0]

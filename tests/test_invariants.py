@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from dwsurf import groups, invariants
 from dwsurf.algebra import TwistedGroupAlgebra, wedderburn_decompose
 from dwsurf.cli import main
-from dwsurf.cocycles import (TwoCocycle, c_regular_count, heisenberg_cocycle,
+from dwsurf.cocycles import (TwoCocycle, c_regular_count, heisenberg_cocycle, parse_cocycle,
                              sign_cocycles_catalog, trivial_cocycle, twist)
 from dwsurf.groups import build_group, conjugacy_classes, involution_set
-from dwsurf.invariants import (InvariantError, boundary_hom_count, boundary_hom_count_brute,
-                               catalog_pairs, count_homs, cross_check, dw_direct,
-                               dw_labeling_oracle, mednykh_count, sign_catalog_pairs, verlinde)
+from dwsurf.invariants import (ORIENTABLE_CATALOG, InvariantError, boundary_hom_count,
+                               boundary_hom_count_brute, catalog_pairs, count_homs, cross_check,
+                               dw_direct, dw_labeling_oracle, mednykh_count, sign_catalog_pairs,
+                               verlinde)
 from dwsurf.invariants import _direct_counts
 from dwsurf.state_sum import run_state_sum
 from dwsurf.surfaces import (RelatorPresentation, SurfaceSpec, relator_presentation,
@@ -227,19 +228,68 @@ SMALL_GROUPS = ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "product(cyclic:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_transfer_histogram_equals_brute_force_on_random_tables(data):
-    """Any table in [0, N), cocycle or not, normalized or not.  Orientable
-    genus 3 (for order <= 4, at most 4^6 homomorphisms) passes through the
-    first row, one general operator step and the closing histogram."""
+    """Any table in [0, N), cocycle or not, normalized or not: up to genus 1
+    the handle histogram reads the definition letter by letter."""
     G = build_group(data.draw(st.sampled_from(SMALL_GROUPS)))
     orientable = data.draw(st.booleans())
-    top = 3 if G.order <= 4 else 2
-    genus = data.draw(st.integers(0, top) if orientable else st.integers(1, 3))
+    genus = data.draw(st.integers(0, 1) if orientable else st.just(1))
     N = data.draw(st.integers(1, 6))
     flat = data.draw(st.lists(st.integers(0, N - 1), min_size=G.order ** 2,
                               max_size=G.order ** 2))
     c = TwoCocycle(G, N, np.reshape(flat, (G.order, G.order)))
     spec = SurfaceSpec(orientable, genus)
     assert np.array_equal(_direct_counts(G, c, spec), _weight_histogram(c, spec))
+
+
+@st.composite
+def twisted_catalog_cases(draw):
+    """(group, cocycle, twist order, b, surface): a catalog cocycle
+    (orientable) or a sign catalog cocycle (non-orientable), to be twisted
+    by a random normalized b of order 1-6, at genus 2, or 3 where at most
+    4^6 or 8^3 homomorphisms are enumerated."""
+    orientable = draw(st.booleans())
+    names = (ORIENTABLE_CATALOG if orientable
+             else [(G.name, c.name) for G, c in sign_catalog_pairs()])
+    gspec, cname = draw(st.sampled_from(names))
+    n = build_group(gspec).order
+    genus = draw(st.integers(2, 3 if n <= 4 or not orientable else 2))
+    order = draw(st.integers(1, 6))
+    b = [0] + draw(st.lists(st.integers(0, order - 1), min_size=n - 1, max_size=n - 1))
+    return gspec, cname, order, b, SurfaceSpec(orientable, genus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=twisted_catalog_cases())
+@example(case=("quaternion:8", "q8:cup", 3, [0, 1, 0, 1, 2, 2, 1, 1], N3))
+@example(case=("dihedral:8", "d8:lift", 5, [0, 2, 1, 3, 4, 1, 4, 3], N3))
+def test_transfer_histogram_equals_brute_force_on_random_cocycles(case):
+    """From genus 2 on, the handles are coupled to their prefix by c(h, y),
+    which needs a normalized cocycle.  Twists of order <= 2 keep a sign
+    table sign-valued; the others give N >= 3, where a wrong sign of
+    c(h, y) shows (as in the two examples).  Genus 3 passes through the
+    first handle, one operator step and the closing histogram."""
+    gspec, cname, order, b, spec = case
+    G = build_group(gspec)
+    c = twist(parse_cocycle(cname, G), b, order)
+    assert np.array_equal(_direct_counts(G, c, spec), _weight_histogram(c, spec))
+
+
+@pytest.mark.parametrize("gspec,cname", [("dihedral:8", "trivial"), ("quaternion:8", "trivial"),
+                                         ("symmetric:3", "trivial"), ("symmetric:4", "trivial"),
+                                         ("product(cyclic:3,cyclic:3)", "heisenberg:3")])
+@pytest.mark.parametrize("genus", [3, 4])
+def test_direct_equals_verlinde_on_twelfth_root_twists(gspec, cname, genus):
+    """Past the brute force's reach: order-12 coboundary twists, so N >= 3
+    and the operator's c(h, y) coupling is read in every middle handle.
+    Only symmetric:4 has prefixes h and commutators y that do not commute,
+    so only there does c(y, h) in place of c(h, y) change the value."""
+    G = build_group(gspec)
+    rng = np.random.default_rng(12)
+    c = twist(parse_cocycle(cname, G), [0, *rng.integers(0, 12, G.order - 1)], 12)
+    assert c.order == 12
+    spec = SurfaceSpec(True, genus)
+    want = verlinde(wedderburn_decompose(TwistedGroupAlgebra(G, c)), spec)
+    assert dw_direct(G, c, spec) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,23 +330,9 @@ def test_count_homs_equals_enumeration_on_any_word(inputs, block):
         assert count_homs(G, pres) == len(list(enumerate_homs(G, pres)))
 
 
-@pytest.mark.parametrize("block", [1, 24, 192, 1 << 14])
-@pytest.mark.parametrize("orientable,genus", [(True, 4), (True, 3), (False, 3)])
-def test_operator_blocks_do_not_change_the_counts(monkeypatch, block, orientable, genus):
-    """One operator row per block, ragged blocks and a single block all give
-    the same histogram on a table that is no cocycle."""
-    G = build_group("dihedral:8")
-    rng = np.random.default_rng(3)
-    c = TwoCocycle(G, 5, rng.integers(0, 5, (8, 8)))
-    spec = SurfaceSpec(orientable, genus)
-    want = _direct_counts(G, c, spec)
-    monkeypatch.setattr(invariants, "_OPERATOR_BLOCK", block)
-    assert np.array_equal(_direct_counts(G, c, spec), want)
-
-
 def test_direct_route_peaks_below_two_megabytes():
-    """The order-64 handle operator, built from genus 3 on, is built block
-    by block, so no temporary grows with n^3."""
+    """The order-64 handle operator, built from genus 3 on, is filled one
+    exponent at a time, so no temporary beyond it grows past n^2."""
     c = heisenberg_cocycle(8)
     tracemalloc.start()
     try:
@@ -360,16 +396,9 @@ def _refuse_to_build(*args, **kwargs):
 
 
 def test_genus_two_builds_no_general_operator(monkeypatch):
-    """Up to genus 2 the only operator row read is the identity prefix's:
-    the last handle (crosscap) is the closing histogram."""
-    build = invariants._operator_rows
-
-    def identity_row_only(G, c, rows, orientable, first=False):
-        if not first or list(rows) != [0]:
-            _refuse_to_build()
-        return build(G, c, rows, orientable, first)
-
-    monkeypatch.setattr(invariants, "_operator_rows", identity_row_only)
+    """Up to genus 2 the handle histogram is the only table read: the last
+    handle (crosscap) is the closing histogram."""
+    monkeypatch.setattr(invariants, "_handle_operator", _refuse_to_build)
     G = build_group("symmetric:5")
     assert _direct_counts(G, trivial_cocycle(G), GENUS2).tolist() == [32152 * 120]
     c = heisenberg_cocycle(8)
@@ -378,19 +407,33 @@ def test_genus_two_builds_no_general_operator(monkeypatch):
     assert np.array_equal(_direct_counts(c.group, c, KLEIN), _weight_histogram(c, KLEIN))
 
 
-def test_direct_refuses_int64_overflow_before_building(monkeypatch):
+def _refuse_to_read(monkeypatch):
+    monkeypatch.setattr(invariants, "_handle_histogram", _refuse_to_build)
+    monkeypatch.setattr(invariants, "_handle_operator", _refuse_to_build)
+
+
+@pytest.mark.parametrize("genus", [5, 10_000_000])   # 120^10 >= 2^63
+def test_direct_refuses_int64_overflow_before_building(monkeypatch, genus):
+    """Refused on the exponent alone, before any histogram or power: at
+    genus 10^7, 120^(2 * 10^7) would take about a minute to compute."""
     G = build_group("symmetric:5")
-    monkeypatch.setattr(invariants, "_operator_rows", _refuse_to_build)
-    with pytest.raises(InvariantError, match="overflow"):
-        dw_direct(G, trivial_cocycle(G), SurfaceSpec(True, 5))   # 120^10 >= 2^63
+    _refuse_to_read(monkeypatch)
+    with pytest.raises(InvariantError, match="overflow int64 counts"):
+        dw_direct(G, trivial_cocycle(G), SurfaceSpec(True, genus))
 
 
 def test_direct_overflow_is_a_computation_error(monkeypatch, capsys):
-    monkeypatch.setattr(invariants, "_operator_rows", _refuse_to_build)
+    _refuse_to_read(monkeypatch)
     code = main(["compute", "--group", "symmetric:5", "--surface", "orientable:5",
                  "--method", "direct"])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["error"].startswith("InvariantError")
+
+
+def test_boundary_brute_force_refuses_before_any_power(monkeypatch):
+    monkeypatch.setattr(invariants, "_product_histogram", _refuse_to_build)
+    with pytest.raises(InvariantError, match="exceed the cap"):
+        boundary_hom_count_brute(build_group("symmetric:5"), 10_000_000, ())
 
 
 # ---------------------------------------------------------------------------
