@@ -20,7 +20,7 @@ import random
 import sys
 
 from .algebra import TwistedGroupAlgebra, decomposition_to_json, wedderburn_decompose
-from .cocycles import parse_cocycle, twist
+from .cocycles import TwoCocycle, parse_cocycle, twist
 from .groups import build_group, conjugacy_classes, involution_set
 from .invariants import (MAX_HOM_TUPLES, catalog_pairs, cross_check, boundary_hom_count,
                          boundary_hom_count_brute, dw_direct, dw_labeling_oracle, float_view,
@@ -67,6 +67,11 @@ def _values_detail(report) -> str:
     return ", ".join(f"{method} {v}" for method, v in report.values.items())
 
 
+# The class of Q8 as an extension of (Z/2)^2: one block, of dimension 2 and
+# indicator -1, so every route gives -1/2, 1, -2 at 1, 2, 3 crosscaps.
+Q8_OVER_V4 = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1))
+
+
 def _suite_theorems(seed: int) -> list:
     rows = []
     for G, c in catalog_pairs():
@@ -79,7 +84,8 @@ def _suite_theorems(seed: int) -> list:
         rep = cross_check(G, c, spec, methods=("direct", "verlinde"))
         rows.append((f"orientable routes {G.name}/{c.name}/{spec.name}", rep.passed,
                      _values_detail(rep)))
-    for G, c in nonorientable_catalog_pairs():
+    v4 = build_group("product(cyclic:2,cyclic:2)")
+    for G, c in [*nonorientable_catalog_pairs(), (v4, TwoCocycle(v4, 2, Q8_OVER_V4, "q8-over-v4"))]:
         for genus in (1, 2, 3):
             spec = SurfaceSpec(False, genus)
             rep = cross_check(G, c, spec)

@@ -2,13 +2,12 @@
 
 The direct route sums over homomorphisms from the surface group to G, each
 weighted by an exact root-of-unity evaluation of the 2-cocycle on the
-fundamental cycle of the standard polygon.  It cuts the polygon along its
-handles (crosscaps), so the sum becomes a product of transfer operators on
-(relator prefix, exponent) counts, and genus is a loop count.  Every step
-is read off one histogram of the handles from the identity, shifted by
-c(prefix, handle product): genus <= 2 costs O(n^2 + n N^2) and builds no
-operator; genus g >= 3 builds the handle operator once,
-O(N n^2 + (g-2) n^2 N^2 + n N^2) in all, for order n and cocycle order N.
+fundamental cycle of the standard polygon.  In the twisted group ring
+Z[x]/(x^N - 1)^c[G] its handles (crosscaps) sum to one element H, an
+(element, exponent) histogram, and #G times the invariant is [e_1] H^g,
+computed by repeated squaring: about 2 log2(g) ring products of
+O(N n^2 + n^2 N^2) each plus one O(n N^2) read of the e_1 coefficient, in
+O(n^2 + n N) memory, for order n and cocycle order N.
 count_homs, the oracle of the dw check hom-count rows, cuts the relator
 into two halves that share no generator, histograms each half's product
 over G and pairs the histograms, reading only the Cayley and inverse
@@ -157,62 +156,61 @@ def _handle_histogram(G: FiniteGroup, c: TwoCocycle, orientable: bool) -> np.nda
     return np.bincount(k.ravel(), minlength=n * N).reshape(n, N)
 
 
-def _handle_operator(G: FiniteGroup, c: TwoCocycle, H: np.ndarray) -> np.ndarray:
-    """T[d, h y, h] = H[y, d - c(h, y)]: the handles (crosscaps) that take the
-    relator prefix h to h y with exponent d mod N, transposed for the
-    matmuls.  Filled one d at a time, so no temporary exceeds n^2 entries.
+def _times(G: FiniteGroup, c: TwoCocycle, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b in the twisted group ring Z[x]/(x^N - 1)^c[G], whose elements are
+    histograms a[h, k], the coefficient of x^k e_h: (a b)[h y, k + l + c(h, y)]
+    += a[h, k] b[y, l].  One matmul per shift d = l + c(h, y), by
+    T[h y, h] = b[y, d - c(h, y)] filled in place: no temporary exceeds n^2
+    entries, or n N for the result.
     """
-    n, N = H.shape
-    T = np.empty((N, n, n), dtype=np.int64)
+    n, N = a.shape
+    out, T = np.zeros_like(a), np.empty((n, n), dtype=np.int64)
     y, h = np.arange(n), np.arange(n)[:, None]
     for d in range(N):
-        T[d][G.cayley, h] = H[y, (d - c.exps) % N]
-    return T
+        T[G.cayley, h] = b[y, (d - c.exps) % N]
+        out += np.roll(T @ a, d, axis=1)
+    return out
 
 
 def _direct_counts(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> np.ndarray:
     """Histogram over k of homomorphisms pi_1(surface) -> G of weight zeta_N^k.
 
-    The state v[h, k] counts partial assignments of relator prefix h and
-    exponent k.  A handle (crosscap) of product y read after the prefix h
-    adds c(h, y) to its exponent from the identity (see dw_direct), so the
-    one histogram H of _handle_histogram, O(n^2) work (O(n) for crosscaps),
-    gives every step.  The first handle is H itself, and at genus 1 the
-    answer is its identity entry.  The last handle must close at the
-    identity: C[h, d] = H[h^-1, d - c(h, h^-1)], contracted with v as
-    sum_d roll(C[:, d] @ v, d) in O(n N^2), so genus <= 2 builds no operator.
-    Each handle in between applies the operator T of _handle_operator, built
-    once in O(N n^2), as N int64 matmuls with a cyclic shift in k,
-    O(n^2 N^2) per step.
+    The handles (crosscaps) sum to one ring element, the histogram H of
+    _handle_histogram (O(n^2) work, O(n) for crosscaps), and the answer is
+    the e_1 coefficient of H^g (see _times and dw_direct): H[0] at genus 1.
+    Otherwise B = H^(g//2) by left-to-right squaring, A = B or B H for g even
+    or odd, and [e_1] A B is read without the product: C[h, d] =
+    B[h^-1, d - c(h, h^-1)], contracted as sum_d roll(C[:, d] @ A, d) in
+    O(n N^2).  So genus 2 takes no product, and genus g at most 2 log2(g).
     """
-    n, N = G.order, c.order
-    steps = spec.genus
+    n, N, steps = G.order, c.order, spec.genus
     if steps == 0:
         return np.eye(1, N, dtype=np.int64)[0]
     generators = 2 * steps if spec.orientable else steps
     if (n > 1 and generators >= 63) or n ** generators >= 2 ** 63:
         raise InvariantError(f"{n}^{generators} homomorphism candidates overflow int64 counts")
-    H = v = _handle_histogram(G, c, spec.orientable)
+    H = B = _handle_histogram(G, c, spec.orientable)
     if steps == 1:
         return H[0]
-    if steps > 2:
-        T = _handle_operator(G, c, H)
-        for _ in range(steps - 2):
-            v = sum(np.roll(T[d] @ v, d, axis=1) for d in range(N))
+    for bit in bin(steps // 2)[3:]:
+        B = _times(G, c, B, B)
+        if bit == "1":
+            B = _times(G, c, B, H)
+    A = _times(G, c, B, H) if steps % 2 else B
     inv, shift = G.inverse, np.arange(N)
-    C = H[inv[:, None], (shift - c.exps[np.arange(n), inv][:, None]) % N]   # C[h, d]
-    M = C.T @ v   # M[d, k]: closed with d after k
+    C = B[inv[:, None], (shift - c.exps[np.arange(n), inv][:, None]) % N]   # C[h, d]
+    M = C.T @ A   # M[d, k]: closed with d after k
     return M[shift[:, None], shift[None, :] - shift[:, None]].sum(axis=0)
 
 
 def dw_direct(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec) -> Fraction:
     """(1/#G) sum over homomorphisms of the cocycle weight.
 
-    The homomorphism sum is cut along the handles (crosscaps) of the standard
-    relator into a product of transfer operators (see _direct_counts): for
-    order n and cocycle order N, O(n^2 + n N^2) work up to genus 2, with no
-    operator held, and O(N n^2 + (g-2) n^2 N^2 + n N^2) work and an operator
-    of N n^2 int64 counts at genus g >= 3.
+    The homomorphism sum is [e_1] H^g for the sum H of the handles
+    (crosscaps) of the standard relator in the twisted group ring, computed
+    by repeated squaring (see _direct_counts): for order n and cocycle order
+    N, about 2 log2(g) ring products of O(N n^2 + n^2 N^2) each plus one
+    O(n N^2) read, in O(n^2 + n N) memory; genus 2 takes no product.
     In the twisted group algebra a handle's word equals zeta^k e_y whatever
     precedes it, so after the prefix h it adds exactly c(h, y) to the
     exponent it has from the identity.  That step uses associativity, so
@@ -474,7 +472,9 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec | GluedTriangul
 
     The values are exact Fractions, so the routes agree when they are equal,
     and for chi <= 0 the value must be an integer, >= 1 on orientable
-    surfaces and >= 0 on non-orientable ones.
+    surfaces and >= 0 on non-orientable ones with an even number k of
+    crosscaps.  At odd k a skew block (fs = -1) adds the negative term
+    (-#G/dim)^(k-2), so the value may be negative there.
 
     ``spec`` may be a triangulation, which the state sum contracts; the
     other routes take its surface.  The state sum's plan goes to
@@ -531,7 +531,7 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec | GluedTriangul
     integrality_ok = True
     if spec.chi <= 0 and vals:
         v = values.get("direct", vals[0])
-        positive_ok = v >= 1 if spec.orientable else v >= 0
+        positive_ok = v >= 1 if spec.orientable else v >= 0 or spec.genus % 2 == 1
         integrality = {"nearest": round(v), "integer": v.denominator == 1,
                        "positive_ok": positive_ok}
         integrality_ok = v.denominator == 1 and positive_ok

@@ -10,7 +10,7 @@ Fukuma-Hosono-Kawai contraction checks the sparse state-sum engine.
 Homomorphisms are enumerated one tuple at a time, and one relator
 weight serves orientable and non-orientable words alike, for any table of
 exponents; histogrammed over the homomorphisms, these weights check the
-direct route's transfer operators; the boundary tuples of a surface with
+direct route's ring products; the boundary tuples of a surface with
 boundary are counted one by one.  The greedy contraction plan is found by a
 full rescan of the terms at every step, and a simplicial surface is glued
 from its triangles edge by edge.  The group tables of the dihedral,

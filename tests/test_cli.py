@@ -15,9 +15,9 @@ import pytest
 
 from dwsurf import algebra, cocycles, invariants
 from dwsurf.algebra import TwistedGroupAlgebra, wedderburn_decompose
-from dwsurf.cli import build_parser, cmd_check, main, parse_cocycle
-from dwsurf.cocycles import (heisenberg_cocycle, sign_cocycles_catalog, trivial_cocycle, twist,
-                             write_cocycle_file)
+from dwsurf.cli import Q8_OVER_V4, build_parser, cmd_check, main, parse_cocycle
+from dwsurf.cocycles import (TwoCocycle, heisenberg_cocycle, sign_cocycles_catalog,
+                             trivial_cocycle, twist, write_cocycle_file)
 from dwsurf.groups import build_group
 from dwsurf.invariants import cross_check
 from dwsurf.memo import run_scope
@@ -161,6 +161,27 @@ def test_repeated_runs_are_byte_identical(capsys):
     _, first = run(capsys, *args)
     _, second = run(capsys, *args)
     assert first == second
+
+
+def test_negative_value_at_odd_crosscaps_passes(capsys, tmp_path):
+    G = build_group("product(cyclic:2,cyclic:2)")
+    path = tmp_path / "q8-over-v4.cocycle"
+    write_cocycle_file(TwoCocycle(G, 2, Q8_OVER_V4), path)
+    for k, want in ((3, "-2"), (4, "4"), (5, "-8")):
+        code, out = run(capsys, "compute", "--group", G.name, "--cocycle", f"file:{path}",
+                        "--surface", f"nonorientable:{k}", "--method", "all")
+        data = json.loads(out)
+        assert code == 0 and data["passed"], k
+        assert data["exact"] == {"direct": want, "statesum": want, "verlinde": want}
+
+
+def test_theorems_suite_has_the_q8_over_v4_rows(capsys):
+    code, out = run(capsys, "check", "--suite", "theorems", "--json")
+    rows = {r["name"]: r for r in json.loads(out)["rows"]}
+    assert code == 0
+    for k, want in ((1, "-1/2"), (2, "1"), (3, "-2")):
+        row = rows[f"nonorientable routes product(cyclic:2,cyclic:2)/q8-over-v4/nonorientable:{k}"]
+        assert row["passed"] and row["detail"] == f"direct {want}, statesum {want}, verlinde {want}"
 
 
 def write_triangulation(tmp_path, tri):
@@ -502,9 +523,9 @@ def decompositions(monkeypatch):
 
 def test_check_decomposes_each_algebra_once_per_run(capsys, decompositions):
     assert main(["check", "--suite", "all", "--json"]) == 0
-    assert len(decompositions) == 18
+    assert len(decompositions) == 19
     assert main(["check", "--suite", "all", "--json"]) == 0
-    assert len(decompositions) == 36
+    assert len(decompositions) == 38
     capsys.readouterr()
 
 
@@ -519,8 +540,8 @@ def test_check_computes_indicators_once_per_decomposition(capsys, monkeypatch, d
     monkeypatch.setattr(algebra, "fs_indicators", counted)
     assert main(["check", "--suite", "all", "--json"]) == 0
     # every decomposition but heisenberg:3's, whose cocycle is not sign-valued
-    assert len(decompositions) == 18 and len(calls) == 17
-    assert "heisenberg:3" not in calls and "heisenberg:2" in calls
+    assert len(decompositions) == 19 and len(calls) == 18
+    assert "heisenberg:3" not in calls and {"heisenberg:2", "q8-over-v4"} <= set(calls)
     capsys.readouterr()
 
 

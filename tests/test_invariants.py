@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from dwsurf import groups, invariants
 from dwsurf.algebra import TwistedGroupAlgebra, wedderburn_decompose
-from dwsurf.cli import main
+from dwsurf.cli import Q8_OVER_V4, main
 from dwsurf.cocycles import (TwoCocycle, c_regular_count, heisenberg_cocycle, parse_cocycle,
-                             sign_cocycles_catalog, trivial_cocycle, twist)
+                             sign_cocycles_catalog, trivial_cocycle, twist, verify_cocycle)
 from dwsurf.groups import build_group, conjugacy_classes, involution_set
 from dwsurf.invariants import (ORIENTABLE_CATALOG, InvariantError, boundary_hom_count,
                                boundary_hom_count_brute, catalog_pairs, count_homs, cross_check,
@@ -210,7 +211,7 @@ def test_direct_coboundary_invariance():
 
 
 # ---------------------------------------------------------------------------
-# transfer operator against the brute-force enumeration
+# twisted-ring products against the brute-force enumeration
 
 def _weight_histogram(c, spec):
     """Histogram over k mod N of the relator weights zeta_N^k of every homomorphism."""
@@ -267,7 +268,7 @@ def test_transfer_histogram_equals_brute_force_on_random_cocycles(case):
     which needs a normalized cocycle.  Twists of order <= 2 keep a sign
     table sign-valued; the others give N >= 3, where a wrong sign of
     c(h, y) shows (as in the two examples).  Genus 3 passes through the
-    first handle, one operator step and the closing histogram."""
+    handle histogram, one ring product and the closing read."""
     gspec, cname, order, b, spec = case
     G = build_group(gspec)
     c = twist(parse_cocycle(cname, G), b, order)
@@ -280,7 +281,7 @@ def test_transfer_histogram_equals_brute_force_on_random_cocycles(case):
 @pytest.mark.parametrize("genus", [3, 4])
 def test_direct_equals_verlinde_on_twelfth_root_twists(gspec, cname, genus):
     """Past the brute force's reach: order-12 coboundary twists, so N >= 3
-    and the operator's c(h, y) coupling is read in every middle handle.
+    and every ring product reads its coupling c(h, y).
     Only symmetric:4 has prefixes h and commutators y that do not commute,
     so only there does c(y, h) in place of c(h, y) change the value."""
     G = build_group(gspec)
@@ -290,6 +291,52 @@ def test_direct_equals_verlinde_on_twelfth_root_twists(gspec, cname, genus):
     spec = SurfaceSpec(True, genus)
     want = verlinde(wedderburn_decompose(TwistedGroupAlgebra(G, c)), spec)
     assert dw_direct(G, c, spec) == want
+
+
+@pytest.mark.parametrize("gspec,cname", ORIENTABLE_CATALOG)
+def test_direct_equals_verlinde_on_twelfth_root_twists_up_to_genus_ten(gspec, cname):
+    """Genus 4-10, while #G^(2g) < 2^63, square H^(g//2) for g//2 = 2..5:
+    every bit pattern up to 5, each with g even (A = B) and odd (A = B H)."""
+    G = build_group(gspec)
+    rng = np.random.default_rng(12)
+    c = twist(parse_cocycle(cname, G), [0, *rng.integers(0, 12, G.order - 1)], 12)
+    dec = wedderburn_decompose(TwistedGroupAlgebra(G, c))
+    for genus in range(4, 11):
+        if G.order ** (2 * genus) >= 2 ** 63:
+            break
+        spec = SurfaceSpec(True, genus)
+        assert dw_direct(G, c, spec) == verlinde(dec, spec), genus
+
+
+def test_direct_equals_verlinde_on_sign_catalog_crosscaps():
+    """Crosscaps 1-12: H^(k//2) for k//2 = 0..6, with k even and odd."""
+    for G, c in sign_catalog_pairs():
+        dec = wedderburn_decompose(TwistedGroupAlgebra(G, c))
+        for k in range(1, 13):
+            spec = SurfaceSpec(False, k)
+            assert dw_direct(G, c, spec) == verlinde(dec, spec), (G.name, c.name, k)
+
+
+def test_genus_takes_logarithmically_many_products(monkeypatch):
+    calls, real = [], invariants._times
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(invariants, "_times", counted)
+    G = build_group("cyclic:2")
+    for genus in (3, 4, 5, 8, 31):
+        calls.clear()
+        assert dw_direct(G, trivial_cocycle(G), SurfaceSpec(True, genus)) == 2 ** (2 * genus - 1)
+        assert 0 < len(calls) <= 2 * (genus.bit_length() - 1), genus
+
+
+def test_trivial_group_at_genus_ten_million_takes_under_a_second():
+    G = build_group("cyclic:1")
+    start = time.perf_counter()
+    assert dw_direct(G, trivial_cocycle(G), SurfaceSpec(True, 10_000_000)) == 1
+    assert time.perf_counter() - start < 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -331,8 +378,8 @@ def test_count_homs_equals_enumeration_on_any_word(inputs, block):
 
 
 def test_direct_route_peaks_below_two_megabytes():
-    """The order-64 handle operator, built from genus 3 on, is filled one
-    exponent at a time, so no temporary beyond it grows past n^2."""
+    """The order-64 ring product of genus 3 fills one n x n matrix per
+    exponent, so no temporary grows past n^2 (n N for the product)."""
     c = heisenberg_cocycle(8)
     tracemalloc.start()
     try:
@@ -392,13 +439,13 @@ def test_every_route_returns_a_fraction():
 
 
 def _refuse_to_build(*args, **kwargs):
-    raise AssertionError("the transfer operator was built")
+    raise AssertionError("a handle histogram or ring product was built")
 
 
 def test_genus_two_builds_no_general_operator(monkeypatch):
-    """Up to genus 2 the handle histogram is the only table read: the last
-    handle (crosscap) is the closing histogram."""
-    monkeypatch.setattr(invariants, "_handle_operator", _refuse_to_build)
+    """Up to genus 2 the handle histogram is the only table read: [e_1] H^2
+    is read without the product."""
+    monkeypatch.setattr(invariants, "_times", _refuse_to_build)
     G = build_group("symmetric:5")
     assert _direct_counts(G, trivial_cocycle(G), GENUS2).tolist() == [32152 * 120]
     c = heisenberg_cocycle(8)
@@ -409,7 +456,7 @@ def test_genus_two_builds_no_general_operator(monkeypatch):
 
 def _refuse_to_read(monkeypatch):
     monkeypatch.setattr(invariants, "_handle_histogram", _refuse_to_build)
-    monkeypatch.setattr(invariants, "_handle_operator", _refuse_to_build)
+    monkeypatch.setattr(invariants, "_times", _refuse_to_build)
 
 
 @pytest.mark.parametrize("genus", [5, 10_000_000])   # 120^10 >= 2^63
@@ -710,6 +757,32 @@ def test_cross_check_sees_differences_below_double_resolution(monkeypatch):
     rep = cross_check(S3, trivial_cocycle(S3), GENUS2, methods=("direct",))
     assert not rep.passed
     assert rep.integrality["integer"] is False and rep.integrality["positive_ok"]
+
+
+def test_q8_over_v4_is_negative_at_odd_crosscaps():
+    """The class of Q8 over (Z/2)^2 has one block, of dimension 2 and
+    indicator -1: the value is (-2)^(k-2) at k crosscaps, and every route
+    gives it, negative values included."""
+    G = build_group("product(cyclic:2,cyclic:2)")
+    c = TwoCocycle(G, 2, Q8_OVER_V4, "q8-over-v4")
+    assert verify_cocycle(c).ok
+    for k, want in enumerate((Fraction(-1, 2), 1, -2, 4, -8), start=1):
+        rep = cross_check(G, c, SurfaceSpec(False, k))
+        assert rep.passed, k
+        assert set(rep.values) == {"direct", "statesum", "verlinde"}
+        assert set(rep.values.values()) == {want}, k
+        assert rep.diagnostics["block_dims"] == [2] and rep.diagnostics["fs"] == [-1]
+
+
+@pytest.mark.parametrize("k,value,passed", [(3, -2, True), (5, -8, True), (4, -4, False),
+                                            (2, -1, False), (3, Fraction(-3, 2), False)])
+def test_nonorientable_sign_rule(monkeypatch, k, value, passed):
+    """An integer from 2 crosscaps on, and >= 0 only at even k."""
+    G = build_group("cyclic:2")
+    monkeypatch.setattr(invariants, "dw_direct", lambda G, c, spec: Fraction(value))
+    rep = cross_check(G, trivial_cocycle(G), SurfaceSpec(False, k), methods=("direct",))
+    assert rep.passed is passed
+    assert rep.integrality["positive_ok"] is (k % 2 == 1)
 
 
 def test_cross_check_has_no_tolerance():
