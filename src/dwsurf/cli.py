@@ -5,7 +5,8 @@ triangulation file, export decompositions, and run the validation suites.
 decomposition, triangulation, plan and state sum is computed once per run;
 the other commands, like library calls, keep no state between calls.
 
-Exit codes: 0 pass, 1 computational failure or disagreement, 2 usage error.
+Exit codes: 0 pass, 1 computational failure or disagreement (or a standard
+output closed by its reader, which gets nothing more), 2 usage error.
 Every command is deterministic.  The one random input is `dw check --seed`
 (default 0), which seeds the random.Random that draws the invariance suite's
 coboundary twists and Pachner variants.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 
@@ -272,6 +274,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed standard output: write nothing more to it, not
+        # even the buffered rest that the interpreter flushes at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError) as exc:
         _emit({"error": f"{type(exc).__name__}: {exc}"})
         return 1

@@ -248,11 +248,15 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     (edges carry no weight of their own).  A block of rows goes through the
     levels breadth-first; one that would outgrow _BLOCK_ENTRIES labels is
     split and its parts are taken depth-first, so the live table stays
-    bounded.
+    bounded.  A plan with fixed (gauge-fixed) steps is refused: this engine
+    labels every edge.
     Returns (counts, states_visited) with counts[k] the number of admissible
     labelings of total exponent k mod modulus and states_visited the rows
     generated, the nodes of the equivalent backtracking search.
     """
+    if "fixed" in plan.kinds:
+        raise InvariantError("the labeling enumeration does not gauge-fix; "
+                             "it needs a plan without fixed steps")
     n = group.order
     label, pair = np.min_scalar_type(n - 1), np.min_scalar_type(n * n - 1)
     cay, inv = group.cayley.astype(label).ravel(), group.inverse.astype(label)
@@ -501,8 +505,8 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec | GluedTriangul
     A = TwistedGroupAlgebra(G, c)
     if "statesum" in methods:
         if tri is None:
-            # every triangulation of the surface has at least 2 - chi free
-            # edges (E - T + 1 = V + 1 - chi): refuse before building one
+            # every gauge-fixed plan of the surface has at least 2 - chi
+            # free edges: refuse before building a triangulation
             refuse_overflow(G.order, 2 - spec.chi)
             tri = standard_triangulation(spec)
         res = run_state_sum(A, tri)

@@ -10,8 +10,18 @@ third and an edge leaves the table once its triangles are complete.  Every
 admissible labeling contributes a root of unity, read off one exponent table
 per triangle that also holds the weights of its edges, and accumulated as an
 exact int64 exponent histogram, which reduces modulo the cyclotomic
-polynomial to an exact integer; the value is that integer times
-#G^(triangles - edges), a Fraction.  This engine involves no floating point.
+polynomial to an exact integer.  This engine involves no floating point.
+
+The sum is gauge-fixed, as lattice gauge theory fixes the maximal-tree gauge
+(Creutz, Quarks, Gluons and Lattices, 1983): on a closed surface the weight
+of a labeling is constant on the orbits of the gauge group G^V, which acts
+at the vertices, and each orbit holds #G^(V - 1) times as many labelings as
+it holds with the edges of a spanning tree labeled by the identity.  So the
+tree's edges come first in the plan as fixed steps, and the value is the
+integer times #G^(triangles - edges) * #G^(V - 1) = #G^(chi - 1), a
+Fraction.  Every gauge-fixed plan has at least 2 - chi free edges, the
+standard fans exactly that, and extra vertices no longer bring free edges of
+their own.
 
 The triangulation decides which state sum applies.  An orientable one is
 oriented coherently first, and its edges all carry the pairing vector.  A
@@ -34,8 +44,8 @@ from .memo import cocycle_key, shared
 from .surfaces import GluedTriangulation
 
 # Rows a free edge may expand the contraction table to.  A row is a few
-# machine words, so this stays well under 1 GB, and it is above the largest
-# table of symmetric:5 at genus 3 (120^3 rows).
+# machine words, so this stays well under 1 GB.  The largest table on a
+# standard triangulation is 864000 rows, symmetric:5 at every genus.
 MAX_TABLE_ROWS = 2 ** 22
 
 
@@ -43,15 +53,21 @@ class ContractionError(ValueError):
     """A contraction whose exact counts or table size would exceed the engine's bounds."""
 
 
+# The forcing entry of a fixed step: an edge of the gauge tree, labeled with
+# the identity.  A string, so that no reader can take it for a (term, slot).
+FIXED = "fixed"
+
+
 @dataclass(frozen=True)
 class ContractionPlan:
     """Static edge-processing order and the schedule both engines read.
 
     ``steps[i]`` belongs to edge ``order[i]``, fixed by the terms' edges
-    alone: the (term, slot) that forces it, or None when it is free; the
-    terms it completes; and the edges that then leave the frontier.  An edge
-    is forced when, with all earlier edges labeled, some term holding it
-    once has its other two edges labeled.
+    alone: the (term, slot) that forces it, FIXED when it is a tree edge of
+    the gauge, or None when it is free; the terms it completes; and the
+    edges that then leave the frontier.  An edge is forced when, with all
+    earlier edges labeled, some term holding it once has its other two edges
+    labeled.
     """
 
     order: tuple
@@ -59,11 +75,12 @@ class ContractionPlan:
 
     @property
     def kinds(self) -> tuple:
-        return tuple("free" if forcing is None else "forced" for forcing, _, _ in self.steps)
+        return tuple("free" if forcing is None else "fixed" if forcing == FIXED else "forced"
+                     for forcing, _, _ in self.steps)
 
     @property
     def free_count(self) -> int:
-        return sum(k == "free" for k in self.kinds)
+        return sum(forcing is None for forcing, _, _ in self.steps)
 
     def estimate_nodes(self, domain_size: int) -> int:
         """Upper bound on the table rows a contraction generates for a given
@@ -103,11 +120,12 @@ class TriangleTerm:
     exp2: np.ndarray   # exponent by the labels of slots 0 and 1
 
 
-def plan_from_terms(n_vars: int, term_vars) -> ContractionPlan:
+def plan_from_terms(n_vars: int, term_vars, fixed=()) -> ContractionPlan:
     """Greedy deterministic order over the terms' edge-variable triples: the
-    last edge of the lowest term with two labeled slots (forced) when there
-    is one, else the lowest edge of a term with one, else the lowest edge.
-    One heap makes the plan and its schedule in O((E + T) log(E + T))."""
+    fixed edges first, in the order given, then the last edge of the lowest
+    term with two labeled slots (forced) when there is one, else the lowest
+    edge of a term with one, else the lowest edge.  One heap makes the plan
+    and its schedule in O((E + T) log(E + T))."""
     terms_of = [[] for _ in range(n_vars)]     # one entry per slot
     for ti, edges in enumerate(term_vars):
         for v in edges:
@@ -118,15 +136,20 @@ def plan_from_terms(n_vars: int, term_vars) -> ContractionPlan:
     # (0, term) once it has two labeled slots, (1, edge) of a term with one,
     # (2, edge) for every edge; the least live entry is the pick
     heap = [(2, v) for v in range(n_vars)]
+
+    def picks():
+        for v in fixed:
+            yield v, FIXED
+        while heap:
+            rank, x = heapq.heappop(heap)
+            if rank == 0 and filled[x] == 2:
+                pick = next(v for v in term_vars[x] if not done[v])
+                yield pick, (x, term_vars[x].index(pick))
+            elif rank and not done[x]:
+                yield x, None
+
     order, steps = [], []
-    while heap:
-        rank, x = heapq.heappop(heap)
-        if rank == 0 and filled[x] == 2:
-            pick = next(v for v in term_vars[x] if not done[v])
-        elif rank and not done[x]:
-            pick = x
-        else:
-            continue
+    for pick, forcing in picks():
         done[pick] = True
         order.append(pick)
         closing = []
@@ -144,7 +167,6 @@ def plan_from_terms(n_vars: int, term_vars) -> ContractionPlan:
                     open_slots[v] -= 1
                     if not open_slots[v]:
                         leaving.append(v)
-        forcing = None if rank else (x, term_vars[x].index(pick))
         steps.append((forcing, tuple(closing), tuple(leaving)))
     return ContractionPlan(tuple(order), tuple(steps))
 
@@ -152,15 +174,18 @@ def plan_from_terms(n_vars: int, term_vars) -> ContractionPlan:
 def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     """Frontier dynamic program over the plan's edge order.
 
-    The table holds one row per distinct (labels of the open frontier edges,
-    exponent mod modulus), with an int64 multiplicity.  A free edge repeats
-    every row #G times; a forced edge is one gather from the Cayley and
-    inverse tables.  A completed triangle filters rows by its boundary product
-    and adds its exp2 entry.  An edge whose triangles are all complete
-    leaves the frontier, and rows with equal keys merge.  The plan's steps
-    are the one schedule: the term that forces each edge, the terms that
-    close and the edges that leave are read from them, so the work here is
-    array work.
+    The table holds one row per (labels of the open frontier edges, exponent
+    mod modulus), with an int64 multiplicity.  A fixed edge is the identity
+    in every row.  A free edge repeats every row #G times; a forced edge is
+    one gather from the Cayley and inverse tables.  A completed triangle
+    filters rows by its boundary product and adds its exp2 entry; the
+    forcing triangle holds by construction, so it only adds.  An edge whose
+    triangles are all complete leaves the frontier at once, and rows with
+    equal keys merge just before a free edge repeats the table, so the
+    table a free edge repeats has distinct keys; the final histogram sums
+    the rest.  The plan's steps are the one schedule: the term that forces
+    each edge, the terms that close and the edges that leave are read from
+    them, so the work here is array work.
 
     Returns (counts, rows) with counts[k] the number of admissible labelings
     of total exponent k mod modulus and rows the number of table rows
@@ -170,10 +195,12 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
     refuse_overflow(n, plan.free_count)
     label, pair = np.min_scalar_type(n - 1), np.min_scalar_type(n * n - 1)
     cay, inv = group.cayley.astype(label).ravel(), group.inverse.astype(label)
+    labels = np.arange(n, dtype=label)[None, :]
     cols = {}   # frontier edge -> label column
     expo = np.zeros(1, dtype=np.int64)
     mult = np.ones(1, dtype=np.int64)
     rows = 0
+    stale = False   # an edge left since the last merge, so keys may repeat
 
     def slot_label(term, s, flip=False):
         col = cols[term.vars[s]]
@@ -183,38 +210,49 @@ def exact_contraction(group, modulus: int, n_vars: int, terms, plan):
         return slot_label(term, s).astype(pair) * n + slot_label(term, t)
 
     for var, (forcing, closing, leaving) in zip(plan.order, plan.steps):
+        own = own_index = None   # the forcing term, and its (l_0, l_1) index when known
         if forcing is None:
+            if stale:
+                cols, expo, mult = _merge(cols, expo % modulus, mult)
+                stale = False
             if len(mult) * n > MAX_TABLE_ROWS:
                 raise ContractionError(f"the contraction table would grow to {len(mult) * n} "
                                        f"rows, beyond the bound of {MAX_TABLE_ROWS}")
             cols = {u: col.repeat(n) for u, col in cols.items()}
-            cols[var] = np.tile(np.arange(n, dtype=label), len(mult))
+            cols[var] = labels.repeat(len(mult), axis=0).ravel()
             expo, mult = expo.repeat(n), mult.repeat(n)
+        elif forcing == FIXED:
+            cols[var] = np.zeros(len(mult), dtype=label)
         else:
-            ti, s = forcing
-            term = terms[ti]
+            own, s = forcing
+            term = terms[own]
             # l_s = (l_{s+1} l_{s+2})^-1, read cyclically
-            prod = cay.take(product_index(term, (s + 1) % 3, (s + 2) % 3))
+            index = product_index(term, (s + 1) % 3, (s + 2) % 3)
+            prod = cay.take(index)
             cols[var] = prod if term.inverted[s] else inv.take(prod)
+            own_index = index if s == 2 else None
         rows += len(mult)
         keep = None
         for ti in closing:
             term = terms[ti]
-            index = product_index(term, 0, 1)
-            ok = cay.take(index) == slot_label(term, 2, flip=True)   # l_0 l_1 = l_2^-1
-            keep = ok if keep is None else keep & ok
-            expo = (expo + term.exp2.take(index)) % modulus
+            if ti != own:
+                index = product_index(term, 0, 1)
+                ok = cay.take(index) == slot_label(term, 2, flip=True)   # l_0 l_1 = l_2^-1
+                keep = ok if keep is None else keep & ok
+            elif modulus > 1:   # the forcing term holds by construction: its exponent only
+                index = product_index(term, 0, 1) if own_index is None else own_index
+            if modulus > 1:     # at modulus 1 every exponent is 0
+                expo = expo + term.exp2.take(index)
         if keep is not None and not keep.all():
             cols = {u: col[keep] for u, col in cols.items()}
             expo, mult = expo[keep], mult[keep]
         if not len(mult):
             break
-        if leaving:
-            for u in leaving:
-                del cols[u]
-            cols, expo, mult = _merge(cols, expo, mult)
+        for u in leaving:
+            del cols[u]
+            stale = True
     counts = np.zeros(modulus, dtype=np.int64)
-    np.add.at(counts, expo, mult)
+    np.add.at(counts, expo % modulus, mult)
     return counts, rows
 
 
@@ -285,7 +323,28 @@ def _derive_gluing_slots(tri: GluedTriangulation):
     n_vars, edges = int(first.sum()), [tuple(e) for e in edge]
     slots = tuple((e, tuple(i), tuple(s for s in range(3) if p[s]))
                   for e, i, p in zip(edges, inverted, paying))
-    return n_vars, slots, plan_from_terms(n_vars, edges)
+    tree = _spanning_tree(tri, np.flatnonzero(first))
+    return n_vars, slots, plan_from_terms(n_vars, edges, tree)
+
+
+def _spanning_tree(tri: GluedTriangulation, edge_flag: np.ndarray) -> list:
+    """Edge variables of a spanning tree of tri's 1-skeleton, V - 1 of them,
+    grown depth-first from vertex 0; edge variable k runs from the corner of
+    flag edge_flag[k] to the next corner of its triangle."""
+    vertex = tri.corner_vertices
+    head = edge_flag - edge_flag % 3 + (edge_flag + 1) % 3
+    adjacent = [[] for _ in range(tri.n_vertices)]
+    for var, (u, v) in enumerate(zip(vertex[edge_flag].tolist(), vertex[head].tolist())):
+        adjacent[u].append((v, var))
+        adjacent[v].append((u, var))
+    reached, stack, tree = [True] + [False] * (len(adjacent) - 1), [0], []
+    while stack:
+        for v, var in adjacent[stack.pop()]:
+            if not reached[v]:
+                reached[v] = True
+                tree.append(var)
+                stack.append(v)
+    return tree
 
 
 def run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> StateSumResult:
@@ -301,12 +360,14 @@ def _run_state_sum(A: TwistedGroupAlgebra, tri: GluedTriangulation) -> StateSumR
     if not (tri.orientable or A.cocycle.is_sign_valued):
         raise AlgebraError("the non-orientable state sum needs a sign-valued cocycle")
     # Each forced edge is forced by its own triangle, and the other triangle
-    # of the last forced edge forces none, so every plan has at least
-    # E - T + 1 free edges: refuse before building the terms and the plan.
-    refuse_overflow(A.group.order, tri.n_edges - tri.n_triangles + 1)
+    # of the last forced edge forces none, so at least E - T + 1 edges are
+    # free or fixed.  V - 1 are fixed, so at least 2 - chi are free: refuse
+    # by that before building the terms and the plan.
+    chi = tri.euler_characteristic
+    refuse_overflow(A.group.order, 2 - chi)
     n_vars, terms, plan = _edge_terms(A, tri)
     counts, rows = exact_contraction(A.group, A.cocycle.order, n_vars, terms, plan)
     counts.setflags(write=False)
-    scale = Fraction(A.group.order) ** (tri.n_triangles - tri.n_edges)
-    value = scale * cyclotomic_integer(counts, "state sum")
+    # #G^(T - E), times #G^(V - 1) labelings per gauge-fixed one
+    value = Fraction(A.group.order) ** (chi - 1) * cyclotomic_integer(counts, "state sum")
     return StateSumResult(value, rows, counts, A.cocycle.order, plan)

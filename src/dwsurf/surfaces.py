@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -146,8 +147,11 @@ class GluedTriangulation:
         """One (flag, partner) pair per edge, keyed by the smaller flag."""
         return [(f, int(self.pairing[f])) for f in range(self.n_flags) if f < self.pairing[f]]
 
-    @property
-    def n_vertices(self) -> int:
+    @cached_property
+    def corner_vertices(self) -> np.ndarray:
+        """The vertex of every corner, numbered 0..V-1 by first corner: one
+        union-find over the corners, which each glued edge merges in pairs.
+        Computed once per gluing, which is immutable."""
         parent = list(range(self.n_flags))
 
         def find(x):
@@ -156,21 +160,22 @@ class GluedTriangulation:
                 x = parent[x]
             return x
 
-        def union(x, y):
-            parent[find(x)] = find(y)
-
         def head(f):
             return 3 * (f // 3) + (f % 3 + 1) % 3
 
-        for f in range(self.n_flags):
-            p = int(self.pairing[f])
-            if self.reversal[f]:
-                union(f, head(p))
-                union(head(f), p)
-            else:
-                union(f, p)
-                union(head(f), head(p))
-        return len({find(x) for x in range(self.n_flags)})
+        for f, (p, reversed_) in enumerate(zip(self.pairing.tolist(), self.reversal.tolist())):
+            if f < p:
+                ends = (head(p), p) if reversed_ else (p, head(p))
+                for x, y in zip((f, head(f)), ends):
+                    parent[find(x)] = find(y)
+        ids = {}
+        vertices = np.array([ids.setdefault(find(x), len(ids)) for x in range(self.n_flags)])
+        vertices.setflags(write=False)
+        return vertices
+
+    @property
+    def n_vertices(self) -> int:
+        return int(self.corner_vertices.max()) + 1
 
     @property
     def euler_characteristic(self) -> int:

@@ -607,3 +607,19 @@ def test_no_library_path_imports_numpy_random():
     done = subprocess.run([sys.executable, "-c", NO_NUMPY_RANDOM], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_closed_standard_output_ends_quietly():
+    """A reader that closes the pipe before dw writes (as `| head -c 10`
+    does after its bytes) gets no error JSON and no traceback on stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (["compute", "--group", "cyclic:2", "--surface", "orientable:1"],
+                 ["check", "--suite", "theorems"]):
+        proc = subprocess.Popen([sys.executable, "-m", "dwsurf.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 1, err
+        assert err == ""

@@ -51,20 +51,46 @@ def test_torus_plan_has_two_free_edges():
     assert plan.kinds.count("forced") == 1
 
 
-def test_sphere_plan_has_two_free_edges():
+def test_sphere_plan_fixes_two_edges_and_frees_none():
+    # three vertices: a spanning tree of two edges is fixed, and it forces the third
     plan = plan_of(standard_triangulation(SurfaceSpec(True, 0)))
-    assert plan.free_count == 2
+    assert plan.kinds == ("fixed", "fixed", "forced")
+    assert plan.free_count == 0
 
 
 @pytest.mark.parametrize("orientable", [True, False])
 def test_standard_plans_have_the_fewest_free_edges(orientable):
-    """Every plan has at least E - T + 1 free edges, the bound the state sum
-    refuses by before planning; the standard fans meet it exactly."""
+    """Every gauge-fixed plan has at least 2 - chi free edges, the bound the
+    state sum refuses by before planning; the standard fans meet it exactly."""
     for genus in range(0 if orientable else 1, 9):
         tri = standard_triangulation(SurfaceSpec(orientable, genus))
-        assert plan_of(tri).free_count == tri.n_edges - tri.n_triangles + 1, genus
+        assert plan_of(tri).free_count == 2 - tri.euler_characteristic, genus
         for variant in pachner_variants(tri, 3, seed=genus):
-            assert plan_of(variant).free_count >= variant.n_edges - variant.n_triangles + 1
+            assert plan_of(variant).free_count >= 2 - variant.euler_characteristic
+
+
+def test_fixed_edges_form_a_spanning_tree():
+    """The fixed steps come first and are the edges of a spanning tree of
+    the 1-skeleton: V - 1 edges that reach every vertex."""
+    tris = [standard_triangulation(SurfaceSpec(o, g)) for o, g in
+            [(True, 0), (True, 1), (True, 2), (False, 1), (False, 2), (False, 3)]]
+    tris += [variant for tri in list(tris) for variant in pachner_variants(tri, 4, seed=3)]
+    tris += [subdivided_torus(), simplicial_to_glued(seven_vertex_torus()),
+             flip_triangle(simplicial_to_glued(tetrahedron_sphere()), 1)]
+    for tri in tris:
+        plan = plan_of(tri)
+        fixed = plan.order[:plan.kinds.count("fixed")]
+        assert "fixed" not in plan.kinds[len(fixed):]
+        oriented = tri.oriented() if tri.orientable else tri
+        flags = [f for f in range(oriented.n_flags) if f < oriented.pairing[f]]
+        vertex = oriented.corner_vertices
+        ends = [{vertex[flags[v]], vertex[3 * (flags[v] // 3) + (flags[v] + 1) % 3]}
+                for v in fixed]
+        reached, grown = set(), {0}
+        while grown != reached:
+            reached, grown = grown, grown.union(*(e for e in ends if e & grown))
+        assert len(fixed) == tri.n_vertices - 1
+        assert reached == set(range(tri.n_vertices))
 
 
 def _plan_inputs(tri):
@@ -186,9 +212,10 @@ def test_run_scope_derives_each_gluing_once(monkeypatch):
     monkeypatch.setattr(state_sum, "_derive_gluing_slots",
                         lambda tri: derived.append(tri) or derive(tri))
     monkeypatch.setattr(state_sum, "plan_from_terms",
-                        lambda n, term_vars: planned.append(n) or plan(n, term_vars))
+                        lambda n, term_vars, tree: planned.append(n) or plan(n, term_vars, tree))
     monkeypatch.setattr(invariants, "plan_from_terms",
-                        lambda n, term_vars: oracle_planned.append(n) or plan(n, term_vars))
+                        lambda n, term_vars, *tree: oracle_planned.append(tree)
+                        or plan(n, term_vars, *tree))
     c = heisenberg_cocycle(2)
     twisted = twist(c, [0, 1, 0, 0], 2)
     torus = standard_triangulation(SurfaceSpec(True, 1))
@@ -198,7 +225,7 @@ def test_run_scope_derives_each_gluing_once(monkeypatch):
                    for x, tri in ((c, torus), (twisted, copy))]
         oracle = [dw_labeling_oracle(c.group, x, seven_vertex_torus()) for x in (c, twisted)]
     assert len(derived) == len(planned) == 1
-    assert len(oracle_planned) == 2 and oracle[0] == oracle[1] == results[0].value
+    assert oracle_planned == [(), ()] and oracle[0] == oracle[1] == results[0].value
     assert results[1] is not results[0] and results[1].value == results[0].value
     assert results[1].plan is results[0].plan
     assert results[1].plan.steps is results[0].plan.steps
@@ -351,11 +378,32 @@ def subdivided_torus():
 
 
 def test_table_size_is_bounded():
+    """Gauge-fixed, the subdivided torus costs quaternion:8 what the
+    one-vertex torus does; the same terms planned without the tree still
+    outgrow MAX_TABLE_ROWS, and the contraction refuses them."""
     tri = subdivided_torus()
-    with pytest.raises(ContractionError, match=str(state_sum.MAX_TABLE_ROWS)):
-        run_state_sum(algebra("quaternion:8"), tri)
-    # the same surface fits for a smaller group, with the torus value
+    A = algebra("quaternion:8")
+    res = run_state_sum(A, tri)
+    assert res.value == 5 and res.states_visited <= 1000
     assert run_state_sum(algebra("cyclic:2"), tri).value == 2
+    n_vars, terms, _ = state_sum._edge_terms(A, tri)
+    unfixed = plan_from_terms(n_vars, [term.vars for term in terms])
+    with pytest.raises(ContractionError, match=str(state_sum.MAX_TABLE_ROWS)):
+        state_sum.exact_contraction(A.group, A.cocycle.order, n_vars, terms, unfixed)
+
+
+def test_symmetric5_refined_genus2_state_sum():
+    """Eleven subdivisions give 12 vertices and E - T + 1 = 15: the labelings
+    of every edge would be 120^15, past 2^63, but the gauge-fixed plan has
+    the 4 free edges of the one-vertex surface."""
+    A = algebra("symmetric:5")
+    tri = standard_triangulation(SurfaceSpec(True, 2))
+    for i in range(11):
+        tri = pachner_13(tri, i % tri.n_triangles)
+    assert tri.n_vertices == 12 and tri.n_edges - tri.n_triangles + 1 == 15
+    res = run_state_sum(A, tri)
+    assert res.plan.free_count == 4
+    assert Fraction(120) ** 2 * res.value == 32152
 
 
 def test_symmetric5_genus2_state_sum():
@@ -408,6 +456,20 @@ def apply_moves(tri, moves):
     return tri
 
 
+def oracle_counts(A, tri):
+    """The labeling oracle's engine on the state sum's terms of tri, along
+    the plan without the gauge tree: it labels every edge, so it counts
+    each gauge-fixed labeling #G^(V - 1) times.  It refuses the gauge-fixed
+    plan itself."""
+    n_vars, terms, plan = state_sum._edge_terms(A, tri)
+    if "fixed" in plan.kinds:
+        with pytest.raises(invariants.InvariantError, match="fixed steps"):
+            invariants.exact_contraction(A.group, A.cocycle.order, n_vars, terms, plan)
+    unfixed = plan_from_terms(n_vars, [term.vars for term in terms])
+    assert "fixed" not in unfixed.kinds
+    return invariants.exact_contraction(A.group, A.cocycle.order, n_vars, terms, unfixed)[0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(base=st.sampled_from(["orientable:0", "orientable:1", "nonorientable:2"]),
        pair=st.sampled_from(range(len(PROPERTY_PAIRS))), moves=MOVES)
@@ -418,12 +480,32 @@ def test_frontier_table_matches_backtracking(base, pair, moves):
     A = TwistedGroupAlgebra(G, c)
     tri = apply_moves(standard_triangulation(spec), moves)
     table = run_state_sum(A, tri)
-    with mock.patch.object(state_sum, "exact_contraction", invariants.exact_contraction):
-        search = run_state_sum(A, tri)
     assert table.counts.dtype == np.int64
-    assert np.array_equal(table.counts, np.asarray(search.counts))
+    assert np.array_equal(oracle_counts(A, tri), G.order ** (tri.n_vertices - 1) * table.counts)
     assert Fraction(G.order) ** (-spec.chi) * table.value == invariants.dw_direct(G, c, spec)
     assert table.states_visited <= table.plan.estimate_nodes(G.order)
+
+
+LONG_MOVES = st.lists(st.tuples(st.sampled_from(["13", "22", "flip"]), st.integers(0, 10 ** 6)),
+                      min_size=4, max_size=16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.sampled_from(["orientable:0", "orientable:1", "orientable:2", "nonorientable:1",
+                             "nonorientable:2", "nonorientable:3"]),
+       pair=st.sampled_from(range(len(PROPERTY_PAIRS))), moves=LONG_MOVES)
+def test_gauge_fixed_state_sum_matches_direct_after_many_moves(base, pair, moves):
+    """Long Pachner and flip sequences, with twisted and sign cocycles: the
+    gauge-fixed state sum equals the direct route, and its plan fixes V - 1
+    edges and keeps at least 2 - chi free."""
+    G, c = PROPERTY_PAIRS[pair]
+    spec = SurfaceSpec.parse(base)
+    assume(spec.orientable or c.is_sign_valued)
+    tri = apply_moves(standard_triangulation(spec), moves)
+    res = run_state_sum(TwistedGroupAlgebra(G, c), tri)
+    assert res.plan.kinds.count("fixed") == tri.n_vertices - 1
+    assert res.plan.free_count >= 2 - spec.chi
+    assert Fraction(G.order) ** (-spec.chi) * res.value == invariants.dw_direct(G, c, spec)
 
 
 def test_engines_index_products_past_the_label_type():
@@ -434,10 +516,9 @@ def test_engines_index_products_past_the_label_type():
     c = twist(trivial_cocycle(G), b, 12)
     A = TwistedGroupAlgebra(G, c)
     torus = SurfaceSpec(True, 1)
-    table = run_state_sum(A, standard_triangulation(torus))
-    with mock.patch.object(state_sum, "exact_contraction", invariants.exact_contraction):
-        search = run_state_sum(A, standard_triangulation(torus))
-    assert np.array_equal(table.counts, search.counts)
-    assert table.value == invariants.dw_direct(G, c, torus)
+    for tri in (standard_triangulation(torus), pachner_13(standard_triangulation(torus), 0)):
+        table = run_state_sum(A, tri)
+        assert np.array_equal(oracle_counts(A, tri), G.order ** (tri.n_vertices - 1) * table.counts)
+        assert table.value == invariants.dw_direct(G, c, torus)
     sphere = SurfaceSpec(True, 0)
     assert dw_labeling_oracle(G, c, tetrahedron_sphere()) == invariants.dw_direct(G, c, sphere)
