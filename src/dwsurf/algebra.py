@@ -7,15 +7,19 @@ algebra, found over F_p, p the least prime = 1 (mod N #G) above 2 #G for a
 cocycle of order N (Dixon, Numer. Math. 1967; Haggarty-Humphreys, Proc. LMS
 1978), by equalities of integers mod p; characters are lifted to C on demand.
 Only class sums are multiplied (the reference product is in tests/oracles.py),
-over the class representatives that the group keeps.  Inside one `dw check`
-run (memo.py) each algebra is decomposed once.
+over the class representatives that the group keeps.  The center splits along
+fixed combinations of class sums before single ones, each minimal polynomial
+the recurrence of traces (Massey, IEEE Trans. IT 1969; Wiedemann, IEEE Trans.
+IT 1986); tests/oracles.py keeps the split one class sum at a time by row
+reduction.  Inside one `dw check` run (memo.py) each algebra is decomposed once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -41,9 +45,8 @@ def _prime(modulus: int, above: int) -> int:
 
 
 @cache
-def _root_powers(p: int, order: int) -> np.ndarray:
-    """The images in F_p of zeta_order^k, k < order: powers of the least
-    generator of the multiplicative group, so they agree for every order."""
+def _generator(p: int) -> int:
+    """The least generator of the multiplicative group of F_p."""
     primes, rest = [], p - 1
     for q in range(2, math.isqrt(p - 1) + 1):       # trial division of p - 1
         if rest % q == 0:
@@ -52,7 +55,14 @@ def _root_powers(p: int, order: int) -> np.ndarray:
                 rest //= q
     if rest > 1:
         primes.append(rest)
-    root = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
+
+
+@cache
+def _root_powers(p: int, order: int) -> np.ndarray:
+    """The images in F_p of zeta_order^k, k < order: powers of the least
+    generator of the multiplicative group, so they agree for every order."""
+    root = _generator(p)
     powers = np.array([pow(root, (p - 1) // order * k, p) for k in range(order)])
     powers.setflags(write=False)
     return powers
@@ -112,20 +122,21 @@ class TwistedGroupAlgebra:
         constant on every coset h.C(g), and sum_h e_h e_g e_h^-1 is |C(g)|
         times sum_k zeta^phi(k) e_k over the class.  Other classes contribute
         nothing.  zeta_N is its image in F_p, as p = 1 mod N."""
-        G, exps, N, inv = self.group, self.cocycle.exps, self.cocycle.order, self.group.inverse
-        g, h = np.array(conjugacy_classes(G).representatives), np.arange(self.dim)[:, None]
-        hg = G.cayley[h, g]
-        conj = G.cayley[hg, inv[h]]                       # h g h^-1, one column per class
-        phase = (exps[h, g] + exps[hg, inv[h]] - exps[h, inv[h]]) % N
+        G, n, N = self.group, self.dim, self.cocycle.order
+        cay, exps, inv = G.cayley.ravel(), self.cocycle.exps.ravel(), G.inverse[:, None]
+        g, h = np.array(conjugacy_classes(G).representatives), np.arange(0, n * n, n)[:, None]
+        hg = cay.take(h + g)                              # flat indices of (h, g) pairs
+        conj = cay.take(hg * n + inv)                     # h g h^-1, one column per class
+        phase = (exps.take(h + g) + exps.take(hg * n + inv) - exps.take(h + inv)) % N
         regular = ~((conj == g) & (phase != 0)).any(axis=0)
-        phi = np.full((len(g), self.dim), -1, dtype=np.int64)
-        phi[np.arange(len(g)), conj] = phase
-        broken = regular & (phi[np.arange(len(g)), conj] != phase).any(axis=0)
+        phi, slot = np.full(len(g) * n, -1, dtype=np.int64), conj + np.arange(0, len(g) * n, n)
+        phi[slot] = phase
+        broken = regular & (phi.take(slot) != phase).any(axis=0)
         if broken.any():
             raise AlgebraError(
                 f"conjugation phase of class {g[broken][0]} is not constant on the cosets of "
                 "its centralizer; the cocycle table is inconsistent")
-        phi = phi[regular]
+        phi = phi.reshape(len(g), n)[regular]
         if not len(phi):
             raise AlgebraError("empty center: the identity is not c-regular, so the table "
                                "is not normalized")
@@ -198,25 +209,35 @@ def _decompose(A: TwistedGroupAlgebra) -> WedderburnDecomposition:
     G, c, n, p = A.group, A.cocycle, A.dim, A.prime
     Z = A.center_basis()
     r, support = len(Z), Z != 0
-    cls = np.where(support.any(axis=0), support.argmax(axis=0), -1)   # row of g, or -1
+    cls = np.where(support.any(axis=0), support.argmax(axis=0), r)    # row of g, or r
     val, reps = Z.sum(axis=0), (Z == 1).argmax(axis=1)   # coordinates: coefficients at reps
     # M[a, b, t]: the coefficient of z_a z_b at reps[t], the sum of z_a[x] z_b[y] c(x, y)
-    # over the c-regular x with y = x^-1 reps[t] c-regular, one gather of #G r pairs
-    y = G.cayley[G.inverse[:, None], reps]                  # x^-1 reps[t] for every x
-    x, t = np.nonzero((cls[:, None] >= 0) & (cls[y] >= 0))
-    y = y[x, t]
-    M = np.zeros((r, r, r), dtype=np.int64)
-    np.add.at(M, (cls[x], cls[y], t), val[x] * val[y] % p * _root_powers(p, c.order)[c.exps[x, y]])
-    M, where = M % p, f"{G.name} with cocycle {c.name or 'cocycle'} over F_{p}"
+    # over the c-regular x and y = x^-1 reps[t], one gather of r pairs per x; a y that
+    # is not c-regular lands in row r, cut off.  Each term is reduced, so an entry is
+    # below #G p and the products of the split stay in int64
+    x = np.flatnonzero(val)[:, None]
+    y = G.cayley.ravel().take(G.inverse[x] * n + reps)
+    M = np.zeros(r * (r + 1) * r, dtype=np.int64)
+    np.add.at(M, ((cls[x] * (r + 1) + cls.take(y)) * r + np.arange(r)).ravel(),
+              (val[x] * val.take(y) % p * _root_powers(p, c.order).take(
+                  c.exps.ravel().take(x * n + y)) % p).ravel())
+    M = M.reshape(r, r + 1, r)[:, :r]
+    where = f"{G.name} with cocycle {c.name or 'cocycle'} over F_{p}"
     ranks = np.trace(M, axis1=0, axis2=2) % p             # rank(f) = f . ranks mod p
     E, steps = _primitive_idempotents(np.eye(1, r, dtype=np.int64)[0], M, ranks, p, where)
-    E = np.where(cls >= 0, np.array(E)[:, cls] * val % p, 0)      # to the group basis
+    E = np.array(E)
     squares = n * E[:, 0] % p                              # d^2 = tr(L_e) = #G e[1]
+    # the reps are the least elements of their classes, in order, and every other
+    # coefficient of a class is a fixed multiple of its rep's: ordering the rows
+    # by their coordinates orders them by their residues
+    order = np.lexsort([*E.T[::-1], squares])
+    E, squares = E[order], squares[order]
     dims = np.array([math.isqrt(v) for v in squares.tolist()])
     if (dims < 1).any() or (dims * dims != squares).any() or (dims * dims).sum() != n:
         raise AlgebraError(f"{where}: #G e[1] = {squares.tolist()} are not the squares of "
                            "block dimensions with sum #G")
-    blocks = tuple(Block(A, E[i], int(dims[i])) for i in np.lexsort([*E.T[::-1], dims]))
+    E = E.take(cls, axis=1, mode="clip") * val % p         # to the group basis; val is 0 off Z
+    blocks = tuple(Block(A, e, d) for e, d in zip(E, dims.tolist()))
     dec = WedderburnDecomposition(A, blocks, {"prime": p, "split_steps": steps})
     return fs_indicators(dec) if c.is_sign_valued else dec
 
@@ -224,32 +245,79 @@ def _decompose(A: TwistedGroupAlgebra) -> WedderburnDecomposition:
 def _primitive_idempotents(f: np.ndarray, M: np.ndarray, ranks: np.ndarray, p: int,
                            where: str) -> tuple:
     """The primitive idempotents under f (rows of coordinates mod p) and the
-    number of splits made (Dixon-Schneider).  rank(f) = f . ranks mod p is
-    exact as r < p; f splits along the first z_b with f z_b not a multiple of
-    f: a row reduction of the Krylov vectors f z_b^j gives the minimal
-    polynomial, whose roots l_i give the pieces f L_i(z_b), L_i the Lagrange
-    basis at the roots."""
-    m = int(f @ ranks % p)
-    if m == 1:
-        return [f], 0
-    F, i = (f @ M.reshape(len(M), -1) % p).reshape(len(M), -1), int(np.flatnonzero(f)[0])
-    scalar = (F * f[i] % p == F[:, i, None] * f % p).all(axis=1)
-    if scalar.all():
-        raise AlgebraError(f"{where}: an idempotent of rank {m} is left after every class sum")
-    b = int(scalar.argmin())
-    U = [f, F[b]]
-    for _ in range(m - 1):
-        U.append(U[-1] @ M[:, b] % p)
-    red, pivots = _row_reduce(np.array(U).T, p)
-    k = len(pivots)                       # f z_b^k = sum_{j<k} red[j, k] f z_b^j
-    mu = np.append(-red[:k, k] % p, 1)
-    roots = _roots(mu, p)
-    if len(roots) < k:
-        raise AlgebraError(f"{where}: a minimal polynomial of degree {k} has {len(roots)} "
-                           "distinct roots; the prime does not split the center")
-    pieces = _lagrange_basis(mu, roots, p) @ np.array(U[:k]) % p
-    split = [_primitive_idempotents(e, M, ranks, p, where) for e in pieces]
-    return [e for done, _ in split for e in done], 1 + sum(steps for _, steps in split)
+    number of splits made (Dixon).  rank(f) = f . ranks mod p is exact as
+    r < p; M[b] is the matrix of multiplication by z_b, as the center is
+    commutative.  An idempotent of rank m > 1 splits along the first element
+    z that is not a multiple of f on fZ: sum_b a^b z_b for a the least
+    generator g of F_p^* and for a = g^-1, then the class sums in order;
+    each piece goes on from the element after the one that split it.
+    s_j = tr(f z^j) sums the j-th powers of the eigenvalues of z on fZ, each
+    counted at most m < p times, so the minimal recurrence of s_0 .. s_(2m-1)
+    (Berlekamp-Massey) is the minimal polynomial of z on fZ; its roots l_i
+    give the pieces f L_i(z), L_i the Lagrange basis at the roots.  It must
+    annihilate f, and the pieces must have ranks in [1, m)."""
+    r, done, work, steps, times = len(M), [], [(f, int(f @ ranks % p), 0)], 0, {}
+    while work:
+        f, m, k = work.pop()
+        if m == 1:
+            done.append(f)
+            continue
+        i = int(np.flatnonzero(f)[0])
+        while k < r + 2:
+            if k < 2 and k not in times:       # sum_b a^b z_b for a = g, then a = g^-1
+                a = pow(_generator(p), 1 - 2 * k, p)
+                times[k] = (np.array([pow(a, b, p) for b in range(r)])
+                            @ M.reshape(r, -1) % p).reshape(r, r)
+            z = times[k] if k < 2 else M[k - 2]   # multiplication by the k-th element tried
+            F = f @ z % p
+            if not (F * f[i] % p == F[i] * f % p).all():    # f z not a multiple of f
+                break
+            k += 1
+        else:
+            raise AlgebraError(f"{where}: an idempotent of rank {m} is left after every class sum")
+        krylov = np.empty((2 * m, r), dtype=np.int64)     # f z^j, j < 2m
+        krylov[0], krylov[1] = f, F
+        for j in range(2, 2 * m):
+            np.remainder(krylov[j - 1] @ z, p, out=krylov[j])
+        mu = _minimal_polynomial((krylov @ ranks % p).tolist(), p)
+        deg, roots = len(mu) - 1, _roots(mu, p)
+        if len(roots) < deg:
+            raise AlgebraError(f"{where}: a minimal polynomial of degree {deg} has {len(roots)} "
+                               "distinct roots; the prime does not split the center")
+        if deg > m or (mu @ krylov[:deg + 1] % p).any():
+            raise AlgebraError(f"{where}: the trace recurrence of degree {deg} does not "
+                               f"annihilate an idempotent of rank {m}; decomposition error")
+        pieces = _lagrange_basis(mu, roots, p) @ krylov[:deg] % p
+        sub = pieces @ ranks % p
+        if ((sub < 1) | (sub >= m)).any():
+            raise AlgebraError(f"{where}: pieces of ranks {sub.tolist()} split a rank {m}; "
+                               "decomposition error")
+        steps += 1
+        work.extend((e, rank, k + 1) for e, rank in zip(pieces, sub.tolist()))
+    return done, steps
+
+
+def _minimal_polynomial(s: list, p: int) -> np.ndarray:
+    """The least monic mu, lowest degree first, with sum_i mu[i] s[j + i] = 0
+    mod p for every j (Berlekamp-Massey over F_p; Massey, IEEE Trans. IT 15,
+    1969): the minimal polynomial of a linear recurrence from twice its degree
+    terms."""
+    conn, prev, L, gap, last = [1], [1], 0, 1, 1      # connection polynomials, lowest first
+    for n in range(len(s)):
+        d = sum(map(operator.mul, conn, s[n::-1])) % p
+        if not d:
+            gap += 1
+            continue
+        coef, old = d * pow(last, -1, p) % p, conn
+        conn = conn + [0] * (gap + len(prev) - len(conn))
+        for j, b in enumerate(prev, gap):
+            conn[j] = (conn[j] - coef * b) % p
+        if 2 * L <= n:
+            L, prev, last, gap = n + 1 - L, old, d, 1
+        else:
+            gap += 1
+        del conn[L + 1:]                                   # zero past the degree
+    return np.array((conn + [0] * (L + 1 - len(conn)))[::-1], dtype=np.int64)
 
 
 def _lagrange_basis(poly: np.ndarray, roots: np.ndarray, p: int) -> np.ndarray:
@@ -266,27 +334,15 @@ def _lagrange_basis(poly: np.ndarray, roots: np.ndarray, p: int) -> np.ndarray:
     return Q * np.array([pow(v, -1, p) for v in value.tolist()])[:, None] % p
 
 
-def _row_reduce(a: np.ndarray, p: int) -> tuple:
-    """Row reduction over F_p up to the first column without a pivot: the
-    reduced matrix and the pivot columns before it."""
-    a, pivots = a % p, []
-    for col in range(a.shape[1]):
-        top = len(pivots)
-        i = top + int((a[top:, col] != 0).argmax()) if top < len(a) else top
-        if i == len(a) or not a[i, col]:
-            break
-        row = a[i] * pow(int(a[i, col]), -1, p) % p
-        a = (a - a[:, col, None] * row) % p
-        a[i], a[top] = a[top], row              # the pivot row moves up to top
-        pivots.append(col)
-    return a, pivots
-
-
 def _roots(poly: np.ndarray, p: int) -> np.ndarray:
     """The roots in F_p of a polynomial, lowest degree first, by evaluation at
-    every point (Horner's rule)."""
-    x = np.arange(p, dtype=np.int64)
-    return np.flatnonzero(reduce(lambda v, coef: (v * x + coef) % p, poly[::-1], 0 * x) == 0)
+    every point (Horner's rule, in place)."""
+    x, value = np.arange(p, dtype=np.int64), np.full(p, poly[-1], dtype=np.int64)
+    for coef in poly[-2::-1].tolist():
+        value *= x
+        value += coef
+        value %= p
+    return np.flatnonzero(value == 0)
 
 
 def fs_indicators(dec: WedderburnDecomposition) -> WedderburnDecomposition:
@@ -305,12 +361,16 @@ def fs_indicators(dec: WedderburnDecomposition) -> WedderburnDecomposition:
     E, d = np.array([b.residues for b in dec.blocks]), np.array(dec.dims)
     sq, k = A.group.cayley[inv, inv], np.arange(len(E))     # g^-2, block index
     trace = E[:, sq] @ zeta[(exps[inv, g] + exps[g, sq]) % A.cocycle.order] % p
-    fs = np.select([trace == d, trace == p - d, trace == 0], [1, -1, 0], 2)
-    if (fs == 2).any():
-        raise AlgebraError(f"indicator residue {trace[fs == 2][0]} is not -1, 0 or +1 mod p "
+    fs = (trace == d).astype(np.int64) - (trace == p - d)      # 0 < d < p - d as d^2 <= #G
+    wrong = (fs == 0) & (trace != 0)
+    if wrong.any():
+        raise AlgebraError(f"indicator residue {trace[wrong][0]} is not -1, 0 or +1 mod p "
                            f"(p = {p}); decomposition error")
-    index = {row.tobytes(): i for i, row in enumerate(E)}     # S.e at g: c(g^-1, g) e[g^-1]
-    mate = np.array([index.get(r.tobytes(), -1) for r in E[:, inv] * zeta[exps[inv, g]] % p])
+    image = E[:, inv] * zeta[exps[inv, g]] % p                  # S.e at g: c(g^-1, g) e[g^-1]
+    mate, moved = k.copy(), np.flatnonzero((image != E).any(axis=1))
+    if len(moved):          # S is an involution: a block it moves maps to another moved one
+        index = {E[i].tobytes(): i for i in moved.tolist()}
+        mate[moved] = [index.get(image[i].tobytes(), -1) for i in moved.tolist()]
     if (mate < 0).any() or (mate[mate] != k).any():
         raise AlgebraError("involution image of an idempotent matches no block, or not in pairs")
     clash = (fs == 0) != (mate != k)

@@ -9,7 +9,8 @@ A histogram of exponents, sum_k counts[k] zeta_N^k, reduces to an exact
 integer modulo the cyclotomic polynomial Phi_N (cyclotomic_integer); the
 direct, state-sum and labeling routes end there.  Complex embeddings happen
 only in the algebra layer.  A cocycle is immutable and keeps what it alone
-determines: whether it is sign-valued and its count of c-regular classes.
+determines: whether it is sign-valued, its count of c-regular classes and
+the exponent tables of the state sum's triangles.
 """
 
 from __future__ import annotations
@@ -120,6 +121,12 @@ class TwoCocycle:
                 f"c-regularity is not constant on conjugacy class {partial[0]}; "
                 "the cocycle table is inconsistent")
         return int((hits == sizes).sum())
+
+    @cached_property
+    def triangle_tables(self) -> dict:
+        """The state sum's triangle exponent tables by paying slots, filled
+        by state_sum._edge_terms, so each is built once per cocycle."""
+        return {}
 
 
 def verify_cocycle(c: TwoCocycle) -> CocycleCheck:

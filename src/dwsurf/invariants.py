@@ -478,7 +478,9 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec | GluedTriangul
     and for chi <= 0 the value must be an integer, >= 1 on orientable
     surfaces and >= 0 on non-orientable ones with an even number k of
     crosscaps.  At odd k a skew block (fs = -1) adds the negative term
-    (-#G/dim)^(k-2), so the value may be negative there.
+    (-#G/dim)^(k-2), so the value may be negative there.  The Verlinde route
+    also requires every block dimension to divide #G, as the degree of an
+    irreducible projective representation does (diagnostics["dims_divide_order"]).
 
     ``spec`` may be a triangulation, which the state sum contracts; the
     other routes take its surface.  The state sum's plan goes to
@@ -520,6 +522,7 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec | GluedTriangul
         diagnostics["block_dims"] = list(dec.dims)
         diagnostics["fs"] = [b.fs for b in dec.blocks]
         diagnostics["block_count_matches_regular_classes"] = dec.block_count() == r
+        diagnostics["dims_divide_order"] = all(G.order % d == 0 for d in dec.dims)
         diagnostics.update(dec.diagnostics)
     if oracle and spec.orientable and spec.genus <= 1:
         surf = tetrahedron_sphere() if spec.genus == 0 else seven_vertex_torus()
@@ -540,7 +543,8 @@ def cross_check(G: FiniteGroup, c: TwoCocycle, spec: SurfaceSpec | GluedTriangul
                        "positive_ok": positive_ok}
         integrality_ok = v.denominator == 1 and positive_ok
     passed = (len(set(vals)) <= 1 and integrality_ok
-              and diagnostics.get("block_count_matches_regular_classes", True))
+              and diagnostics.get("block_count_matches_regular_classes", True)
+              and diagnostics.get("dims_divide_order", True))
     return InvariantReport(G.name, c.name or "cocycle", spec.name, spec.chi, values,
                            integrality, diagnostics, passed, states)
 

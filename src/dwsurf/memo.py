@@ -12,7 +12,7 @@ a gluing alone determines (``state_sum._gluing_slots``: edge variables,
 inverted and paying slots, after orienting, and the contraction plan with
 its step schedule), and ``run_state_sum``.  What derives from one
 immutable object alone (a group's conjugacy classes, a cocycle's c-regular
-class count) is kept on that object instead.
+class count and triangle exponent tables) is kept on that object instead.
 """
 
 from __future__ import annotations

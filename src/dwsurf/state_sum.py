@@ -288,15 +288,22 @@ def _edge_terms(A: TwistedGroupAlgebra, tri: GluedTriangulation):
     A triangle with labels (a, b, l_2), l_2 = (ab)^-1, weighs c(a, b)
     c(l_2, l_2^-1).  An edge of reversal type weighs c(g, g^-1)^-1 at its label
     g, folded into the slot of its smaller flag, whose label is g.  A table
-    depends only on the subset of slots that pay, so at most 8 are built.
+    depends only on the cocycle and the subset of slots that pay, so at most
+    8 are built per cocycle, which keeps them; at order 1 every exponent is
+    0, and the cocycle's own zero table serves every subset.
     """
     c, inv = A.cocycle, A.group.inverse
-    closer = c.exps[np.arange(A.group.order), inv]   # c(g, g^-1)
-    # c(l_s, l_s^-1), s = 0, 1, 2, as tables of (l_0, l_1), with l_2 = (l_0 l_1)^-1
-    weights = (closer[:, None], closer, closer[inv[A.group.cayley]])
     n_vars, slots, plan = _gluing_slots(tri)
-    tables = {paying: (c.exps + weights[2] - sum(weights[s] for s in paying)) % c.order
-              for paying in {paying for _, _, paying in slots}}
+    tables = c.triangle_tables
+    missing = {paying for _, _, paying in slots} - tables.keys()
+    if missing and c.order > 1:
+        closer = c.exps[np.arange(A.group.order), inv]   # c(g, g^-1)
+        # c(l_s, l_s^-1), s = 0, 1, 2, as tables of (l_0, l_1), with l_2 = (l_0 l_1)^-1
+        weights = (closer[:, None], closer, closer[inv[A.group.cayley]])
+    for paying in missing:
+        tables[paying] = c.exps if c.order == 1 else (
+            c.exps + weights[2] - sum(weights[s] for s in paying)) % c.order
+        tables[paying].setflags(write=False)
     terms = [TriangleTerm(edges, inverted, tables[paying]) for edges, inverted, paying in slots]
     return n_vars, terms, plan
 

@@ -5,8 +5,10 @@ matrices, the dense structure constants, the pairing vector and the complex
 class sums are built from it; the trace form, the involution of a sign-valued
 cocycle (as a gather and as a dense matrix) and the block idempotents over C
 are read off their closed forms, and the commutator residual of candidate
-central elements is read off the basis permutations.  The dense
-Fukuma-Hosono-Kawai contraction checks the sparse state-sum engine.
+central elements is read off the basis permutations.  The center is split
+one class sum at a time, each minimal polynomial from a row reduction of
+Krylov vectors.  The dense Fukuma-Hosono-Kawai contraction checks the sparse
+state-sum engine.
 Homomorphisms are enumerated one tuple at a time, and one relator
 weight serves orientable and non-orientable words alike, for any table of
 exponents; histogrammed over the homomorphisms, these weights check the
@@ -21,6 +23,7 @@ every triple.  All of them are literal and slow, meant for groups of order
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -118,6 +121,63 @@ def commutator_residual(A, Z):
     x = np.arange(A.dim)[:, None]
     jc = cay[cay[x, j], inv[x]]                  # x j x^-1, shape (#G, nonzeros)
     return float(np.abs(Z[i, j] * w[x, j] - Z[i, jc] * w[jc, x]).max(initial=0.0))
+
+
+def class_sum_idempotents(f, M, ranks, p, where):
+    """The primitive idempotents under f and the number of splits, split
+    along the first class sum z_b, M[:, b] its multiplication, that is not a
+    multiple of f on fZ; the minimal polynomial of z_b on f comes from a row
+    reduction of the Krylov vectors f z_b^j, and the pieces from the
+    Lagrange basis at its roots, found at every point of F_p.  The split of
+    the center one class sum at a time, recursively."""
+    m = int(f @ ranks % p)
+    if m == 1:
+        return [f], 0
+    F, i = (f @ M.reshape(len(M), -1) % p).reshape(len(M), -1), int(np.flatnonzero(f)[0])
+    scalar = (F * f[i] % p == F[:, i, None] * f % p).all(axis=1)
+    if scalar.all():
+        raise AlgebraError(f"{where}: an idempotent of rank {m} is left after every class sum")
+    b = int(scalar.argmin())
+    U = [f, F[b]]
+    for _ in range(m - 1):
+        U.append(U[-1] @ M[:, b] % p)
+    red, pivots = row_reduce(np.array(U).T, p)
+    k = len(pivots)                       # f z_b^k = sum_{j<k} red[j, k] f z_b^j
+    mu = np.append(-red[:k, k] % p, 1)
+    x = np.arange(p)
+    value = np.zeros(p, dtype=np.int64)
+    for coef in mu[::-1]:
+        value = (value * x + coef) % p
+    roots = np.flatnonzero(value == 0)
+    if len(roots) < k:
+        raise AlgebraError(f"{where}: a minimal polynomial of degree {k} has {len(roots)} "
+                           "distinct roots; the prime does not split the center")
+    basis = []
+    for l in roots.tolist():              # mu / (x - l) / mu'(l), by synthetic division
+        q = [1]
+        for coef in mu[-2:0:-1].tolist():
+            q.append((coef + l * q[-1]) % p)
+        scale = pow(math.prod(l - r for r in roots.tolist() if r != l), -1, p)
+        basis.append([v * scale % p for v in q[::-1]])
+    pieces = np.array(basis) @ np.array(U[:k]) % p
+    split = [class_sum_idempotents(e, M, ranks, p, where) for e in pieces]
+    return [e for done, _ in split for e in done], 1 + sum(steps for _, steps in split)
+
+
+def row_reduce(a, p):
+    """Row reduction over F_p up to the first column without a pivot: the
+    reduced matrix and the pivot columns before it."""
+    a, pivots = a % p, []
+    for col in range(a.shape[1]):
+        top = len(pivots)
+        i = top + int((a[top:, col] != 0).argmax()) if top < len(a) else top
+        if i == len(a) or not a[i, col]:
+            break
+        row = a[i] * pow(int(a[i, col]), -1, p) % p
+        a = (a - a[:, col, None] * row) % p
+        a[i], a[top] = a[top], row              # the pivot row moves up to top
+        pivots.append(col)
+    return a, pivots
 
 
 def pairing_matrix(C):

@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from dwsurf.cocycles import (TwoCocycle, c_regular_count, heisenberg_cocycle,
 from dwsurf.groups import build_group, conjugacy_classes
 from dwsurf.invariants import SIGN_CATALOG_GROUPS, catalog_pairs, cross_check, sign_catalog_pairs
 from dwsurf.surfaces import SurfaceSpec
-from oracles import (commutator_residual, complex_center_basis, idempotent, left_matrix,
-                     multiply, omega, pairing_matrix, right_matrix, star, star_matrix,
-                     structure_constants, trace)
+from oracles import (class_sum_idempotents, commutator_residual, complex_center_basis,
+                     idempotent, left_matrix, multiply, omega, pairing_matrix, right_matrix, star,
+                     star_matrix, structure_constants, trace)
 
 
 def algebra(gspec, cocycle=None):
@@ -328,6 +329,18 @@ def test_abelian_order_64_splits_into_its_linear_characters(gspec):
     assert np.abs(chars @ chars.conj().T / 64 - np.eye(64)).max() < 1e-9
 
 
+@pytest.mark.parametrize("gspec,order", [("cyclic:12", 1), ("dihedral:16", 1),
+                                         ("product(symmetric:3,dihedral:8)", 1),
+                                         ("dihedral:8", 12), ("quaternion:8", 12)])
+def test_blocks_are_sorted_by_dimension_and_residues(gspec, order):
+    # the split sorts coordinates in the class sums; the order is that of the residues
+    G = build_group(gspec)
+    b = [0] + [int(x) for x in np.random.default_rng(3).integers(order, size=G.order - 1)]
+    dec = wedderburn_decompose(TwistedGroupAlgebra(G, twist(trivial_cocycle(G), b, order)))
+    keys = [(block.dim, block.residues.tolist()) for block in dec.blocks]
+    assert keys == sorted(keys)
+
+
 def test_decomposition_rejects_a_prime_that_cannot_split(monkeypatch):
     # F_5 has no primitive cube root of unity, so x^3 - 1, the minimal
     # polynomial of a generator's class sum in C[Z/3], has one root there
@@ -353,6 +366,55 @@ def test_split_rejects_an_idempotent_left_unsplit():
     with pytest.raises(AlgebraError, match="toy: an idempotent of rank 2 is left after every "
                                            "class sum"):
         algebra_module._primitive_idempotents(np.array([1, 0]), M, np.array([2, 0]), 7, "toy")
+
+
+def test_split_rejects_a_recurrence_that_does_not_annihilate():
+    # F_7[x]/(x^2) is not semisimple: the traces of (1 + 3x)^j see the eigenvalue
+    # 1 only, and their recurrence x - 1 leaves the nilpotent part 3x
+    M = np.zeros((2, 2, 2), dtype=np.int64)
+    M[0, 0, 0] = M[0, 1, 1] = M[1, 0, 1] = 1
+    with pytest.raises(AlgebraError, match="toy: the trace recurrence of degree 1 does not "
+                                           "annihilate an idempotent of rank 2"):
+        algebra_module._primitive_idempotents(np.array([1, 0]), M, np.array([2, 0]), 7, "toy")
+
+
+SPLIT_PAIRS = catalog_pairs() + sign_catalog_pairs()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.sampled_from(range(len(SPLIT_PAIRS))), order=st.integers(2, 12), data=st.data())
+def test_split_equals_the_class_sum_reference(pair, order, data):
+    # the split along generic elements finds the idempotents that the split one
+    # class sum at a time finds, on catalog pairs twisted by random coboundaries
+    G, c = SPLIT_PAIRS[pair]
+    b = data.draw(st.lists(st.integers(0, order - 1), min_size=G.order - 1,
+                           max_size=G.order - 1))
+    A = TwistedGroupAlgebra(G, twist(c, [0, *b], order))
+    with mock.patch.object(algebra_module, "_primitive_idempotents", class_sum_idempotents):
+        want = algebra_module._decompose(A)
+    got = algebra_module._decompose(A)
+    assert (got.dims, got.fs_list) == (want.dims, want.fs_list)
+    assert np.array_equal([blk.residues for blk in got.blocks],
+                          [blk.residues for blk in want.blocks])
+    assert got.diagnostics["prime"] == want.diagnostics["prime"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([5, 7, 17, 193, 737281]), zero=st.booleans(), data=st.data())
+def test_trace_recurrence_is_the_minimal_polynomial(p, zero, data):
+    # s_j = sum_i n_i l_i^j for distinct l_i, 0 among them or not, and n_i in
+    # [1, r], r < p: the minimal recurrence of s_0 .. s_(2m-1), m = sum n_i, is
+    # the product of the x - l_i
+    r = min(p - 1, 6)
+    roots = data.draw(st.sets(st.integers(1, p - 1), min_size=0 if zero else 1, max_size=5))
+    roots = sorted(roots | {0} if zero else roots)
+    mult = [data.draw(st.integers(1, r)) for _ in roots]
+    s = [sum(n * pow(l, j, p) for l, n in zip(roots, mult)) % p
+         for j in range(2 * sum(mult))]
+    want = np.ones(1, dtype=np.int64)
+    for root in roots:                             # want (x - root), lowest degree first
+        want = (np.append(0, want) - root * np.append(want, 0)) % p
+    assert np.array_equal(algebra_module._minimal_polynomial(s, p), want)
 
 
 @settings(max_examples=40, deadline=None)

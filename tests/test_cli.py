@@ -316,7 +316,7 @@ def test_compute_reports_indicators_on_orientable_surfaces(capsys):
     diagnostics = json.loads(out)["diagnostics"]
     assert code == 0
     assert diagnostics["fs"] == [1, 1, 1, 1, -1]
-    assert (diagnostics["prime"], diagnostics["split_steps"]) == (17, 4)
+    assert (diagnostics["prime"], diagnostics["split_steps"]) == (17, 1)
 
 
 def test_cocycle_file_descriptor(tmp_path, capsys):

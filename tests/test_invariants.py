@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -783,6 +784,28 @@ def test_nonorientable_sign_rule(monkeypatch, k, value, passed):
     rep = cross_check(G, trivial_cocycle(G), SurfaceSpec(False, k), methods=("direct",))
     assert rep.passed is passed
     assert rep.integrality["positive_ok"] is (k % 2 == 1)
+
+
+def test_block_dimensions_must_divide_the_group_order(monkeypatch):
+    """The degree of an irreducible projective representation divides #G.
+    On the torus the Verlinde value counts the blocks whatever their
+    dimensions, so a symmetric:3 decomposition with dimensions 1, 1, 4 has
+    the right count and the integer value 3, and fails on the divisibility
+    alone."""
+    S3 = build_group("symmetric:3")
+    rep = cross_check(S3, trivial_cocycle(S3), TORUS, methods=("verlinde",))
+    assert rep.passed and rep.diagnostics["dims_divide_order"] is True
+    decompose = invariants.wedderburn_decompose
+
+    def four(A):
+        dec = decompose(A)
+        return replace(dec, blocks=(*dec.blocks[:2], replace(dec.blocks[2], dim=4)))
+
+    monkeypatch.setattr(invariants, "wedderburn_decompose", four)
+    rep = cross_check(S3, trivial_cocycle(S3), TORUS, methods=("verlinde",))
+    assert rep.values == {"verlinde": 3} and rep.integrality["integer"]
+    assert rep.diagnostics["block_count_matches_regular_classes"] is True
+    assert rep.diagnostics["dims_divide_order"] is False and not rep.passed
 
 
 def test_cross_check_has_no_tolerance():

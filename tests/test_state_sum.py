@@ -234,6 +234,28 @@ def test_run_scope_derives_each_gluing_once(monkeypatch):
     assert len(derived) == len(planned) == 3    # outside the scope nothing is kept
 
 
+def test_cocycle_keeps_its_triangle_tables():
+    """A cocycle's triangle tables are built on its first state sum and read,
+    read-only, by every later one, on any gluing; at order 1 every term reads
+    the cocycle's own zero table, and no other table is built."""
+    A = algebra("symmetric:3")
+    for genus in (1, 2):
+        _, terms, _ = state_sum._edge_terms(A, standard_triangulation(SurfaceSpec(True, genus)))
+        assert all(term.exp2 is A.cocycle.exps for term in terms)
+    q8 = next(c for c in sign_cocycles_catalog(build_group("quaternion:8")) if c.name == "q8:cup")
+    A = TwistedGroupAlgebra(q8.group, q8)
+    tri = standard_triangulation(SurfaceSpec(False, 3))
+    _, first, _ = state_sum._edge_terms(A, tri)
+    tables = dict(q8.triangle_tables)
+    assert len(tables) > 1 and not any(t.flags.writeable for t in tables.values())
+    _, again, _ = state_sum._edge_terms(A, tri)
+    assert all(q8.triangle_tables[paying] is t for paying, t in tables.items())
+    assert all(a.exp2 is b.exp2 for a, b in zip(again, first))
+    _, refined, _ = state_sum._edge_terms(A, pachner_13(tri, 0))
+    assert all(q8.triangle_tables[paying] is t for paying, t in tables.items())
+    assert all(any(term.exp2 is t for t in q8.triangle_tables.values()) for term in refined)
+
+
 def test_projective_plane_star_values():
     A = algebra("cyclic:3")
     assert run_state_sum(A, standard_triangulation(SurfaceSpec(False, 1))).value == 1
